@@ -148,8 +148,13 @@ def run_simulate(config: ExperimentConfig) -> list[ExperimentRow]:
     """One row per (kind, d, sigma) in deterministic sweep order.
 
     Every sweep point reuses the same master seed, so per-trial demand
-    vectors are paired across designs and redundancy levels.
+    vectors are paired across designs and redundancy levels.  Consecutive
+    sweep points with the same number of objects k and the same sigma whose
+    trials fit in one batch share one draw of it: a memo holding one batch
+    lives for this call only and is dropped as soon as a point needs other
+    rows.
     """
+    memo: dict = {}
     rows = []
     for kind in config.kinds:
         for d in config.d_values:
@@ -157,7 +162,12 @@ def run_simulate(config: ExperimentConfig) -> list[ExperimentRow]:
             for spec in config.sigma_specs:
                 sigma = resolve_sigma(spec, alloc.n)
                 p_est, i_est = estimate_metrics(
-                    alloc, sigma, config.trials, config.master_seed, workers=config.workers
+                    alloc,
+                    sigma,
+                    config.trials,
+                    config.master_seed,
+                    workers=config.workers,
+                    memo=memo,
                 )
                 rows.append(
                     ExperimentRow(

@@ -70,20 +70,77 @@ def ks_distance(sample: np.ndarray, cdf) -> float:
     return float(max(hi, lo))
 
 
+def _count_ranges(k: int) -> list[tuple[str, float, float, float, Optional[float]]]:
+    """(name, lo, hi, limit mean, limit variance or None) of each range count.
+
+    See ``count_range_checks`` for the three ranges and their limit laws.
+    """
+    a, b = 0.5, 2.0
+    p = math.exp(-a) - math.exp(-b)
+    cov = a * math.exp(-a) - b * math.exp(-b)
+    mid = ("mid", a / k, b / k, k * p, k * (p * (1 - p) - cov * cov))
+    a, b = 1.0, 4.0
+    tiny = ("tiny", a / k**2, b / k**2, b - a, None)
+    a, b = 0.0, 1.0
+    top = ("top", (math.log(k) + a) / k, (math.log(k) + b) / k, math.exp(-a) - math.exp(-b), None)
+    return [mid, tiny, top]
+
+
+@dataclass
+class _Pass:
+    """Per-trial statistics from one pass over the demand rows.
+
+    ``line[d]`` and ``circle[d]`` are the window maxima of the first
+    ``trials`` rows; ``counts[name]`` the range counts of the first
+    ``count_trials`` rows.
+    """
+
+    line: dict[int, np.ndarray]
+    circle: dict[int, np.ndarray]
+    counts: dict[str, np.ndarray]
+
+
+def _one_pass(k: int, d_values, trials: int, count_trials: int, master_seed: int) -> _Pass:
+    """Draw each batch of unit-spacing rows once and reduce it to every statistic.
+
+    Row i is the substream (master_seed, i) whatever the batching, so the
+    maxima and counts equal those of separate passes.  At most one batch is
+    held at a time.
+    """
+    ds = sorted({d for d in d_values if d < k})
+    ranges = _count_ranges(k) if count_trials else []
+    line = {d: np.empty(trials) for d in ds}
+    circle = {d: np.empty(trials) for d in ds}
+    counts = {name: np.empty(count_trials) for name, *_ in ranges}
+    rows = max(trials if ds else 0, count_trials)
+    for start in range(0, rows, _BATCH):
+        s = spacing_matrix(k, 1.0, master_seed, min(_BATCH, rows - start), start_index=start)
+        m = s[: max(0, trials - start)]
+        if len(m):
+            for d in ds:
+                line[d][start : start + len(m)] = window_maxima_line(m, d)
+                circle[d][start : start + len(m)] = window_maxima_circle(m, d)
+        c = s[: max(0, count_trials - start)]
+        for name, lo, hi, *_ in ranges:
+            counts[name][start : start + len(c)] = np.count_nonzero((c >= lo) & (c <= hi), axis=1)
+        del s, m, c
+    return _Pass(line=line, circle=circle, counts=counts)
+
+
 def _maxima(k: int, d: int, trials: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(line, circle) maxima of d consecutive unit spacings, per trial."""
-    line = np.empty(trials)
-    circ = np.empty(trials)
-    for start in range(0, trials, _BATCH):
-        count = min(_BATCH, trials - start)
-        s = spacing_matrix(k, 1.0, master_seed, count, start_index=start)
-        line[start : start + count] = window_maxima_line(s, d)
-        circ[start : start + count] = window_maxima_circle(s, d)
-    return line, circ
+    sample = _one_pass(k, [d], trials, 0, master_seed)
+    return sample.line[d], sample.circle[d]
 
 
-def gumbel_ks_checks(k: int, d: int, trials: int, master_seed: int) -> list[LimitCheck]:
-    """KS distance of the centered scaled maxima (line and circle) to Gumbel."""
+def gumbel_ks_checks(
+    k: int, d: int, trials: int, master_seed: int, maxima: Optional[tuple] = None
+) -> list[LimitCheck]:
+    """KS distance of the centered scaled maxima (line and circle) to Gumbel.
+
+    ``maxima`` is the (line, circle) pair of a pass that already drew the
+    rows; without it they are drawn here.
+    """
     if d == k:
         return [
             LimitCheck(
@@ -94,7 +151,7 @@ def gumbel_ks_checks(k: int, d: int, trials: int, master_seed: int) -> list[Limi
                 detail="window spans the whole interval; statistic is constant",
             )
         ]
-    line, circ = _maxima(k, d, trials, master_seed)
+    line, circ = maxima or _maxima(k, d, trials, master_seed)
     center = dspacing_gumbel_centering(k, d)
     threshold = ks_threshold(d, trials)
     out = []
@@ -112,15 +169,18 @@ def gumbel_ks_checks(k: int, d: int, trials: int, master_seed: int) -> list[Limi
     return out
 
 
-def circular_line_checks(k: int, d: int, trials: int, master_seed: int) -> list[LimitCheck]:
+def circular_line_checks(
+    k: int, d: int, trials: int, master_seed: int, maxima: Optional[tuple] = None
+) -> list[LimitCheck]:
     """Circle-vs-line facts: mismatch probability and the tail sandwich.
 
     The probability that the circular maximum exceeds the line maximum is at
     most d/k, and at any x the circular tail is sandwiched between the line
     tail and (k/(k-d)) times it.  The sandwich is evaluated at the 0.5 and
-    0.9 empirical quantiles of the line maximum.
+    0.9 empirical quantiles of the line maximum.  ``maxima`` is as in
+    ``gumbel_ks_checks``.
     """
-    line, circ = _maxima(k, d, trials, master_seed)
+    line, circ = maxima or _maxima(k, d, trials, master_seed)
     out = []
     p_diff = float(np.count_nonzero(circ > line) / trials)
     bound = d / k + 3.0 * math.sqrt(max(p_diff * (1 - p_diff), 1e-12) / trials)
@@ -176,22 +236,17 @@ def exact_count_moments(k: int, lo: float, hi: float) -> tuple[float, float]:
     return mean, max(var, 0.0)
 
 
-def _count_stats(
-    k: int, lo: float, hi: float, trials: int, master_seed: int
-) -> tuple[float, float, float]:
-    """(mean, variance, fourth central moment) of counts in [lo, hi]."""
-    counts = np.empty(trials)
-    for start in range(0, trials, _BATCH):
-        cn = min(_BATCH, trials - start)
-        s = spacing_matrix(k, 1.0, master_seed, cn, start_index=start)
-        counts[start : start + cn] = np.count_nonzero((s >= lo) & (s <= hi), axis=1)
+def _count_stats(counts: np.ndarray) -> tuple[float, float, float]:
+    """(mean, variance, fourth central moment) of per-trial range counts."""
     m = counts.mean()
     var = counts.var(ddof=1)
     m4 = float(((counts - m) ** 4).mean())
     return float(m), float(var), m4
 
 
-def count_range_checks(k: int, trials: int, master_seed: int) -> list[LimitCheck]:
+def count_range_checks(
+    k: int, trials: int, master_seed: int, counts: Optional[dict] = None
+) -> list[LimitCheck]:
     """Counts of spacings in scaled ranges against their limit distributions.
 
     Around-average range [a/k, b/k]: normal with mean ~ k(e^-a - e^-b) and
@@ -201,11 +256,13 @@ def count_range_checks(k: int, trials: int, master_seed: int) -> list[LimitCheck
     and variances are compared against the exact finite-k moments (the O(1/k)
     gap to the limit values would otherwise dominate the MC error); the
     limit value itself is checked to be within 5% of the exact moment.
+    ``counts`` maps each range name to the per-trial counts of a pass that
+    already drew the rows; without it they are drawn here.
     """
+    counts = counts or _one_pass(k, [], 0, trials, master_seed).counts
     checks = []
-
-    def mean_var_checks(name, lo, hi, limit_mean, limit_var=None):
-        mean, var, m4 = _count_stats(k, lo, hi, trials, master_seed)
+    for name, lo, hi, limit_mean, limit_var in _count_ranges(k):
+        mean, var, m4 = _count_stats(counts[name])
         exact_mean, exact_var = exact_count_moments(k, lo, hi)
         se_mean = math.sqrt(var / trials)
         checks.append(
@@ -237,19 +294,6 @@ def count_range_checks(k: int, trials: int, master_seed: int) -> list[LimitCheck
                     detail=f"exact {exact_var:.4f}, limit {limit_var:.4f}",
                 )
             )
-
-    a, b = 0.5, 2.0
-    p = math.exp(-a) - math.exp(-b)
-    cov = a * math.exp(-a) - b * math.exp(-b)
-    mean_var_checks("mid", a / k, b / k, k * p, k * (p * (1 - p) - cov * cov))
-
-    a, b = 1.0, 4.0
-    mean_var_checks("tiny", a / k**2, b / k**2, b - a)
-
-    a, b = 0.0, 1.0
-    mean_var_checks(
-        "top", (math.log(k) + a) / k, (math.log(k) + b) / k, math.exp(-a) - math.exp(-b)
-    )
     return checks
 
 
@@ -260,17 +304,26 @@ def run_limit_checks(
     master_seed: int,
     count_trials: Optional[int] = None,
 ) -> dict:
-    """Full limit-law battery; returns a report dict with per-check results."""
+    """Full limit-law battery; returns a report dict with per-check results.
+
+    One pass draws each batch of rows once and reduces it to the maxima of
+    every d and the three range counts; the checks are then built from those
+    per-trial statistics.
+    """
     if k < 3:
         raise ValueError("k must be >= 3")
-    checks: list[LimitCheck] = []
     for d in d_values:
         if not 1 <= d <= k:
             raise ValueError(f"d={d} out of range [1, {k}]")
-        checks.extend(gumbel_ks_checks(k, d, trials, master_seed))
+    count_trials = count_trials or trials
+    sample = _one_pass(k, d_values, trials, count_trials, master_seed)
+    checks: list[LimitCheck] = []
+    for d in d_values:
+        maxima = (sample.line[d], sample.circle[d]) if d < k else None
+        checks.extend(gumbel_ks_checks(k, d, trials, master_seed, maxima=maxima))
         if d < k:
-            checks.extend(circular_line_checks(k, d, trials, master_seed))
-    checks.extend(count_range_checks(k, count_trials or trials, master_seed))
+            checks.extend(circular_line_checks(k, d, trials, master_seed, maxima=maxima))
+    checks.extend(count_range_checks(k, count_trials, master_seed, counts=sample.counts))
     return {
         "k": k,
         "d_values": list(d_values),

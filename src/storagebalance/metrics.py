@@ -89,9 +89,22 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     return (min(p, max(0.0, center - half)), max(p, min(1.0, center + half)))
 
 
-def _t_star_chunk(args) -> np.ndarray:
+def _t_star_chunk(args, memo: Optional[dict] = None) -> np.ndarray:
+    """t* of one chunk of trials.
+
+    ``memo`` holds at most one demand batch, keyed by
+    ``(k, sigma, master_seed, start, count)``: a chunk with the same key
+    reuses it, any other chunk drops it before drawing its own.
+    """
     alloc, sigma, master_seed, start, count = args
-    demands = spacing_matrix(alloc.k, sigma, master_seed, count, start_index=start)
+    memo = {} if memo is None else memo
+    key = (alloc.k, sigma, master_seed, start, count)
+    demands = memo.get(key)
+    if demands is None:
+        memo.clear()
+        demands = memo[key] = spacing_matrix(
+            alloc.k, sigma, master_seed, count, start_index=start
+        )
     try:
         return t_star_batch(alloc, demands)
     except NumericalFailureError as exc:
@@ -100,12 +113,19 @@ def _t_star_chunk(args) -> np.ndarray:
 
 
 def t_star_series(
-    alloc: Allocation, sigma: float, trials: int, master_seed: int, workers: int = 1
+    alloc: Allocation,
+    sigma: float,
+    trials: int,
+    master_seed: int,
+    workers: int = 1,
+    memo: Optional[dict] = None,
 ) -> np.ndarray:
     """Optimal max load for trials independent demand draws.
 
     Trial i draws from substream (master_seed, i); results are assembled in
-    trial order, so the series is independent of the worker count.
+    trial order, so the series is independent of the worker count.  A
+    ``memo`` dict (see ``_t_star_chunk``) lets consecutive calls with the
+    same demand batch draw it once; the process pool never receives it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -121,7 +141,7 @@ def t_star_series(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_t_star_chunk, chunks))
     else:
-        results = [_t_star_chunk(c) for c in chunks]
+        results = [_t_star_chunk(c, memo) for c in chunks]
     pos = 0
     for res in results:
         out[pos : pos + len(res)] = res
@@ -130,14 +150,20 @@ def t_star_series(
 
 
 def estimate_metrics(
-    alloc: Allocation, sigma: float, trials: int, master_seed: int, workers: int = 1
+    alloc: Allocation,
+    sigma: float,
+    trials: int,
+    master_seed: int,
+    workers: int = 1,
+    memo: Optional[dict] = None,
 ) -> tuple[MetricEstimate, MetricEstimate]:
     """Joint estimate of (robustness probability, imbalance factor).
 
     Both metrics are derived from one series of optimal max loads, so paired
-    comparisons across designs reuse identical demand draws.
+    comparisons across designs reuse identical demand draws; ``memo`` is
+    passed to ``t_star_series``.
     """
-    t_stars = t_star_series(alloc, sigma, trials, master_seed, workers=workers)
+    t_stars = t_star_series(alloc, sigma, trials, master_seed, workers=workers, memo=memo)
     stable = int(np.count_nonzero(t_stars <= 1.0 + STABILITY_TOL))
     p_hat = stable / trials
     p_lo, p_hi = wilson_interval(stable, trials)

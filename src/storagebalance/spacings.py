@@ -33,20 +33,28 @@ class RandomStream:
     Streams are keyed by ``(master_seed, stream_index)`` through a Philox
     counter-based generator: identical keys reproduce identical draw
     sequences, distinct stream indices give statistically independent
-    streams.  Stream objects are cheap to create, so Monte Carlo code makes
-    one per trial.
+    streams.  ``master_seed`` must lie in [0, 2^64); it is one 64-bit word of
+    the Philox key.  The per-trial stream of trial i is
+    ``RandomStream(master_seed, i)``; batch code (``spacing_matrix``)
+    reproduces those streams by re-keying one bit generator instead of
+    building one per trial.
     """
 
     master_seed: int
     stream_index: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.master_seed <= _UINT64_MASK:
+            raise ValueError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
         if self.stream_index < 0:
             raise ValueError("stream_index must be non-negative")
 
+    def key(self) -> np.ndarray:
+        """The Philox key ``(stream_index, master_seed)`` as exact uint64 words."""
+        return np.array([self.stream_index & _UINT64_MASK, self.master_seed], dtype=np.uint64)
+
     def generator(self) -> np.random.Generator:
-        key = [self.stream_index & _UINT64_MASK, self.master_seed & _UINT64_MASK]
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self.key()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,12 +101,24 @@ def spacing_matrix(
 
     Row i is bit-identical to
     ``sample_uniform_spacings(k, sigma, RandomStream(master_seed, start_index + i))``,
-    so batch consumers see exactly the per-trial substreams.
+    so batch consumers see exactly the per-trial substreams.  One Philox bit
+    generator is re-keyed for each row (key ``(start_index + i, master_seed)``,
+    counter 0, buffer empty: the state of a freshly keyed Philox), which
+    reproduces each substream without building a generator per row.  Every
+    call draws afresh; callers that reuse a batch keep it themselves, and only
+    for the run that drew it.
     """
+    key = RandomStream(master_seed, start_index).key()
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    fresh["state"]["key"] = key
     out = np.empty((trials, k))
-    for i in range(trials):
-        e = RandomStream(master_seed, start_index + i).generator().standard_exponential(k)
-        out[i] = e * (sigma / e.sum())
+    for i, row in enumerate(out):
+        key[0] = (start_index + i) & _UINT64_MASK
+        bitgen.state = fresh
+        gen.standard_exponential(out=row)
+    out *= (sigma / out.sum(axis=1))[:, None]
     return out
 
 

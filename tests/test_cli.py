@@ -149,6 +149,14 @@ def test_simulate_bad_config_exit_code(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+def test_simulate_seed_out_of_range_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(BASE_CONFIG))
+    for seed in ("-1", str(2**64)):
+        assert main(["simulate", "--config", cfg, "--seed", seed]) == EXIT_CONFIG
+        assert "master_seed" in capsys.readouterr().err
+    assert main(["limit-checks", "--k", "10", "--seed", "-1"]) == EXIT_CONFIG
+
+
 def test_simulate_missing_file_exit_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
@@ -173,6 +181,61 @@ def test_simulate_unsupported_builder_surfaces(tmp_path, capsys):
     )
     assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
     assert "prime power" in capsys.readouterr().err
+
+
+def _count_draws(monkeypatch):
+    import storagebalance.metrics as metrics_mod
+
+    real = metrics_mod.spacing_matrix
+    calls = []
+
+    def counting(k, sigma, master_seed, trials, start_index=0):
+        calls.append((k, sigma, master_seed, trials, start_index))
+        return real(k, sigma, master_seed, trials, start_index=start_index)
+
+    monkeypatch.setattr(metrics_mod, "spacing_matrix", counting)
+    return calls
+
+
+def test_sweep_draws_each_batch_once_per_call(monkeypatch):
+    calls = _count_draws(monkeypatch)
+    cfg = ExperimentConfig.from_dict({**BASE_CONFIG, "n": 20, "d": [1, 2, 3, 4, 5]})
+    first = rows_to_csv(run_simulate(cfg))
+    assert calls == [(20, 16.0, BASE_CONFIG["master_seed"], 400, 0)]
+    # the shared draw lives for one call only: a second call draws again
+    assert rows_to_csv(run_simulate(cfg)) == first
+    assert len(calls) == 2
+
+
+def test_sweep_with_several_batches_redraws_each_point(monkeypatch):
+    import storagebalance.metrics as metrics_mod
+
+    calls = _count_draws(monkeypatch)
+    cfg = ExperimentConfig.from_dict({**BASE_CONFIG, "trials": 150})
+    shared = rows_to_csv(run_simulate(cfg))
+    assert len(calls) == 1
+    monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 64)  # three chunks per point
+    assert rows_to_csv(run_simulate(cfg)) == shared
+    assert len(calls) == 1 + 3 * 3
+
+
+def test_sweep_csv_equals_points_run_alone():
+    sweep = {
+        **BASE_CONFIG,
+        "kind": ["cyclic", "clustering", "block_design"],
+        "d": [3],
+        "n": 6,
+        "sigma": [{"fraction_of_n": 0.8}, {"absolute": 5.0}],
+        "trials": 120,
+    }
+    rows = run_simulate(ExperimentConfig.from_dict(sweep))
+    alone = []
+    for kind in sweep["kind"]:
+        for spec in sweep["sigma"]:
+            point = {**sweep, "kind": kind, "sigma": spec}
+            alone += run_simulate(ExperimentConfig.from_dict(point))
+    assert len(rows) == 6
+    assert rows_to_csv(rows) == rows_to_csv(alone)
 
 
 # ---------------------------------------------------------------------------

@@ -81,3 +81,35 @@ def test_run_limit_checks_validates_input():
         run_limit_checks(k=2, d_values=[1], trials=10, master_seed=0)
     with pytest.raises(ValueError):
         run_limit_checks(k=10, d_values=[11], trials=10, master_seed=0)
+
+
+def test_one_pass_matches_separate_runs():
+    k, seed = 60, 13
+    for trials, count_trials in ((300, None), (90, 4100), (2100, 90)):
+        joint = run_limit_checks(k, [1, 2, 3], trials, seed, count_trials=count_trials)
+        count_part = [c for c in joint["checks"] if c["name"].startswith("count_")]
+        per_d = []
+        for d in (1, 2, 3):
+            alone = run_limit_checks(k, [d], trials, seed, count_trials=count_trials)
+            assert [c for c in alone["checks"] if c["name"].startswith("count_")] == count_part
+            per_d += [c for c in alone["checks"] if not c["name"].startswith("count_")]
+            direct = gumbel_ks_checks(k, d, trials, seed) + circular_line_checks(k, d, trials, seed)
+            assert [c.as_dict() for c in direct] == per_d[-len(direct) :]
+        direct = count_range_checks(k, count_trials or trials, seed)
+        assert [c.as_dict() for c in direct] == count_part
+        assert joint["checks"] == per_d + count_part
+
+
+def test_one_pass_draws_each_batch_once(monkeypatch):
+    import storagebalance.limitlaws as lim
+
+    real = lim.spacing_matrix
+    calls = []
+
+    def counting(k, sigma, master_seed, trials, start_index=0):
+        calls.append((trials, start_index))
+        return real(k, sigma, master_seed, trials, start_index=start_index)
+
+    monkeypatch.setattr(lim, "spacing_matrix", counting)
+    run_limit_checks(40, [1, 2, 40], 150, 3, count_trials=2500)
+    assert calls == [(2000, 0), (500, 2000)]

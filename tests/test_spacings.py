@@ -88,10 +88,31 @@ def test_coordinate_means_match_exchangeability():
 
 
 def test_spacing_matrix_rows_match_per_trial_streams():
-    mat = spacing_matrix(5, 2.0, 77, 8, start_index=3)
-    for i in range(8):
-        row = sample_uniform_spacings(5, 2.0, RandomStream(77, 3 + i)).spacings
-        assert np.array_equal(mat[i], row)
+    # the re-keyed batch sampler and its row-sum normalisation are bit-exact
+    # against one generator per trial, across k and the full seed range
+    for k, rows in ((1, 8), (5, 8), (100, 8), (10_000, 3)):
+        for seed in (0, 1, 77, 2**63 - 1, 2**63 + 1):
+            mat = spacing_matrix(k, 2.0, seed, rows, start_index=3)
+            for i in range(rows):
+                row = sample_uniform_spacings(k, 2.0, RandomStream(seed, 3 + i)).spacings
+                assert mat[i].tobytes() == row.tobytes(), (k, seed, i)
+
+
+def test_seeds_beyond_2_63_draw_distinct_streams():
+    a = spacing_matrix(10, 1.0, 2**63 + 1, 4, start_index=2)
+    b = spacing_matrix(10, 1.0, 2**63 + 2, 4, start_index=2)
+    assert not np.array_equal(a, b)
+    top = RandomStream(2**64 - 1, 0).generator().standard_exponential(4)
+    low = RandomStream(1, 0).generator().standard_exponential(4)
+    assert not np.array_equal(top, low)
+
+
+def test_seed_outside_64_bits_rejected():
+    for seed in (-1, -1000, 2**64, 2**64 + 1):
+        with pytest.raises(ValueError, match="master_seed"):
+            RandomStream(seed, 0)
+        with pytest.raises(ValueError, match="master_seed"):
+            spacing_matrix(3, 1.0, seed, 2)
 
 
 # ---------------------------------------------------------------------------
