@@ -197,14 +197,22 @@ def report_json(config_echo: dict, data, timestamp: bool = True) -> str:
     ) + "\n"
 
 
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when there is none."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_outputs(outputs: list[dict], config_echo: dict, rows: list[ExperimentRow]) -> None:
     for out in outputs:
         if out["format"] == "csv":
-            with open(out["path"], "w") as fh:
-                fh.write(rows_to_csv(rows))
+            text = rows_to_csv(rows)
         else:
-            with open(out["path"], "w") as fh:
-                fh.write(report_json(config_echo, [r.as_dict() for r in rows]))
+            text = report_json(config_echo, [r.as_dict() for r in rows])
+        _emit(text, out["path"])
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +245,7 @@ def _cmd_simulate(args) -> int:
     data = _apply_overrides(_load_config_file(args.config), args)
     config = ExperimentConfig.from_dict(data)
     rows = run_simulate(config)
-    _write_outputs(config.outputs, config.echo(), rows)
-    if not config.outputs:
-        sys.stdout.write(rows_to_csv(rows))
+    _write_outputs(config.outputs or [{"format": "csv", "path": None}], config.echo(), rows)
     return EXIT_OK
 
 
@@ -267,12 +273,7 @@ def _cmd_limit_checks(args) -> int:
         master_seed=data["master_seed"],
         count_trials=data.get("count_trials"),
     )
-    text = _render_limit_report(report, args.format or "json", data)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(_render_limit_report(report, args.format or "json", data), args.out)
     return EXIT_OK
 
 
@@ -318,12 +319,7 @@ def _cmd_inspect(args) -> int:
         info["r_gap_radius"] = r_gap_radius(alloc)
         hist = pairwise_overlap_histogram(alloc)
         info["pairwise_overlap_histogram"] = {str(k): v for k, v in sorted(hist.items())}
-    text = json.dumps(info, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(info, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -339,12 +335,7 @@ def _cmd_exact_k3(args) -> int:
         "p_sigma_exact": f"{p.numerator}/{p.denominator}",
         "polygon_vertices": [[float(c) for c in v] for v in verts],
     }
-    text = json.dumps(out, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(out, indent=2) + "\n", args.out)
     return EXIT_OK
 
 

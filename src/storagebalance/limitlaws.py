@@ -15,11 +15,12 @@ from typing import Optional
 import numpy as np
 
 from .spacings import (
+    batch_rows,
     dspacing_gumbel_centering,
     gumbel_cdf,
+    prefix_sums,
     spacing_matrix,
-    window_maxima_circle,
-    window_maxima_line,
+    window_max,
 )
 
 #: Finite-k bias allowance of the KS distance for the single-spacing
@@ -34,6 +35,7 @@ KS_BIAS_DGT1 = 0.09
 #: KS sampling-noise quantile coefficient (~1% point of the Kolmogorov law).
 KS_NOISE = 1.63
 
+#: Rows per batch at k <= 10^4; above that, batches are capped by elements.
 _BATCH = 2000
 
 
@@ -105,7 +107,8 @@ def _one_pass(k: int, d_values, trials: int, count_trials: int, master_seed: int
 
     Row i is the substream (master_seed, i) whatever the batching, so the
     maxima and counts equal those of separate passes.  At most one batch is
-    held at a time.
+    held at a time, and every window of a batch is cut from one prefix-sum
+    array.
     """
     ds = sorted({d for d in d_values if d < k})
     ranges = _count_ranges(k) if count_trials else []
@@ -113,13 +116,16 @@ def _one_pass(k: int, d_values, trials: int, count_trials: int, master_seed: int
     circle = {d: np.empty(trials) for d in ds}
     counts = {name: np.empty(count_trials) for name, *_ in ranges}
     rows = max(trials if ds else 0, count_trials)
-    for start in range(0, rows, _BATCH):
-        s = spacing_matrix(k, 1.0, master_seed, min(_BATCH, rows - start), start_index=start)
+    batch = batch_rows(k, _BATCH)
+    for start in range(0, rows, batch):
+        s = spacing_matrix(k, 1.0, master_seed, min(batch, rows - start), start_index=start)
         m = s[: max(0, trials - start)]
-        if len(m):
+        if ds and len(m):
+            p = prefix_sums(m, wrap=ds[-1] - 1)
             for d in ds:
-                line[d][start : start + len(m)] = window_maxima_line(m, d)
-                circle[d][start : start + len(m)] = window_maxima_circle(m, d)
+                line[d][start : start + len(m)] = window_max(p, k, d, circle=False)
+                circle[d][start : start + len(m)] = window_max(p, k, d, circle=True)
+            del p
         c = s[: max(0, count_trials - start)]
         for name, lo, hi, *_ in ranges:
             counts[name][start : start + len(c)] = np.count_nonzero((c >= lo) & (c <= hi), axis=1)

@@ -27,7 +27,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from .allocation import Allocation, AllocationMatrices, UnsupportedDesignError, to_matrices
-from .spacings import SpacingSample, window_maxima_circle
+from .spacings import SpacingSample, prefix_sums, window_max, window_maxima_circle
 
 #: Stability verdict tolerance on the optimal max load.
 STABILITY_TOL = 1e-9
@@ -235,21 +235,13 @@ def _t_star_cyclic(demands: np.ndarray, n: int, d: int) -> np.ndarray:
     circular windows, so t* = max(sum/n, max_w W_w / (w + d - 1)) with w up
     to n - d.
     """
-    t = demands.shape[0]
     best = demands.sum(axis=1) / n
     if d >= n:
         return best
-    ext = np.concatenate([demands, demands[:, : n - 1]], axis=1)
-    p = np.zeros((t, ext.shape[1] + 1))
-    np.cumsum(ext, axis=1, out=p[:, 1:])
+    p = prefix_sums(demands, wrap=n - d - 1)
     for w in range(1, n - d + 1):
-        np.maximum(best, (p[:, w : w + n] - p[:, :n]).max(axis=1) / (w + d - 1), out=best)
+        np.maximum(best, window_max(p, n, w, circle=True) / (w + d - 1), out=best)
     return best
-
-
-def t_star_exact(alloc: Allocation, rho) -> float:
-    """Optimal max load for one demand vector via the fastest valid route."""
-    return float(t_star_batch(alloc, np.asarray(rho, dtype=np.float64)[None, :])[0])
 
 
 def imbalance_factor(matrices: AllocationMatrices, rho, n: int) -> float:
@@ -339,8 +331,9 @@ def necessary_condition(
         n = alloc.k
         if n - 2 * r_gap < 1:
             return True  # no window sizes to constrain
-        for i in range(1, n - 2 * r_gap + 1):
-            if _demand_window_max(sample, i) > i + 2.0 * r_gap:
-                return False
-        return True
+        p = prefix_sums(sample.spacings[None, :], wrap=n - 2 * r_gap - 1)
+        return all(
+            window_max(p, n, i, circle=True)[0] <= i + 2.0 * r_gap
+            for i in range(1, n - 2 * r_gap + 1)
+        )
     raise UnsupportedDesignError(f"no known necessary condition for kind {alloc.kind!r}")

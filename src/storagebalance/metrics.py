@@ -29,6 +29,7 @@ from .spacings import (
     REGIME_SINGLE,
     REGIME_SMALL_D,
     AsymptoticPrediction,
+    batch_rows,
     p_sigma_transition,
     predict_d_choice,
     predict_single_choice,
@@ -38,15 +39,9 @@ from .spacings import (
 
 _Z95 = 1.959963984540054
 
-#: Trials per batch; bounds peak memory and sizes the parallel work units.
+#: Trials per batch (see ``batch_rows``); bounds peak memory and sizes the
+#: parallel work units.
 BATCH_TRIALS = 20000
-
-#: Cap on demand-matrix elements per batch (keeps peak memory modest).
-BATCH_ELEMENTS = 20_000_000
-
-
-def _batch_trials(k: int) -> int:
-    return max(64, min(BATCH_TRIALS, BATCH_ELEMENTS // max(1, k)))
 
 #: Finite-size slack for comparing observed means against asymptotic bands:
 #: the observed statistic divided by the predicted band edge must fall in
@@ -131,7 +126,7 @@ def t_star_series(
         raise ValueError("trials must be >= 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    batch = _batch_trials(alloc.k)
+    batch = batch_rows(alloc.k, BATCH_TRIALS)
     chunks = [
         (alloc, sigma, master_seed, start, min(batch, trials - start))
         for start in range(0, trials, batch)

@@ -123,68 +123,76 @@ def spacing_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Windowed maxima
+# Batching and windowed maxima
 # ---------------------------------------------------------------------------
+
+#: Cap on demand-matrix elements per batch (keeps peak memory modest).
+BATCH_ELEMENTS = 20_000_000
+
+
+def batch_rows(k: int, max_rows: int) -> int:
+    """Rows per batch of k-element demand rows.
+
+    At most ``max_rows``, and at most ``BATCH_ELEMENTS // k`` unless that
+    falls below 64 rows.
+    """
+    return max(64, min(max_rows, BATCH_ELEMENTS // max(1, k)))
+
+
+def prefix_sums(a: np.ndarray, wrap: int = 0) -> np.ndarray:
+    """Row prefix sums of a (T, k) matrix, continued ``wrap`` entries cyclically.
+
+    ``p[:, j]`` is the sum of the first j entries of the cyclically extended
+    row, for j in [0, k + wrap], so the window of d entries starting at i
+    sums to ``p[:, i + d] - p[:, i]``.  The cumulative sum runs left to right,
+    so an entry does not depend on ``wrap``: windows cut from one prefix equal
+    those cut from prefixes built for each window size.
+    """
+    t, k = a.shape
+    if not 0 <= wrap < k:
+        raise ValueError(f"wrap must be in [0, {k}), got {wrap}")
+    p = np.empty((t, k + wrap + 1))
+    p[:, 0] = 0.0
+    p[:, 1 : k + 1] = a
+    p[:, k + 1 :] = a[:, :wrap]
+    np.cumsum(p[:, 1:], axis=1, out=p[:, 1:])
+    return p
+
+
+def window_max(p: np.ndarray, k: int, d: int, circle: bool) -> np.ndarray:
+    """Per-row maximum sum of d consecutive entries, cut from ``prefix_sums``.
+
+    On the line the windows start at 0..k-d; on the circle at 0..k-1, which
+    needs a prefix continued at least d - 1 entries.  The first k - d + 1
+    circular windows are the line windows, so circle >= line holds exactly.
+    """
+    s = k if circle else k - d + 1
+    return (p[:, d : d + s] - p[:, :s]).max(axis=1)
+
+
+def _window_maxima(spacings: np.ndarray, d: int, circle: bool) -> np.ndarray:
+    a = np.atleast_2d(np.asarray(spacings, dtype=np.float64))
+    k = a.shape[1]
+    if not 1 <= d <= k:
+        raise ValueError(f"d must be in [1, {k}], got {d}")
+    out = window_max(prefix_sums(a, d - 1 if circle else 0), k, d, circle)
+    return out if np.ndim(spacings) > 1 else out[0]
 
 
 def window_maxima_line(spacings: np.ndarray, d: int) -> np.ndarray:
     """Per-row maximum over sums of d consecutive spacings (no wrap).
 
-    Accepts a (k,) vector or a (T, k) matrix.  Window sums are formed from a
-    single prefix-sum array; the circular variant reuses the identical prefix
-    values for non-wrapping windows, so circle >= line holds exactly in
-    floating point.
+    Accepts a (k,) vector or a (T, k) matrix.
     """
-    a = np.atleast_2d(np.asarray(spacings, dtype=np.float64))
-    k = a.shape[1]
-    if not 1 <= d <= k:
-        raise ValueError(f"d must be in [1, {k}], got {d}")
-    p = np.zeros((a.shape[0], k + 1))
-    np.cumsum(a, axis=1, out=p[:, 1:])
-    out = (p[:, d:] - p[:, : k - d + 1]).max(axis=1)
-    return out if np.ndim(spacings) > 1 else out[0]
+    return _window_maxima(spacings, d, circle=False)
 
 
 def window_maxima_circle(spacings: np.ndarray, d: int) -> np.ndarray:
-    """Per-row maximum over sums of d consecutive spacings with wraparound."""
-    a = np.atleast_2d(np.asarray(spacings, dtype=np.float64))
-    k = a.shape[1]
-    if not 1 <= d <= k:
-        raise ValueError(f"d must be in [1, {k}], got {d}")
-    ext = np.concatenate([a, a[:, : d - 1]], axis=1)
-    p = np.zeros((ext.shape[0], ext.shape[1] + 1))
-    np.cumsum(ext, axis=1, out=p[:, 1:])
-    out = (p[:, d : d + k] - p[:, :k]).max(axis=1)
-    return out if np.ndim(spacings) > 1 else out[0]
+    """Per-row maximum over sums of d consecutive spacings with wraparound.
 
-
-def max_d_spacing_line(sample: SpacingSample, d: int) -> float:
-    """Maximal d-spacing: largest sum of d consecutive spacings on the line."""
-    return float(window_maxima_line(sample.spacings, d))
-
-
-def max_d_spacing_circle(sample: SpacingSample, d: int) -> float:
-    """Maximal d-spacing on the circle (indices wrap modulo k)."""
-    return float(window_maxima_circle(sample.spacings, d))
-
-
-def max_nonoverlapping_m_spacing(sample: SpacingSample, m: int) -> float:
-    """Largest of the k/m disjoint m-blocks of spacings.
-
-    Equals the max node load of a single-choice layout storing m objects per
-    node, in sample units.  Requires m | k.
+    Accepts a (k,) vector or a (T, k) matrix; circle >= line holds exactly.
     """
-    if m < 1 or sample.k % m != 0:
-        raise ValueError(f"m must divide k={sample.k}, got m={m}")
-    return float(sample.spacings.reshape(-1, m).sum(axis=1).max())
-
-
-def count_spacings_in_range(sample: SpacingSample, lo: float, hi: float) -> int:
-    """Number of spacings s with lo <= s <= hi."""
-    if lo < 0 or lo > hi:
-        raise ValueError("need 0 <= lo <= hi")
-    s = sample.spacings
-    return int(np.count_nonzero((s >= lo) & (s <= hi)))
+    return _window_maxima(spacings, d, circle=True)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from storagebalance.metrics import (
 )
 from storagebalance.spacings import (
     RandomStream,
+    batch_rows,
     gumbel_cdf,
     sample_uniform_spacings,
     spacing_matrix,
@@ -287,7 +288,7 @@ def test_criterion_11_circular_spacing_facts():
     ok = True
     for k, d in ((100, 3), (1000, 10)):
         trials = 100_000
-        batch = max(64, min(20_000, 20_000_000 // k))
+        batch = batch_rows(k, 20_000)
         mismatch = 0
         line_all = np.empty(trials)
         circ_all = np.empty(trials)

@@ -277,6 +277,32 @@ def test_inspect_unparseable_file(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "{config}"],
+        ["inspect", "--kind", "cyclic", "--n", "7", "--d", "3"],
+        ["exact-k3", "--d", "2", "--sigma", "3"],
+        ["limit-checks", "--k", "300", "--d", "1", "--trials", "200", "--format", "json"],
+        ["limit-checks", "--k", "300", "--d", "1", "--trials", "200", "--format", "csv"],
+    ],
+    ids=["simulate", "inspect", "exact-k3", "limit-checks-json", "limit-checks-csv"],
+)
+def test_out_file_equals_stdout(tmp_path, capsys, argv):
+    argv = [a.replace("{config}", write_config(tmp_path, BASE_CONFIG)) for a in argv]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+
+    def untimed(text):
+        return "".join(line for line in text.splitlines(True) if '"generated_at"' not in line)
+
+    assert untimed(out.read_text()) == untimed(printed)
+    assert printed
+
+
 # ---------------------------------------------------------------------------
 # exact-k3 and limit-checks subcommands
 # ---------------------------------------------------------------------------

@@ -113,3 +113,24 @@ def test_one_pass_draws_each_batch_once(monkeypatch):
     monkeypatch.setattr(lim, "spacing_matrix", counting)
     run_limit_checks(40, [1, 2, 40], 150, 3, count_trials=2500)
     assert calls == [(2000, 0), (500, 2000)]
+
+
+@pytest.mark.parametrize("cap_rows", [100, 10])
+def test_batches_capped_by_elements(monkeypatch, cap_rows):
+    import storagebalance.limitlaws as lim
+    import storagebalance.spacings as sp
+
+    k = 50
+    want = run_limit_checks(k, [1, 2, k], 250, 3, count_trials=400)
+    real = lim.spacing_matrix
+    rows = []
+
+    def counting(k, sigma, master_seed, trials, start_index=0):
+        rows.append(trials)
+        return real(k, sigma, master_seed, trials, start_index=start_index)
+
+    monkeypatch.setattr(lim, "spacing_matrix", counting)
+    monkeypatch.setattr(sp, "BATCH_ELEMENTS", cap_rows * k)
+    assert run_limit_checks(k, [1, 2, k], 250, 3, count_trials=400) == want
+    assert sum(rows) == 400
+    assert max(rows) == max(64, cap_rows)

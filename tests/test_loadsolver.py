@@ -27,9 +27,13 @@ from storagebalance.loadsolver import (
     necessary_condition,
     sufficient_condition,
     t_star_batch,
-    t_star_exact,
 )
-from storagebalance.spacings import RandomStream, SpacingSample, sample_uniform_spacings
+from storagebalance.spacings import (
+    RandomStream,
+    SpacingSample,
+    sample_uniform_spacings,
+    spacing_matrix,
+)
 from util import random_regular_allocation as random_regular
 
 
@@ -204,9 +208,23 @@ def test_closed_forms_match_lp(build):
         alloc = build(rng)
         e = rng.standard_exponential(alloc.k)
         rho = e / e.sum() * float(rng.uniform(0.2, 1.6)) * alloc.n
-        fast = t_star_exact(alloc, rho)
+        fast = t_star_batch(alloc, rho)[0]
         lp = min_max_load(to_matrices(alloc), rho).max_load
         assert fast == pytest.approx(lp, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [50, 100])
+@pytest.mark.parametrize("d", [2, 5])
+def test_cyclic_closed_form_matches_lp_at_larger_n(n, d):
+    # The last two rows load an arc of 3n/4 objects that wraps past the last
+    # one nearly evenly, so the binding window is long and crosses the end.
+    alloc = build_cyclic(n, d)
+    demands = spacing_matrix(n, 0.8 * n, 17, 4)
+    arc = np.roll(np.arange(n) < 3 * n // 4, -n // 2)
+    demands[2:] = np.where(arc, 1.0 + 0.1 * demands[2:], 0.02)
+    matrices = to_matrices(alloc)
+    lp = [min_max_load(matrices, row).max_load for row in demands]
+    assert np.abs(t_star_batch(alloc, demands) - lp).max() <= 1e-8
 
 
 def test_t_star_batch_block_design_uses_lp():
@@ -325,7 +343,7 @@ def test_stability_sandwich(alloc, sigmas, kwargs):
     for sigma in sigmas:
         for i in range(trials):
             s = sample_uniform_spacings(alloc.k, sigma, RandomStream(8080, i))
-            t = t_star_exact(alloc, s.spacings)
+            t = t_star_batch(alloc, s.spacings)[0]
             stable = t <= 1 + STABILITY_TOL
             if sufficient_condition(alloc, s, r_gap=r_gap):
                 assert stable, f"sufficient held but t*={t} at sigma={sigma}"

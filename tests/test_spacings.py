@@ -7,34 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from storagebalance.allocation import build_single_choice
+from storagebalance.loadsolver import t_star_batch
 from storagebalance.spacings import (
     EULER_GAMMA,
     REGIME_LOG_ORDER_D,
     REGIME_SMALL_D,
     AsymptoticPrediction,
     RandomStream,
-    SpacingSample,
-    count_spacings_in_range,
     dspacing_gumbel_centering,
     gumbel_cdf,
-    max_d_spacing_circle,
-    max_d_spacing_line,
-    max_nonoverlapping_m_spacing,
     p_sigma_transition,
     predict_d_choice,
     predict_single_choice,
     predict_xor,
+    prefix_sums,
     sample_uniform_spacings,
     solve_alpha,
     spacing_matrix,
+    window_max,
     window_maxima_circle,
     window_maxima_line,
 )
-
-
-def make_sample(values, sigma=None):
-    arr = np.asarray(values, dtype=np.float64)
-    return SpacingSample(arr, float(sigma if sigma is not None else arr.sum()), len(arr))
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +115,11 @@ def test_seed_outside_64_bits_rejected():
 
 
 def test_nonoverlapping_blocks_basic():
-    s = make_sample([0.1, 0.2, 0.3, 0.4])
-    assert max_nonoverlapping_m_spacing(s, 2) == pytest.approx(0.7, abs=1e-15)
-    assert max_nonoverlapping_m_spacing(s, 4) == pytest.approx(s.sigma, abs=1e-15)
-    with pytest.raises(ValueError):
-        max_nonoverlapping_m_spacing(s, 3)
+    # The largest of the k/m disjoint m-blocks is t* of a single-choice layout
+    # storing m objects per node.
+    s = [0.1, 0.2, 0.3, 0.4]
+    assert t_star_batch(build_single_choice(2, 2), s)[0] == pytest.approx(0.7, abs=1e-15)
+    assert t_star_batch(build_single_choice(1, 4), s)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_max_spacing_mean_matches_harmonic_number():
@@ -145,20 +139,21 @@ def test_max_spacing_mean_matches_harmonic_number():
 
 
 def test_line_window_examples():
-    s = make_sample([0.4, 0.1, 0.1, 0.4])
-    assert max_d_spacing_line(s, 2) == pytest.approx(0.5, abs=1e-15)
-    s2 = make_sample([0.1, 0.2, 0.3, 0.4])
-    assert max_d_spacing_line(s2, 3) == pytest.approx(0.9, abs=1e-12)
-    assert max_d_spacing_line(s2, 4) == pytest.approx(s2.sigma, abs=1e-12)
+    s = [0.4, 0.1, 0.1, 0.4]
+    assert window_maxima_line(s, 2) == pytest.approx(0.5, abs=1e-15)
+    s2 = [0.1, 0.2, 0.3, 0.4]
+    assert window_maxima_line(s2, 3) == pytest.approx(0.9, abs=1e-12)
+    assert window_maxima_line(s2, 4) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        max_d_spacing_line(s2, 5)
+        window_maxima_line(s2, 5)
 
 
 def test_circle_window_examples():
-    s = make_sample([0.4, 0.1, 0.1, 0.4])
-    assert max_d_spacing_circle(s, 2) == pytest.approx(0.8, abs=1e-12)
-    s2 = make_sample([0.1, 0.2, 0.3, 0.4])
-    assert max_d_spacing_circle(s2, 2) == pytest.approx(0.7, abs=1e-12)
+    s = [0.4, 0.1, 0.1, 0.4]
+    assert window_maxima_circle(s, 2) == pytest.approx(0.8, abs=1e-12)
+    s2 = [0.1, 0.2, 0.3, 0.4]
+    assert window_maxima_circle(s2, 2) == pytest.approx(0.7, abs=1e-12)
+    assert window_maxima_circle([s, s2], 2).tolist() == pytest.approx([0.8, 0.7], abs=1e-12)
 
 
 @given(
@@ -178,24 +173,67 @@ def test_circle_dominates_line(values, data):
         assert circ == line
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_shared_prefix_matches_direct_window_sums(data):
+    # Every window cut from one prefix continued max(d) - 1 entries agrees
+    # with direct sums of shifted slices.
+    k = data.draw(st.integers(min_value=1, max_value=30), label="k")
+    rows = data.draw(st.integers(min_value=1, max_value=3), label="rows")
+    values = data.draw(
+        st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=rows * k, max_size=rows * k)
+    )
+    a = np.array(values).reshape(rows, k)
+    ds = set(data.draw(st.lists(st.integers(min_value=1, max_value=k), min_size=1, max_size=4)))
+    if data.draw(st.booleans(), label="with d = k"):
+        ds.add(k)
+    p = prefix_sums(a, wrap=max(ds) - 1)
+    ext = np.concatenate([a, a[:, : k - 1]], axis=1)
+    for d in sorted(ds):
+        line = window_max(p, k, d, circle=False)
+        circ = window_max(p, k, d, circle=True)
+        line_ref = sum(a[:, j : k - d + 1 + j] for j in range(d)).max(axis=1)
+        circ_ref = sum(ext[:, j : k + j] for j in range(d)).max(axis=1)
+        np.testing.assert_allclose(line, line_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(circ, circ_ref, rtol=1e-12, atol=0)
+        assert (circ >= line).all()
+
+
+def test_prefix_sums_rejects_wrap_outside_row():
+    a = np.ones((2, 4))
+    assert prefix_sums(a, wrap=3).tolist() == [[0, 1, 2, 3, 4, 5, 6, 7]] * 2
+    for wrap in (-1, 4):
+        with pytest.raises(ValueError, match="wrap"):
+            prefix_sums(a, wrap=wrap)
+
+
 def test_circle_equals_line_when_max_does_not_wrap():
     s = np.array([0.05, 0.5, 0.3, 0.1, 0.05])
     assert window_maxima_circle(s, 2) == window_maxima_line(s, 2)
 
 
-def test_count_spacings_in_range():
-    s = make_sample([0.1, 0.2, 0.3, 0.4])
-    assert count_spacings_in_range(s, 0.15, 0.35) == 2
-    assert count_spacings_in_range(s, 0.0, s.sigma) == 4
-    with pytest.raises(ValueError):
-        count_spacings_in_range(s, 0.5, 0.1)
+def _range_counts(monkeypatch, ranges, k, rows, demands=None):
+    """Per-row range counts from the limit-check pass, for the given ranges."""
+    import storagebalance.limitlaws as lim
+
+    patched = [(name, lo, hi, 0.0, None) for name, lo, hi in ranges]
+    monkeypatch.setattr(lim, "_count_ranges", lambda k: patched)
+    if demands is not None:
+        monkeypatch.setattr(lim, "spacing_matrix", lambda *args, **kwargs: np.array(demands))
+    return lim._one_pass(k, [], 0, rows, 5).counts
 
 
-def test_count_monotone_by_inclusion():
-    s = sample_uniform_spacings(50, 1.0, RandomStream(5, 0))
-    inner = count_spacings_in_range(s, 0.01, 0.02)
-    outer = count_spacings_in_range(s, 0.005, 0.03)
-    assert inner <= outer
+def test_count_spacings_in_range(monkeypatch):
+    counts = _range_counts(
+        monkeypatch, [("inner", 0.15, 0.35), ("all", 0.0, 1.0)], 4, 1, [[0.1, 0.2, 0.3, 0.4]]
+    )
+    assert counts["inner"].tolist() == [2]
+    assert counts["all"].tolist() == [4]
+
+
+def test_count_monotone_by_inclusion(monkeypatch):
+    counts = _range_counts(monkeypatch, [("inner", 0.01, 0.02), ("outer", 0.005, 0.03)], 50, 20)
+    assert (counts["inner"] <= counts["outer"]).all()
 
 
 def test_count_tiny_range_poisson_mean():
