@@ -10,6 +10,7 @@ Usage: python scripts/fig_imbalance_vs_d.py [--n 100] [--trials 100000]
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 
@@ -34,10 +35,11 @@ def run() -> int:
         "master_seed": args.seed,
         "outputs": [{"format": "csv", "path": args.out}],
     }
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(config, fh)
-        path = fh.name
-    code = cli_main(["simulate", "--config", path])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        code = cli_main(["simulate", "--config", path])
     if code == 0:
         print(f"wrote {args.out}")
     return code

@@ -2,8 +2,9 @@
 
 Subcommands: ``simulate``, ``limit-checks``, ``inspect``, ``exact-k3``.
 Configuration comes from a JSON file validated against the bundled schema;
-command-line flags override config fields.  Exit codes: 0 success, 2
-configuration error, 3 numerical failure.
+command-line flags override config fields.  Exit codes: 0 success, 1
+internal error (an uncaught exception, reported with its traceback), 2
+configuration or input error, 3 numerical failure.
 
 Reports embed a config echo, the seed, and the artifact version, so every
 row is reproducible from the file alone.  Timestamps live only in the JSON
@@ -26,11 +27,6 @@ from . import __version__
 from .allocation import (
     Allocation,
     UnsupportedDesignError,
-    build_block_design,
-    build_clustering,
-    build_cyclic,
-    build_cyclic_xor,
-    build_single_choice,
     hall_check,
     load_allocation,
     overlap_sum,
@@ -40,7 +36,7 @@ from .allocation import (
     validate_regular_balanced,
 )
 from .limitlaws import run_limit_checks
-from .loadsolver import NumericalFailureError
+from .loadsolver import FAMILIES, NumericalFailureError
 from .metrics import ExperimentRow, estimate_metrics, exact_region_k3, rows_to_csv
 
 EXIT_OK = 0
@@ -69,18 +65,17 @@ def _validate_config(data: dict, section: str) -> None:
 
 
 def build_allocation(kind: str, n: int, d: int = 1, r: int = 1, m: int = 1) -> Allocation:
-    """Dispatch to the matching builder; block designs ignore n."""
-    if kind == "single_choice":
-        return build_single_choice(n, m)
-    if kind == "clustering":
-        return build_clustering(n, d)
-    if kind == "cyclic":
-        return build_cyclic(n, d)
-    if kind == "block_design":
-        return build_block_design(d)
-    if kind == "cyclic_xor":
-        return build_cyclic_xor(n, d, r)
-    raise ConfigError(f"unknown design kind {kind!r}")
+    """Build the named family's design (``FAMILIES``); block designs ignore n.
+
+    Parameters a builder rejects are a configuration error.
+    """
+    family = FAMILIES.get(kind)
+    if family is None:
+        raise ConfigError(f"unknown design kind {kind!r}")
+    try:
+        return family.build(n, d, r, m)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def resolve_sigma(spec: dict, n: int) -> float:
@@ -226,6 +221,8 @@ def _load_config_file(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
@@ -266,9 +263,12 @@ def _cmd_limit_checks(args) -> int:
             "master_seed": args.seed if args.seed is not None else 0,
         }
     _validate_config(data, "limit_checks")
+    d_values = [int(x) for x in _as_list(data["d"])]
+    if max(d_values) > data["k"]:
+        raise ConfigError(f"d={max(d_values)} out of range [1, {data['k']}]")
     report = run_limit_checks(
         k=data["k"],
-        d_values=[int(x) for x in _as_list(data["d"])],
+        d_values=d_values,
         trials=data["trials"],
         master_seed=data["master_seed"],
         count_trials=data.get("count_trials"),
@@ -294,7 +294,7 @@ def _cmd_inspect(args) -> int:
             sys.stderr.write(f"input error: {exc}\n")
             return EXIT_CONFIG
     else:
-        if not args.kind or args.n is None and args.kind != "block_design":
+        if not args.kind:
             raise ConfigError("inspect needs --file or --kind with --n/--d")
         alloc = build_allocation(
             args.kind, args.n or 0, d=args.d or 1, r=args.r or 1, m=args.m or 1
@@ -324,7 +324,9 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_exact_k3(args) -> int:
-    alloc = build_cyclic(3, args.d)
+    if not (math.isfinite(args.sigma) and args.sigma > 0):
+        raise ConfigError(f"--sigma must be finite and > 0, got {args.sigma}")
+    alloc = build_allocation("cyclic", 3, d=args.d)
     region = exact_region_k3(alloc, args.sigma)
     p = region.p_sigma()
     verts = region.polygon_vertices()
@@ -393,9 +395,6 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ The epigraph LP is solved with HiGHS.  Replica allocations additionally get
 an independent max-flow bisection oracle, and the single-choice, clustering,
 and cyclic families have exact closed forms (window maxima over the demand
 vector) used as fast paths by the Monte Carlo layer; all routes are
-cross-checked in the test suite.
+cross-checked in the test suite.  What the package knows about each named
+design family (builder, closed form, stability conditions, predictor) lives
+in one table, ``FAMILIES``.
 
 A node is stable when its load is at most 1; the strict inequality of the
 model has probability-zero boundary under the continuous demand model, so
@@ -18,16 +20,33 @@ verdicts use t* <= 1 + STABILITY_TOL.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from .allocation import Allocation, AllocationMatrices, UnsupportedDesignError, to_matrices
-from .spacings import SpacingSample, prefix_sums, window_max, window_maxima_circle
+from .allocation import (
+    Allocation,
+    AllocationMatrices,
+    UnsupportedDesignError,
+    build_block_design,
+    build_clustering,
+    build_cyclic,
+    build_cyclic_xor,
+    build_single_choice,
+    to_matrices,
+)
+from .spacings import (
+    AsymptoticPrediction,
+    predict_d_choice,
+    predict_single_choice,
+    predict_xor,
+    prefix_sums,
+    window_max,
+)
 
 #: Stability verdict tolerance on the optimal max load.
 STABILITY_TOL = 1e-9
@@ -47,13 +66,6 @@ class LoadSplit:
     portions: np.ndarray
     max_load: float
     node_loads: np.ndarray
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    stable: bool
-    max_load: float
-    condition_kind: str  # lp_exact | sufficient | necessary
 
 
 def min_max_load(matrices: AllocationMatrices, rho) -> LoadSplit:
@@ -94,14 +106,6 @@ def min_max_load(matrices: AllocationMatrices, rho) -> LoadSplit:
         raise NumericalFailureError("LP solution violates demand-conservation constraints")
     loads = matrices.M @ x
     return LoadSplit(portions=x, max_load=float(loads.max()), node_loads=loads)
-
-
-def lp_stability(matrices: AllocationMatrices, rho) -> StabilityVerdict:
-    """Exact stability verdict from the LP optimum."""
-    t_star = min_max_load(matrices, rho).max_load
-    return StabilityVerdict(
-        stable=t_star <= 1.0 + STABILITY_TOL, max_load=t_star, condition_kind="lp_exact"
-    )
 
 
 def dump_lp(matrices: AllocationMatrices, rho, path: str) -> None:
@@ -199,23 +203,15 @@ def min_max_load_flow(alloc: Allocation, rho, tol: float = 1e-8) -> float:
 def t_star_batch(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
     """Optimal max load for each row of a (trials, k) demand matrix.
 
-    single_choice, clustering, and cyclic use exact closed forms (window
-    maxima); anything else solves the LP row by row.  Closed forms agree
-    with the LP to machine precision (see the solver cross-check tests).
+    A family with a closed form in ``FAMILIES`` (single_choice, clustering,
+    cyclic) runs its window-maximum kernel; anything else solves the LP row
+    by row.  Closed forms agree with the LP to machine precision (see the
+    solver cross-check tests).
     """
-    demands = np.atleast_2d(np.asarray(demands, dtype=np.float64))
-    if demands.shape[1] != alloc.k:
-        raise ValueError(f"demand rows must have length k={alloc.k}")
-    if alloc.kind == "single_choice":
-        m = alloc.k // alloc.n
-        if m == 1:
-            return demands.max(axis=1)
-        return demands.reshape(demands.shape[0], alloc.n, m).sum(axis=2).max(axis=1)
-    if alloc.kind == "clustering":
-        d = alloc.d
-        return demands.reshape(demands.shape[0], alloc.n // d, d).sum(axis=2).max(axis=1) / d
-    if alloc.kind == "cyclic":
-        return _t_star_cyclic(demands, alloc.n, alloc.d)
+    demands = _demand_rows(alloc, demands)
+    kernel = getattr(FAMILIES.get(alloc.kind), "t_star", None)
+    if kernel is not None:
+        return kernel(alloc, demands)
     matrices = to_matrices(alloc)
     out = np.empty(demands.shape[0])
     for i, row in enumerate(demands):
@@ -227,7 +223,27 @@ def t_star_batch(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
     return out
 
 
-def _t_star_cyclic(demands: np.ndarray, n: int, d: int) -> np.ndarray:
+def _demand_rows(alloc: Allocation, demands) -> np.ndarray:
+    demands = np.atleast_2d(np.asarray(demands, dtype=np.float64))
+    if demands.shape[1] != alloc.k:
+        raise ValueError(f"demand rows must have length k={alloc.k}")
+    return demands
+
+
+def _t_star_clusters(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
+    """t* for disjoint clusters: max cluster sum / d.
+
+    Single-choice and clustering designs split the objects into n/d clusters
+    of k*d/n consecutive objects, each served by its own d nodes only.
+    """
+    n, d = alloc.n, alloc.d
+    clusters = demands.reshape(demands.shape[0], n // d, alloc.k * d // n)
+    # a one-object cluster is its own sum; summing would copy the whole batch
+    sums = clusters[:, :, 0] if clusters.shape[2] == 1 else clusters.sum(axis=2)
+    return sums.max(axis=1) / d
+
+
+def _t_star_cyclic(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
     """t* for cyclic designs: max over circular windows w of W_w / (w + d - 1).
 
     A window of w consecutive objects expands to exactly min(w + d - 1, n)
@@ -235,6 +251,7 @@ def _t_star_cyclic(demands: np.ndarray, n: int, d: int) -> np.ndarray:
     circular windows, so t* = max(sum/n, max_w W_w / (w + d - 1)) with w up
     to n - d.
     """
+    n, d = alloc.n, alloc.d
     best = demands.sum(axis=1) / n
     if d >= n:
         return best
@@ -244,96 +261,109 @@ def _t_star_cyclic(demands: np.ndarray, n: int, d: int) -> np.ndarray:
     return best
 
 
-def imbalance_factor(matrices: AllocationMatrices, rho, n: int) -> float:
-    """Load imbalance: optimal max load over its perfect-balance value sum/n."""
-    rho = np.asarray(rho, dtype=np.float64)
-    sigma = float(rho.sum())
-    if sigma <= 0:
-        raise ValueError("cumulative demand must be positive")
-    return min_max_load(matrices, rho).max_load * n / sigma
-
-
 # ---------------------------------------------------------------------------
 # Closed-form stability conditions
 # ---------------------------------------------------------------------------
 
 
-def _demand_window_max(sample: SpacingSample, w: int) -> float:
-    return float(window_maxima_circle(sample.spacings, min(w, sample.k)))
+def sufficient_condition(alloc: Allocation, demands, r_gap: int | None = None) -> np.ndarray:
+    """Sufficient stability condition per demand row; True implies t* <= 1.
 
-
-def sufficient_condition(alloc: Allocation, sample: SpacingSample, r_gap: int | None = None) -> bool:
-    """Kind-specific sufficient stability condition; True implies t* <= 1.
-
-    Thresholds on the circular window maxima of the demand vector:
-    clustering/cyclic: W_d <= d; block design: W_d <= d/2; cyclic XOR:
-    W_{1 + r(d-1)} <= d; generic r-gap designs (pass ``r_gap``):
-    W_{r+1} <= d.
+    ``demands`` is a (T, k) matrix or a (k,) row.  A family's condition is
+    W_w <= bound on the circular window maximum, with (w, bound) from
+    ``FAMILIES``; generic r-gap designs (pass ``r_gap``) use W_{r+1} <= d.
     """
-    if sample.k != alloc.k:
-        raise ValueError("sample length must equal the object count")
-    d = alloc.d
-    if alloc.kind in ("clustering", "cyclic"):
-        return _demand_window_max(sample, d) <= d
-    if alloc.kind == "block_design":
-        return _demand_window_max(sample, d) <= d / 2.0
-    if alloc.kind == "cyclic_xor":
-        return _demand_window_max(sample, 1 + alloc.r * (d - 1)) <= d
-    if r_gap is not None:
-        return _demand_window_max(sample, r_gap + 1) <= d
-    raise UnsupportedDesignError(f"no known sufficient condition for kind {alloc.kind!r}")
+    generic = None if r_gap is None else [(r_gap + 1, alloc.d)]
+    return _condition(alloc, demands, "sufficient", generic)
 
 
-def necessary_condition(
-    alloc: Allocation,
-    sample: SpacingSample,
-    r_gap: int | None = None,
-    cyclic_variant: str = "window_d_plus_1",
-    xor_threshold: str = "window_capacity",
-) -> bool:
-    """Kind-specific necessary stability condition; False implies t* > 1.
+def necessary_condition(alloc: Allocation, demands, r_gap: int | None = None) -> np.ndarray:
+    """Necessary stability condition per demand row; False implies t* > 1.
 
-    clustering/cyclic: W_{d+1} <= 2d (default).  For cyclic designs the
-    expansion argument also yields the variant W_d <= 2d - 1
-    (``cyclic_variant="window_d"``); both are valid, and the test suite
-    records which one is empirically tighter.  Block design: W_d <=
-    d^2 - 2d + 3.  Generic r-gap designs: W_i <= i + 2r for every window
-    size i in 1..n-2r (conjunction).
-
-    Cyclic XOR: the D = 1 + r(d-1) consecutive objects of a window expand
-    over 2D - 1 nodes, their primary portions fit in at most D of them, and
-    each recovery portion consumes r units of capacity, so the window can
-    carry at most D + (d-1) demand; the default threshold is that exact
-    window capacity, W_D <= d + r(d-1).  ``xor_threshold="two_d"`` evaluates
-    the looser-looking bound W_D <= 2d instead, which for d >= 3 is *not*
-    implied by stability (a window of demand D + d - 1 > 2d is servable) and
-    is provided only for side-by-side comparison.
+    Same form as ``sufficient_condition``; generic r-gap designs need
+    W_i <= i + 2r for every window size i in 1..n-2r.
     """
-    if sample.k != alloc.k:
-        raise ValueError("sample length must equal the object count")
-    d = alloc.d
-    if alloc.kind in ("clustering", "cyclic"):
-        if cyclic_variant == "window_d_plus_1" or alloc.kind == "clustering":
-            return _demand_window_max(sample, d + 1) <= 2.0 * d
-        if cyclic_variant == "window_d":
-            return _demand_window_max(sample, d) <= 2.0 * d - 1.0
-        raise ValueError(f"unknown cyclic_variant {cyclic_variant!r}")
-    if alloc.kind == "block_design":
-        return _demand_window_max(sample, d) <= d * d - 2.0 * d + 3.0
-    if alloc.kind == "cyclic_xor":
-        window = 1 + alloc.r * (d - 1)
-        if xor_threshold == "window_capacity":
-            return _demand_window_max(sample, window) <= d + alloc.r * (d - 1)
-        if xor_threshold == "two_d":
-            return _demand_window_max(sample, window) <= 2.0 * d
-        raise ValueError(f"unknown xor_threshold {xor_threshold!r}")
+    generic = None
     if r_gap is not None:
-        n = alloc.k
-        if n - 2 * r_gap < 1:
-            return True  # no window sizes to constrain
-        p = prefix_sums(sample.spacings[None, :], wrap=n - 2 * r_gap - 1)
-        return all(
-            window_max(p, n, i, circle=True)[0] <= i + 2.0 * r_gap
-            for i in range(1, n - 2 * r_gap + 1)
-        )
-    raise UnsupportedDesignError(f"no known necessary condition for kind {alloc.kind!r}")
+        generic = [(i, i + 2.0 * r_gap) for i in range(1, alloc.k - 2 * r_gap + 1)]
+    return _condition(alloc, demands, "necessary", generic)
+
+
+def _condition(alloc: Allocation, demands, name: str, generic) -> np.ndarray:
+    """Per row, whether W_w <= bound for every (w, bound) pair; w is clamped to k.
+
+    The pair is the family's ``name`` rule, else the ``generic`` pairs.
+    """
+    rule = getattr(FAMILIES.get(alloc.kind), name, None)
+    pairs = [rule(alloc.d, alloc.r)] if rule is not None else generic
+    if pairs is None:
+        raise UnsupportedDesignError(f"no known {name} condition for kind {alloc.kind!r}")
+    demands = _demand_rows(alloc, demands)
+    t, k = demands.shape
+    ok = np.ones(t, dtype=bool)
+    if pairs:
+        p = prefix_sums(demands, wrap=min(max(w for w, _ in pairs), k) - 1)
+        for w, bound in pairs:
+            ok &= window_max(p, k, min(w, k), circle=True) <= bound
+    return ok
+
+
+# ---------------------------------------------------------------------------
+# Design families
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the package knows about one named design family.
+
+    ``build(n, d, r, m)`` constructs it; ``predict(alloc, regime, c)`` is the
+    asymptotic band of its imbalance factor; ``t_star(alloc, demands)`` is its
+    closed form over (T, k) demand rows (None: the LP); ``sufficient`` and
+    ``necessary`` map (d, r) to (window, bound), meaning W_window <= bound
+    (None: no known condition).
+    """
+
+    build: Callable[[int, int, int, int], Allocation]
+    predict: Callable[[Allocation, str, Optional[float]], AsymptoticPrediction]
+    t_star: Optional[Callable[[Allocation, np.ndarray], np.ndarray]] = None
+    sufficient: Optional[Callable[[int, int], tuple[int, float]]] = None
+    necessary: Optional[Callable[[int, int], tuple[int, float]]] = None
+
+
+#: The named design families.  A cyclic XOR window of D = 1 + r(d-1)
+#: objects carries at most D + d - 1 demand: its primaries fit in at most D
+#: nodes and each of the d - 1 recovery units costs r.
+FAMILIES: dict[str, Family] = {
+    "single_choice": Family(
+        build=lambda n, d, r, m: build_single_choice(n, m),
+        predict=lambda a, regime, c: predict_single_choice(a.n, a.k // a.n),
+        t_star=_t_star_clusters,
+    ),
+    "clustering": Family(
+        build=lambda n, d, r, m: build_clustering(n, d),
+        predict=lambda a, regime, c: predict_d_choice(a.n, a.d, regime, c=c),
+        t_star=_t_star_clusters,
+        sufficient=lambda d, r: (d, d),
+        necessary=lambda d, r: (d + 1, 2.0 * d),
+    ),
+    "cyclic": Family(
+        build=lambda n, d, r, m: build_cyclic(n, d),
+        predict=lambda a, regime, c: predict_d_choice(a.n, a.d, regime, c=c),
+        t_star=_t_star_cyclic,
+        sufficient=lambda d, r: (d, d),
+        necessary=lambda d, r: (d + 1, 2.0 * d),
+    ),
+    "block_design": Family(
+        build=lambda n, d, r, m: build_block_design(d),
+        predict=lambda a, regime, c: predict_d_choice(a.n, a.d, regime, c=c),
+        sufficient=lambda d, r: (d, d / 2.0),
+        necessary=lambda d, r: (d, d * d - 2.0 * d + 3.0),
+    ),
+    "cyclic_xor": Family(
+        build=lambda n, d, r, m: build_cyclic_xor(n, d, r),
+        predict=lambda a, regime, c: predict_xor(a.n, a.d, a.r, regime, c=c),
+        sufficient=lambda d, r: (1 + r * (d - 1), d),
+        necessary=lambda d, r: (1 + r * (d - 1), d + r * (d - 1)),
+    ),
+}

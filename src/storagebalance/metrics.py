@@ -22,18 +22,14 @@ from typing import Optional
 import numpy as np
 
 from .allocation import Allocation, UnsupportedDesignError
-from .loadsolver import STABILITY_TOL, NumericalFailureError, t_star_batch
+from .loadsolver import FAMILIES, STABILITY_TOL, NumericalFailureError, t_star_batch
 from .spacings import (
     EULER_GAMMA,
     REGIME_LOG_ORDER_D,
     REGIME_SINGLE,
     REGIME_SMALL_D,
-    AsymptoticPrediction,
     batch_rows,
     p_sigma_transition,
-    predict_d_choice,
-    predict_single_choice,
-    predict_xor,
     spacing_matrix,
 )
 
@@ -330,20 +326,6 @@ class BandCheck:
         }
 
 
-def _prediction_for(kind: str, n: int, d: int, r: int, c: Optional[float]) -> AsymptoticPrediction:
-    if kind == "single_choice":
-        return predict_single_choice(n, 1)
-    if kind in ("clustering", "cyclic", "block_design"):
-        if c is None:
-            return predict_d_choice(n, d, REGIME_SMALL_D)
-        return predict_d_choice(n, d, REGIME_LOG_ORDER_D, c=c)
-    if kind == "cyclic_xor":
-        if c is None:
-            return predict_xor(n, d, r, REGIME_SMALL_D)
-        return predict_xor(n, d, r, REGIME_LOG_ORDER_D, c=c)
-    raise UnsupportedDesignError(f"no predictor for kind {kind!r}")
-
-
 def asymptotic_band_check(
     alloc: Allocation,
     trials: int,
@@ -358,45 +340,33 @@ def asymptotic_band_check(
 
     Runs the imbalance estimate (the imbalance factor does not depend on the
     cumulative load, which only scales the optimum) and checks the observed
-    mean against the predicted band with the configured finite-size slack.
-    When ``probe_transition`` is set, the robustness probability is also
+    mean against the predicted band with the configured finite-size slack;
+    for single-choice storage with m objects per node the observed statistic
+    is imbalance * m, the coordinate of its limit law.  When
+    ``probe_transition`` is set, the robustness probability is also
     estimated at cumulative loads b * n / log n for b on both sides of the
     predicted 0/1 transition.
     """
     n, d, r = alloc.n, alloc.d, alloc.r
-    pred = _prediction_for(alloc.kind, n, d, r, c)
+    m = max(1, alloc.k // n)
+    family = FAMILIES.get(alloc.kind)
+    if family is None:
+        raise UnsupportedDesignError(f"no predictor for kind {alloc.kind!r}")
+    pred = family.predict(alloc, REGIME_SMALL_D if c is None else REGIME_LOG_ORDER_D, c)
     sigma = sigma if sigma is not None else 0.8 * n
     _, i_est = estimate_metrics(alloc, sigma, trials, master_seed)
 
-    checks: list[BandCheck] = []
     if pred.regime == REGIME_SINGLE:
-        target = pred.centering + EULER_GAMMA  # Gumbel mean shift
-        checks.append(
-            BandCheck(
-                name="mean_imbalance_over_prediction",
-                observed=i_est.mean / target,
-                lo=slack[0],
-                hi=slack[1],
-            )
-        )
+        # the limit law centres imbalance * m; Gumbel mean shift
+        target = pred.centering + EULER_GAMMA
+        name, observed = "mean_imbalance_over_prediction", i_est.mean * m / target
     else:
-        checks.append(
-            BandCheck(
-                name="mean_imbalance_over_band_hi",
-                observed=i_est.mean / pred.band_hi,
-                lo=slack[0],
-                hi=slack[1],
-            )
-        )
+        name, observed = "mean_imbalance_over_band_hi", i_est.mean / pred.band_hi
+    checks = [BandCheck(name=name, observed=observed, lo=slack[0], hi=slack[1])]
 
     transition = None
     if probe_transition:
-        regime = (
-            REGIME_SINGLE
-            if pred.regime == REGIME_SINGLE
-            else (REGIME_LOG_ORDER_D if c is not None else REGIME_SMALL_D)
-        )
-        b_lo, b_hi = p_sigma_transition(regime, d, m=max(1, alloc.k // alloc.n), c=c)
+        b_lo, b_hi = p_sigma_transition(pred.regime, d, m=m, c=c)
         probes = {}
         for label, b in (("below", TRANSITION_PROBE[0] * b_lo), ("above", TRANSITION_PROBE[1] * b_hi)):
             sig = b * n / math.log(n)

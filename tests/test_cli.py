@@ -4,17 +4,19 @@ import json
 
 import pytest
 
-from storagebalance.allocation import allocation_to_dict, build_cyclic
+from storagebalance.allocation import KINDS, allocation_to_dict, build_cyclic
 from storagebalance.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
     ExperimentConfig,
+    _schema,
     build_allocation,
     main,
     resolve_sigma,
     run_simulate,
 )
+from storagebalance.loadsolver import FAMILIES
 from storagebalance.metrics import CSV_COLUMNS, rows_to_csv
 
 
@@ -75,8 +77,17 @@ def test_build_allocation_dispatch():
     assert build_allocation("block_design", 0, d=3).n == 7
     assert build_allocation("single_choice", 4, m=2).k == 8
     assert build_allocation("cyclic_xor", 7, d=3, r=2).r == 2
+    clustering = build_allocation("clustering", 6, d=3)
+    assert (clustering.kind, clustering.n, clustering.d) == ("clustering", 6, 3)
     with pytest.raises(ConfigError):
         build_allocation("mystery", 3)
+    with pytest.raises(ConfigError, match="must divide"):
+        build_allocation("clustering", 7, d=3)
+
+
+def test_family_table_covers_every_named_kind():
+    enum = _schema()["$defs"]["kind_name"]["enum"]
+    assert set(FAMILIES) == set(enum) == set(KINDS) - {"custom"}
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +183,39 @@ def test_simulate_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, dict(BASE_CONFIG))
     assert main(["simulate", "--config", cfg]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (["simulate", "--config", "{config}"], {**BASE_CONFIG, "kind": "clustering", "d": 5}),
+        (["simulate", "--config", "{config}"], {**BASE_CONFIG, "kind": "cyclic_xor", "r": 1}),
+        (["limit-checks", "--k", "5", "--d", "9"], None),
+        (["simulate", "--config", "{config}"], b"\xff\xfe not utf-8"),
+    ],
+    ids=["clustering-d-not-dividing-n", "cyclic-xor-r1", "limit-checks-d-above-k", "not-utf8"],
+)
+def test_config_errors_exit_2(tmp_path, capsys, argv, config):
+    path = tmp_path / "config.json"
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    elif config is not None:
+        path.write_text(json.dumps(config))
+    assert main([a.replace("{config}", str(path)) for a in argv]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    import storagebalance.cli as cli_mod
+
+    def boom(config):
+        raise ValueError("synthetic internal fault")
+
+    monkeypatch.setattr(cli_mod, "run_simulate", boom)
+    cfg = write_config(tmp_path, dict(BASE_CONFIG))
+    with pytest.raises(ValueError, match="synthetic internal fault"):
+        main(["simulate", "--config", cfg])
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_simulate_unsupported_builder_surfaces(tmp_path, capsys):
@@ -315,6 +359,14 @@ def test_exact_k3_subcommand(capsys):
     assert sorted(out["polygon_vertices"]) == sorted(
         [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]]
     )
+
+
+@pytest.mark.parametrize("sigma", ["inf", "nan", "0", "-1"])
+def test_exact_k3_rejects_bad_sigma(capsys, sigma):
+    assert main(["exact-k3", "--d", "2", "--sigma", sigma]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "--sigma" in captured.err
+    assert captured.out == ""
 
 
 def test_limit_checks_subcommand(tmp_path):

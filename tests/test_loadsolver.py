@@ -20,8 +20,6 @@ from storagebalance.allocation import (
 from storagebalance.loadsolver import (
     STABILITY_TOL,
     dump_lp,
-    imbalance_factor,
-    lp_stability,
     min_max_load,
     min_max_load_flow,
     necessary_condition,
@@ -30,9 +28,9 @@ from storagebalance.loadsolver import (
 )
 from storagebalance.spacings import (
     RandomStream,
-    SpacingSample,
     sample_uniform_spacings,
     spacing_matrix,
+    window_maxima_circle,
 )
 from util import random_regular_allocation as random_regular
 
@@ -87,10 +85,8 @@ def test_scale_linearity(c):
 
 def test_lp_stability_verdict():
     m = to_matrices(build_cyclic(3, 2))
-    v = lp_stability(m, [2.0, 1.0, 0.0])
-    assert v.stable and v.condition_kind == "lp_exact"
-    v2 = lp_stability(m, [3.0, 3.0, 0.0])
-    assert not v2.stable and v2.max_load > 1 + STABILITY_TOL
+    assert min_max_load(m, [2.0, 1.0, 0.0]).max_load <= 1 + STABILITY_TOL
+    assert min_max_load(m, [3.0, 3.0, 0.0]).max_load > 1 + STABILITY_TOL
 
 
 def test_convexity_probe():
@@ -124,17 +120,14 @@ def test_monotone_expansion_in_d():
 
 
 def test_imbalance_factor_examples():
-    assert imbalance_factor(to_matrices(build_cyclic(4, 4)), [1.0, 0.5, 0.2, 0.1], 4) == (
-        pytest.approx(1.0, abs=1e-9)
-    )
-    assert imbalance_factor(to_matrices(build_single_choice(2, 1)), [0.75, 0.25], 2) == (
-        pytest.approx(1.5, rel=1e-9)
-    )
-    assert imbalance_factor(to_matrices(build_cyclic(3, 2)), [2.0, 1.0, 0.0], 3) == (
-        pytest.approx(1.0, abs=1e-9)
-    )
-    with pytest.raises(ValueError):
-        imbalance_factor(to_matrices(build_cyclic(3, 2)), [0.0, 0.0, 0.0], 3)
+    # imbalance factor: optimal max load over its perfect-balance value sum/n
+    for alloc, rho, imbalance in [
+        (build_cyclic(4, 4), [1.0, 0.5, 0.2, 0.1], 1.0),
+        (build_single_choice(2, 1), [0.75, 0.25], 1.5),
+        (build_cyclic(3, 2), [2.0, 1.0, 0.0], 1.0),
+    ]:
+        t_star = min_max_load(to_matrices(alloc), rho).max_load
+        assert t_star * alloc.n / sum(rho) == pytest.approx(imbalance, rel=1e-9)
 
 
 def test_xor_grid_search_oracle():
@@ -195,7 +188,9 @@ def test_flow_oracle_random_agreement():
     "build",
     [
         lambda rng: build_single_choice(int(rng.integers(2, 7)), int(rng.integers(1, 4))),
-        lambda rng: build_clustering(3 * int(rng.integers(1, 5)), 3),
+        lambda rng: (lambda d: build_clustering(d * int(rng.integers(1, 5)), d))(
+            int(rng.integers(1, 5))
+        ),
         lambda rng: (lambda n: build_cyclic(n, int(rng.integers(1, n + 1))))(
             int(rng.integers(3, 13))
         ),
@@ -245,62 +240,87 @@ def test_t_star_batch_block_design_uses_lp():
 
 def unit_sample(values, sigma):
     arr = np.asarray(values, dtype=np.float64)
-    return SpacingSample(arr * (sigma / arr.sum()), sigma, len(arr))
+    return arr * (sigma / arr.sum())
 
 
 def test_sufficient_condition_thresholds():
     alloc = build_cyclic(6, 3)
     flat = unit_sample(np.ones(6), 5.4)  # every 3-window sums to 2.7 <= 3
-    assert sufficient_condition(alloc, flat)
+    assert sufficient_condition(alloc, flat)[0]
     spiky = unit_sample([10, 1, 1, 1, 1, 1], 6.0)  # window max 4.8 > 3
-    assert not sufficient_condition(alloc, spiky)
+    assert not sufficient_condition(alloc, spiky)[0]
 
 
 def test_block_design_condition_thresholds():
     alloc = build_block_design(3)
     ok = unit_sample(np.ones(7), 3.0)  # 3-window = 9/7 <= 1.5
-    assert sufficient_condition(alloc, ok)
+    assert sufficient_condition(alloc, ok)[0]
     # 3-window demand 2 exceeds d/2 = 1.5
     bad = unit_sample([2, 0, 0, 0.5, 0.5, 0.5, 0.5], 4.0)
-    assert not sufficient_condition(alloc, bad)
+    assert not sufficient_condition(alloc, bad)[0]
     # necessary threshold d^2 - 2d + 3 = 6
-    assert necessary_condition(alloc, ok)
-    assert not necessary_condition(alloc, unit_sample([7, 0, 0, 0, 0, 0, 0], 7.0))
+    assert necessary_condition(alloc, ok)[0]
+    assert not necessary_condition(alloc, unit_sample([7, 0, 0, 0, 0, 0, 0], 7.0))[0]
 
 
 def test_necessary_condition_cyclic_variants():
     alloc = build_cyclic(8, 3)
     s = unit_sample([6.5, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.3], 8.0)
     # window-4 max 7.1 > 2d = 6 -> stated variant rejects
-    assert not necessary_condition(alloc, s)
-    # window-3 max 6.9 > 2d-1 = 5 -> proof-sketch variant rejects too
-    assert not necessary_condition(alloc, s, cyclic_variant="window_d")
-    with pytest.raises(ValueError):
-        necessary_condition(alloc, s, cyclic_variant="nope")
+    assert not necessary_condition(alloc, s)[0]
+    # window-3 max 6.9 > 2d-1 = 5 -> proof-sketch variant W_d <= 2d - 1 rejects too
+    assert window_maxima_circle(s, 3) > 5.0
+
+
+@pytest.mark.parametrize(
+    "alloc",
+    [
+        build_cyclic(12, 3),
+        build_clustering(12, 3),
+        build_block_design(3),
+        build_cyclic_xor(12, 3, 2),
+        build_single_choice(12, 1),
+    ],
+    ids=lambda a: a.kind,
+)
+def test_conditions_return_one_bool_per_row(alloc):
+    # a (T, k) batch gives the rows' verdicts; a (k,) row gives one verdict
+    r_gap = 0 if alloc.kind == "single_choice" else None
+    demands = spacing_matrix(alloc.k, 0.8 * alloc.n, 31, 50)
+    for condition in (sufficient_condition, necessary_condition):
+        batch = condition(alloc, demands, r_gap=r_gap)
+        assert batch.dtype == bool and batch.shape == (50,)
+        rows = [condition(alloc, row, r_gap=r_gap) for row in demands]
+        assert all(row.shape == (1,) for row in rows)
+        assert batch.tolist() == [bool(row[0]) for row in rows]
+        with pytest.raises(ValueError):
+            condition(alloc, demands[:, 1:], r_gap=r_gap)
 
 
 def test_conditions_vanishing_load():
     alloc = build_clustering(9, 3)
-    tiny = sample_uniform_spacings(9, 1e-6, RandomStream(4, 0))
-    assert sufficient_condition(alloc, tiny)
-    assert necessary_condition(alloc, tiny)
+    tiny = sample_uniform_spacings(9, 1e-6, RandomStream(4, 0)).spacings
+    assert sufficient_condition(alloc, tiny)[0]
+    assert necessary_condition(alloc, tiny)[0]
 
 
 def test_conditions_unsupported_kind():
     alloc = build_single_choice(4, 1)
-    s = sample_uniform_spacings(4, 1.0, RandomStream(0, 0))
+    s = sample_uniform_spacings(4, 1.0, RandomStream(0, 0)).spacings
     with pytest.raises(UnsupportedDesignError):
         sufficient_condition(alloc, s)
+    with pytest.raises(UnsupportedDesignError):
+        necessary_condition(alloc, s)
     # generic r-gap form applies when a radius is supplied
-    assert sufficient_condition(alloc, s, r_gap=0) in (True, False)
-    assert necessary_condition(alloc, s, r_gap=0) in (True, False)
+    assert sufficient_condition(alloc, s, r_gap=0).dtype == bool
+    assert necessary_condition(alloc, s, r_gap=0).dtype == bool
 
 
 def test_xor_condition_window():
     alloc = build_cyclic_xor(12, 3, 2)
     flat = unit_sample(np.ones(12), 7.0)  # 5-window = 35/12 < 3
-    assert sufficient_condition(alloc, flat)
-    assert necessary_condition(alloc, flat)
+    assert sufficient_condition(alloc, flat)[0]
+    assert necessary_condition(alloc, flat)[0]
 
 
 def test_xor_window_capacity_is_tight():
@@ -315,12 +335,11 @@ def test_xor_window_capacity_is_tight():
     rho[:5] = [1.0, 1.0, 2.0, 1.0, 2.0]
     assert min_max_load(m, rho).max_load == pytest.approx(1.0, abs=1e-9)
     assert rho.sum() == cap
+    assert necessary_condition(alloc, rho)[0]
+    # the servable point violates the 2d form W_D <= 2d, so that form is not necessary
+    assert window_maxima_circle(rho, 5) > 2 * 3
     rho[4] += 0.05
     assert min_max_load(m, rho).max_load > 1.0 + 1e-6
-    # the servable point violates the 2d form but not the capacity form
-    s = SpacingSample(np.array([1.0, 1.0, 2.0, 1.0, 2.0] + [0.0] * 7), 7.0, 12)
-    assert necessary_condition(alloc, s)
-    assert not necessary_condition(alloc, s, xor_threshold="two_d")
 
 
 @pytest.mark.parametrize(
@@ -330,7 +349,7 @@ def test_xor_window_capacity_is_tight():
         (build_clustering(12, 3), (6.0, 9.0, 12.0), {}),
         (build_block_design(3), (2.0, 4.0, 6.5), {}),
         (build_cyclic_xor(12, 3, 2), (5.0, 8.0, 11.0), {}),
-        (build_cyclic(12, 3), (6.0, 12.0), {"cyclic_variant": "window_d"}),
+        (build_cyclic(12, 3), (6.0, 12.0), {"window_d": True}),
         (build_cyclic(10, 3), (5.0, 9.0), {"r_gap": 2}),
     ],
     ids=["cyclic", "clustering", "block", "xor", "cyclic-alt", "rgap-generic"],
@@ -338,19 +357,17 @@ def test_xor_window_capacity_is_tight():
 def test_stability_sandwich(alloc, sigmas, kwargs):
     # sufficient => stable => necessary on every sampled demand
     r_gap = kwargs.get("r_gap")
-    cyc_kw = {k: v for k, v in kwargs.items() if k == "cyclic_variant"}
-    trials = 400
     for sigma in sigmas:
-        for i in range(trials):
-            s = sample_uniform_spacings(alloc.k, sigma, RandomStream(8080, i))
-            t = t_star_batch(alloc, s.spacings)[0]
-            stable = t <= 1 + STABILITY_TOL
-            if sufficient_condition(alloc, s, r_gap=r_gap):
-                assert stable, f"sufficient held but t*={t} at sigma={sigma}"
-            if stable:
-                assert necessary_condition(alloc, s, r_gap=r_gap, **cyc_kw), (
-                    f"stable but necessary failed at sigma={sigma}"
-                )
+        demands = spacing_matrix(alloc.k, sigma, 8080, 400)
+        stable = t_star_batch(alloc, demands) <= 1 + STABILITY_TOL
+        if kwargs.get("window_d"):
+            # the cyclic expansion argument also gives W_d <= 2d - 1
+            necessary = window_maxima_circle(demands, alloc.d) <= 2.0 * alloc.d - 1.0
+        else:
+            necessary = necessary_condition(alloc, demands, r_gap=r_gap)
+        sufficient = sufficient_condition(alloc, demands, r_gap=r_gap)
+        assert not np.any(sufficient & ~stable), f"sufficient held but unstable at sigma={sigma}"
+        assert not np.any(stable & ~necessary), f"stable but necessary failed at sigma={sigma}"
 
 
 def test_dump_lp_format(tmp_path):

@@ -28,6 +28,7 @@ from storagebalance.metrics import (
     t_star_series,
     wilson_interval,
 )
+from storagebalance.spacings import EULER_GAMMA, predict_single_choice
 
 SEED = 987654321
 
@@ -212,6 +213,17 @@ def test_band_check_single_choice():
     assert main["passed"]
     assert report["transition"]["below"]["p_sigma"] >= 0.9
     assert report["transition"]["above"]["p_sigma"] <= 0.1
+
+
+def test_band_check_single_choice_uses_m():
+    # the limit law centres imbalance * m, not the imbalance itself
+    report = asymptotic_band_check(
+        build_single_choice(200, 2), trials=300, master_seed=SEED, probe_transition=False
+    )
+    centering = predict_single_choice(200, 2).centering
+    assert report["prediction"]["centering"] == centering
+    main = report["checks"][0]
+    assert main["observed"] == report["observed_mean_imbalance"] * 2 / (centering + EULER_GAMMA)
 
 
 def test_band_check_cyclic_small_d():

@@ -40,6 +40,8 @@ def test_fig_imbalance_vs_d(tmp_path):
     assert [(r["kind"], r["n"], r["d"]) for r in rows] == [
         ("cyclic", "12", str(d)) for d in range(1, 6)
     ]
+    # the temporary config (TMPDIR is tmp_path) is gone once the script exits
+    assert not list(tmp_path.glob("tmp*"))
 
 
 def test_fig_design_comparison(tmp_path):
