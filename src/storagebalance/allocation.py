@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix, triu
 
 KINDS = ("single_choice", "clustering", "cyclic", "block_design", "cyclic_xor", "custom")
 
@@ -49,9 +51,17 @@ class Allocation:
         if min(self.n, self.k, self.d, self.r) < 1:
             raise ValueError("n, k, d, r must be positive")
 
-    def choice_nodes(self, i: int) -> frozenset[int]:
-        """Union of all nodes in object i's recovery sets."""
-        return frozenset(v for s in self.recovery_sets[i] for v in s)
+    @cached_property
+    def incidence(self) -> csr_matrix:
+        """Object-node incidence B (k x n, 0/1 CSR): B[i, v] = 1 iff node v is
+        in one of object i's recovery sets, however often it is named there.
+        Built once and shared by every caller, which must not modify it."""
+        rows = [i for i, obj in enumerate(self.recovery_sets) for s in obj for _ in s]
+        cols = [v for obj in self.recovery_sets for s in obj for v in s]
+        B = csr_matrix((np.ones(len(cols), np.int32), (rows, cols)), shape=(self.k, self.n))
+        B.sum_duplicates()
+        B.data[:] = 1
+        return B
 
 
 @dataclass(frozen=True)
@@ -225,14 +235,11 @@ def build_cyclic_xor(n: int, d: int, r: int) -> Allocation:
             choices.append(tuple((i + 1 + j * r + t) % n for t in range(r)))
         sets.append(tuple(choices))
     alloc = Allocation(n=n, k=n, d=d, r=r, kind="cyclic_xor", recovery_sets=tuple(sets))
-    for i, obj_sets in enumerate(alloc.recovery_sets):
-        seen: set[int] = set()
-        for s in obj_sets:
-            if seen & set(s):
-                raise UnsupportedDesignError(
-                    f"object {i}: recovery sets are not disjoint (n too small)"
-                )
-            seen |= set(s)
+    short = np.flatnonzero(np.diff(alloc.incidence.indptr) < 1 + r * (d - 1))
+    if short.size:
+        raise UnsupportedDesignError(
+            f"object {short[0]}: recovery sets are not disjoint (n too small)"
+        )
     return alloc
 
 
@@ -301,6 +308,19 @@ def validate_regular_balanced(alloc: Allocation) -> list[str]:
     return out
 
 
+#: Most entries of B @ B.T that ``_shared_pairs`` holds at once.
+_PAIR_BLOCK = 1 << 22
+
+
+def _shared_pairs(alloc: Allocation):
+    """Yield (i, j, |C_i & C_j|) arrays over pairs i < j with a shared node."""
+    B = alloc.incidence
+    step = max(1, _PAIR_BLOCK // alloc.k)
+    for lo in range(0, alloc.k, step):
+        g = triu(B[lo : lo + step] @ B.T, k=lo + 1, format="coo")
+        yield g.row + lo, g.col, g.data
+
+
 def overlap_sum(alloc: Allocation) -> int:
     """Sum over ordered object pairs of |C_i intersect C_j| (replicas only).
 
@@ -309,15 +329,8 @@ def overlap_sum(alloc: Allocation) -> int:
     """
     if alloc.r != 1:
         raise UnsupportedDesignError("overlap_sum is defined for replica allocations")
-    unions = [alloc.choice_nodes(i) for i in range(alloc.k)]
-    hosted: list[list[int]] = [[] for _ in range(alloc.n)]
-    for i, u in enumerate(unions):
-        for v in u:
-            hosted[v].append(i)
-    total = 0
-    for objs in hosted:
-        total += len(objs) * (len(objs) - 1)
-    return total
+    deg = np.bincount(alloc.incidence.indices, minlength=alloc.n)
+    return int((deg * (deg - 1)).sum())
 
 
 def node_expansion(alloc: Allocation, objects: Iterable[int]) -> int:
@@ -325,10 +338,7 @@ def node_expansion(alloc: Allocation, objects: Iterable[int]) -> int:
     objs = set(objects)
     if any(not 0 <= i < alloc.k for i in objs):
         raise ValueError("object id out of range")
-    nodes: set[int] = set()
-    for i in objs:
-        nodes |= alloc.choice_nodes(i)
-    return len(nodes)
+    return int(np.count_nonzero(alloc.incidence[sorted(objs)].getnnz(axis=0)))
 
 
 def is_r_gap(alloc: Allocation, r: int) -> bool:
@@ -337,26 +347,16 @@ def is_r_gap(alloc: Allocation, r: int) -> bool:
         raise UnsupportedDesignError("r-gap is defined for replica allocations")
     if r < 0:
         raise ValueError("r must be non-negative")
-    unions = [alloc.choice_nodes(i) for i in range(alloc.k)]
-    k = alloc.k
-    for i, j in combinations(range(k), 2):
-        dist = min(j - i, k - (j - i))
-        if dist > r and unions[i] & unions[j]:
-            return False
-    return True
+    return r_gap_radius(alloc) <= r
 
 
 def r_gap_radius(alloc: Allocation) -> int:
     """Smallest r for which the allocation is an r-gap design."""
     if alloc.r != 1:
         raise UnsupportedDesignError("r-gap is defined for replica allocations")
-    unions = [alloc.choice_nodes(i) for i in range(alloc.k)]
     k = alloc.k
-    radius = 0
-    for i, j in combinations(range(k), 2):
-        if unions[i] & unions[j]:
-            radius = max(radius, min(j - i, k - (j - i)))
-    return radius
+    gaps = [np.minimum(j - i, k - (j - i)).max(initial=0) for i, j, _ in _shared_pairs(alloc)]
+    return int(max(gaps, default=0))
 
 
 def hall_check(
@@ -371,26 +371,26 @@ def hall_check(
     subsets.  Returns (ok, witness) with a violating subset if one is found.
     """
     k = alloc.k
-    unions = [alloc.choice_nodes(i) for i in range(k)]
+    node_sets = [frozenset(row) for row in alloc.incidence.tolil().rows]
 
     def expansion(objs) -> int:
         nodes: set[int] = set()
         for i in objs:
-            nodes |= unions[i]
+            nodes |= node_sets[i]
         return len(nodes)
 
     if k <= exhaustive_limit:
         for size in range(1, k + 1):
             for objs in combinations(range(k), size):
-                if expansion(objs) < len(objs):
+                if expansion(objs) < size:
                     return False, objs
         return True, None
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     for _ in range(samples):
         size = int(rng.integers(1, k + 1))
-        objs = tuple(sorted(rng.choice(k, size=size, replace=False).tolist()))
-        if expansion(objs) < len(objs):
-            return False, objs
+        objs = rng.choice(k, size=size, replace=False).tolist()
+        if expansion(objs) < size:
+            return False, tuple(sorted(objs))
     return True, None
 
 
@@ -398,12 +398,11 @@ def pairwise_overlap_histogram(alloc: Allocation) -> dict[int, int]:
     """Histogram {overlap size: number of unordered object pairs}."""
     if alloc.r != 1:
         raise UnsupportedDesignError("overlaps are defined for replica allocations")
-    unions = [alloc.choice_nodes(i) for i in range(alloc.k)]
-    hist: dict[int, int] = {}
-    for i, j in combinations(range(alloc.k), 2):
-        c = len(unions[i] & unions[j])
-        hist[c] = hist.get(c, 0) + 1
-    return hist
+    hist = np.zeros(alloc.n + 1, dtype=np.int64)
+    for _, _, c in _shared_pairs(alloc):
+        hist += np.bincount(c, minlength=alloc.n + 1)
+    hist[0] = alloc.k * (alloc.k - 1) // 2 - hist.sum()  # pairs sharing no node
+    return {c: int(m) for c, m in enumerate(hist) if m}
 
 
 def designs_isomorphic(

@@ -195,8 +195,11 @@ def report_json(config_echo: dict, data, timestamp: bool = True) -> str:
 def _emit(text: str, path: str | None) -> None:
     """Write ``text`` to the file at ``path``, or to stdout when there is none."""
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -218,13 +221,16 @@ def _write_outputs(outputs: list[dict], config_echo: dict, rows: list[Experiment
 def _load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path}: top level is a {type(data).__name__}, not an object")
+    return data
 
 
 def _apply_overrides(data: dict, args) -> dict:

@@ -135,22 +135,14 @@ def dump_lp(matrices: AllocationMatrices, rho, path: str) -> None:
 _FLOW_SCALE = 2**30
 
 
-def _flow_feasible(hosts, rho_int, total: int, t_int: int, n: int) -> bool:
-    # source 0, objects 1..k, nodes k+1..k+n, sink k+n+1
-    k = len(hosts)
-    rows, cols, caps = [], [], []
-    for i, h in enumerate(hosts):
-        rows.append(0)
-        cols.append(1 + i)
-        caps.append(int(rho_int[i]))
-        for v in h:
-            rows.append(1 + i)
-            cols.append(1 + k + v)
-            caps.append(total)
-    for v in range(n):
-        rows.append(1 + k + v)
-        cols.append(k + n + 1)
-        caps.append(t_int)
+def _flow_feasible(B, rho_int, total: int, t_int: int) -> bool:
+    # source 0, objects 1..k, nodes k+1..k+n, sink k+n+1; object-node edges
+    # are the entries of the incidence B
+    k, n = B.shape
+    owner = np.repeat(np.arange(k), np.diff(B.indptr))
+    rows = np.concatenate([np.zeros(k, np.int64), 1 + owner, 1 + k + np.arange(n)])
+    cols = np.concatenate([1 + np.arange(k), 1 + k + B.indices, np.full(n, k + n + 1)])
+    caps = np.concatenate([rho_int, np.full(owner.size, total), np.full(n, t_int)])
     g = csr_matrix((caps, (rows, cols)), shape=(k + n + 2, k + n + 2), dtype=np.int64)
     return maximum_flow(g, 0, k + n + 1).flow_value >= total
 
@@ -178,17 +170,17 @@ def min_max_load_flow(alloc: Allocation, rho, tol: float = 1e-8) -> float:
     sigma = float(rho.sum())
     if sigma == 0.0:
         return 0.0
-    hosts = [sorted(alloc.choice_nodes(i)) for i in range(alloc.k)]
+    B = alloc.incidence
     rho_int = np.round(rho / sigma * _FLOW_SCALE).astype(np.int64)
     total = int(rho_int.sum())
     unit_tol = tol / sigma
     lo = float(rho.max()) / sigma / alloc.d
     hi = 1.0
-    if _flow_feasible(hosts, rho_int, total, int(round(lo * _FLOW_SCALE)), alloc.n):
+    if _flow_feasible(B, rho_int, total, int(round(lo * _FLOW_SCALE))):
         return lo * sigma
     while hi - lo > unit_tol:
         mid = 0.5 * (lo + hi)
-        if _flow_feasible(hosts, rho_int, total, int(round(mid * _FLOW_SCALE)), alloc.n):
+        if _flow_feasible(B, rho_int, total, int(round(mid * _FLOW_SCALE))):
             hi = mid
         else:
             lo = mid

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .allocation import Allocation, UnsupportedDesignError
+from .allocation import Allocation, UnsupportedDesignError, node_expansion
 from .loadsolver import FAMILIES, STABILITY_TOL, NumericalFailureError, t_star_batch
 from .spacings import (
     EULER_GAMMA,
@@ -245,11 +245,8 @@ def exact_region_k3(alloc: Allocation, sigma) -> ExactRegionK3:
         halfspaces.append((normal, Fraction(0)))  # rho_i >= 0
     for size in (1, 2, 3):
         for objs in combinations(range(3), size):
-            nodes = set()
-            for i in objs:
-                nodes |= alloc.choice_nodes(i)
             normal = tuple(Fraction(1) if j in objs else Fraction(0) for j in range(3))
-            halfspaces.append((normal, Fraction(len(nodes))))
+            halfspaces.append((normal, Fraction(node_expansion(alloc, objs))))
     return ExactRegionK3(halfspaces=tuple(halfspaces), simplex_sigma=Fraction(sigma))
 
 

@@ -1,5 +1,7 @@
 """Tests for allocation builders, validation, and routing matrices."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from storagebalance.allocation import (
     to_matrices,
     validate_regular_balanced,
 )
+from util import random_regular_allocation
 
 
 def node_contents(alloc):
@@ -295,6 +298,122 @@ def test_hall_check_finds_violation():
     )
     ok, witness = hall_check(bad)
     assert not ok and witness == (0, 1)
+
+
+def test_hall_check_sampled_violation_witness():
+    # k = 40 > 12 objects on 39 nodes (objects 0 and 39 share node 0), so
+    # the sampled branch runs; the witness is the first violating subset of
+    # the fixed Philox stream, returned sorted
+    bad = Allocation(
+        n=39, k=40, d=1, r=1, kind="custom",
+        recovery_sets=tuple(((i % 39,),) for i in range(40)),
+    )
+    assert hall_check(bad) == (False, (
+        0, 2, 3, 4, 5, 6, 8, 10, 11, 12, 16, 18, 19, 21, 22, 23, 24, 25, 27,
+        28, 30, 33, 36, 38, 39,
+    ))
+
+
+def _design(kind, data):
+    """A small design of the named kind, drawn with hypothesis."""
+    if kind == "random_regular":
+        n = data.draw(st.integers(2, 16))
+        d = data.draw(st.integers(1, min(n, 3)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        return random_regular_allocation(n, d, np.random.default_rng(seed))
+    if kind == "cyclic":
+        n = data.draw(st.integers(1, 18))
+        return build_cyclic(n, data.draw(st.integers(1, n)))
+    if kind == "clustering":
+        d = data.draw(st.integers(1, 4))
+        return build_clustering(d * data.draw(st.integers(1, 5)), d)
+    if kind == "single_choice":
+        return build_single_choice(data.draw(st.integers(1, 16)), 1)
+    if kind == "block_design":
+        return build_block_design(data.draw(st.sampled_from([3, 4])))
+    if kind == "cyclic_xor":
+        d, r = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
+        return build_cyclic_xor(data.draw(st.integers(1 + r * (d - 1), 16)), d, r)
+    # free layouts: any node per choice, so objects may name one node twice
+    n = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(1, 16))
+    d = data.draw(st.integers(1, 3))
+    choice = st.integers(0, n - 1).map(lambda v: (v,))
+    sets = data.draw(st.lists(st.tuples(*[choice] * d), min_size=k, max_size=k))
+    return Allocation(n=n, k=k, d=d, r=1, kind="custom", recovery_sets=tuple(sets))
+
+
+def _first_hall_violation(unions, k, seed):
+    """Hall witness by direct unions, enumerating subsets as documented."""
+    if k <= 12:
+        subsets = (c for size in range(1, k + 1) for c in combinations(range(k), size))
+    else:
+        rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+        subsets = (
+            tuple(sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False).tolist()))
+            for _ in range(2000)
+        )
+    for objs in subsets:
+        if len(set().union(*(unions[i] for i in objs))) < len(objs):
+            return False, objs
+    return True, None
+
+
+def test_structure_queries_on_duplicate_node():
+    # object 1 names node 1 in both choices, as a tampered file may
+    sets = list(build_cyclic(5, 2).recovery_sets)
+    sets[1] = ((1,), (1,))
+    a = Allocation(n=5, k=5, d=2, r=1, kind="custom", recovery_sets=tuple(sets))
+    assert a.incidence.toarray()[1].tolist() == [0, 1, 0, 0, 0]
+    assert overlap_sum(a) == 8  # node degrees (2, 2, 1, 2, 2)
+    assert pairwise_overlap_histogram(a) == {0: 6, 1: 4}
+    assert r_gap_radius(a) == 1
+    assert node_expansion(a, {1}) == 1
+    assert hall_check(a) == (True, None)
+
+
+def test_pair_queries_do_not_depend_on_row_blocks(monkeypatch):
+    import storagebalance.allocation as allocation
+
+    designs = (build_cyclic(40, 3), build_block_design(4), build_single_choice(9, 1))
+    whole = [(pairwise_overlap_histogram(a), r_gap_radius(a)) for a in designs]
+    monkeypatch.setattr(allocation, "_PAIR_BLOCK", 7)  # blocks of one row or a few
+    assert [(pairwise_overlap_histogram(a), r_gap_radius(a)) for a in designs] == whole
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "random_regular", "cyclic", "clustering", "single_choice", "block_design", "cyclic_xor",
+        "free",
+    ],
+)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_structure_queries_match_brute_force(kind, data):
+    a = _design(kind, data)
+    k = a.k
+    unions = [{v for s in obj for v in s} for obj in a.recovery_sets]
+    for _ in range(3):
+        objs = data.draw(st.sets(st.integers(0, k - 1)))
+        assert node_expansion(a, objs) == len(set().union(*(unions[i] for i in objs)))
+    seed = data.draw(st.sampled_from([0, 1, 2**63 - 1]))
+    assert hall_check(a, seed=seed) == _first_hall_violation(unions, k, seed)
+    if a.r != 1:
+        for query in (overlap_sum, r_gap_radius, pairwise_overlap_histogram):
+            with pytest.raises(UnsupportedDesignError):
+                query(a)
+        return
+    pairs = [(i, j, len(unions[i] & unions[j])) for i, j in combinations(range(k), 2)]
+    assert overlap_sum(a) == 2 * sum(c for _, _, c in pairs)
+    hist = {}
+    for _, _, c in pairs:
+        hist[c] = hist.get(c, 0) + 1
+    assert pairwise_overlap_histogram(a) == hist
+    gaps = [min(j - i, k - (j - i)) for i, j, c in pairs if c]
+    assert r_gap_radius(a) == max(gaps, default=0)
+    for r in range(k + 1):
+        assert is_r_gap(a, r) == all(g <= r for g in gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -192,17 +192,42 @@ def test_simulate_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
         (["simulate", "--config", "{config}"], {**BASE_CONFIG, "kind": "cyclic_xor", "r": 1}),
         (["limit-checks", "--k", "5", "--d", "9"], None),
         (["simulate", "--config", "{config}"], b"\xff\xfe not utf-8"),
+        (["inspect", "--kind", "cyclic", "--n", "7", "--out", "{missing}/x.json"], None),
+        (
+            ["simulate", "--config", "{config}"],
+            {**BASE_CONFIG, "outputs": [{"format": "csv", "path": "{missing}/x.csv"}]},
+        ),
+        (["limit-checks", "--k", "10", "--trials", "20", "--out", "{missing}/x.json"], None),
+        (["simulate", "--config", "{config}", "--seed", "3"], [1, 2]),
+        (["limit-checks", "--config", "{config}", "--seed", "3"], [1, 2]),
     ],
-    ids=["clustering-d-not-dividing-n", "cyclic-xor-r1", "limit-checks-d-above-k", "not-utf8"],
+    ids=[
+        "clustering-d-not-dividing-n",
+        "cyclic-xor-r1",
+        "limit-checks-d-above-k",
+        "not-utf8",
+        "inspect-unwritable-out",
+        "simulate-unwritable-output-path",
+        "limit-checks-unwritable-out",
+        "simulate-top-level-list",
+        "limit-checks-top-level-list",
+    ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, argv, config):
     path = tmp_path / "config.json"
+    missing = str(tmp_path / "missing")  # a directory that does not exist
+    text = " ".join(argv)
     if isinstance(config, bytes):
         path.write_bytes(config)
     elif config is not None:
-        path.write_text(json.dumps(config))
-    assert main([a.replace("{config}", str(path)) for a in argv]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+        path.write_text(json.dumps(config).replace("{missing}", missing))
+        text += json.dumps(config)
+    argv = [a.replace("{config}", str(path)).replace("{missing}", missing) for a in argv]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if "{missing}" in text:
+        assert missing in err  # the message names the unwritable path
 
 
 def test_internal_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
