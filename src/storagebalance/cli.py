@@ -144,10 +144,10 @@ def run_simulate(config: ExperimentConfig) -> list[ExperimentRow]:
 
     Every sweep point reuses the same master seed, so per-trial demand
     vectors are paired across designs and redundancy levels.  Consecutive
-    sweep points with the same number of objects k and the same sigma whose
-    trials fit in one batch share one draw of it: a memo holding one batch
-    lives for this call only and is dropped as soon as a point needs other
-    rows.
+    sweep points with the same number of objects k and the same sigma share
+    one draw of each demand batch while those batches total at most
+    ``BATCH_ELEMENTS``; a larger run redraws its batches at each point.  The
+    memo lives for this call only.
     """
     memo: dict = {}
     rows = []

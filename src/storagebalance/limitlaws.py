@@ -20,7 +20,7 @@ from .spacings import (
     gumbel_cdf,
     prefix_sums,
     spacing_matrix,
-    window_max,
+    window_max_pair,
 )
 
 #: Finite-k bias allowance of the KS distance for the single-spacing
@@ -107,8 +107,9 @@ def _one_pass(k: int, d_values, trials: int, count_trials: int, master_seed: int
 
     Row i is the substream (master_seed, i) whatever the batching, so the
     maxima and counts equal those of separate passes.  At most one batch is
-    held at a time, and every window of a batch is cut from one prefix-sum
-    array.
+    held at a time: its range counts are taken first, then the batch is
+    dropped once its prefix sums are built, and each d cuts both maxima
+    from one array of window sums.
     """
     ds = sorted({d for d in d_values if d < k})
     ranges = _count_ranges(k) if count_trials else []
@@ -119,17 +120,19 @@ def _one_pass(k: int, d_values, trials: int, count_trials: int, master_seed: int
     batch = batch_rows(k, _BATCH)
     for start in range(0, rows, batch):
         s = spacing_matrix(k, 1.0, master_seed, min(batch, rows - start), start_index=start)
-        m = s[: max(0, trials - start)]
-        if ds and len(m):
-            p = prefix_sums(m, wrap=ds[-1] - 1)
-            for d in ds:
-                line[d][start : start + len(m)] = window_max(p, k, d, circle=False)
-                circle[d][start : start + len(m)] = window_max(p, k, d, circle=True)
-            del p
         c = s[: max(0, count_trials - start)]
         for name, lo, hi, *_ in ranges:
             counts[name][start : start + len(c)] = np.count_nonzero((c >= lo) & (c <= hi), axis=1)
-        del s, m, c
+        del c
+        if ds and trials > start:
+            p = prefix_sums(s[: trials - start], wrap=ds[-1] - 1)
+            del s
+            stop = start + len(p)
+            for d in ds:
+                line[d][start:stop], circle[d][start:stop] = window_max_pair(p, k, d)
+            del p
+        else:
+            del s
     return _Pass(line=line, circle=circle, counts=counts)
 
 

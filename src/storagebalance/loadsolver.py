@@ -235,6 +235,11 @@ def _t_star_clusters(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
     return sums.max(axis=1) / d
 
 
+#: The cyclic kernel compacts its live rows once at least this share of them
+#: is proven final; compacting on every drop copies the prefix sums too often.
+_COMPACT_SHARE = 0.25
+
+
 def _t_star_cyclic(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
     """t* for cyclic designs: max over circular windows w of W_w / (w + d - 1).
 
@@ -242,15 +247,49 @@ def _t_star_cyclic(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
     nodes, and by max-flow duality the binding demand subsets collapse to
     circular windows, so t* = max(sum/n, max_w W_w / (w + d - 1)) with w up
     to n - d.
+
+    Rows whose t* is already final are skipped.  Circular window maxima are
+    subadditive, W_{a+b} <= W_a + W_b (for a + b < n), so if after step w a
+    row has W_w <= best * w, then every longer window w' = q w + s
+    (0 <= s < w) has W_w' <= q W_w + W_s <= best (w' + d - 1): no later step
+    can raise best.  At d = 1 no row is final at w = 1, where best equals
+    W_1, and generic rows are final at w = 2; a larger d takes longer
+    windows before W_w <= best * w.
+
+    The test runs on rounded sums, so it asks for W_w <= best * w * (1 - m).
+    With u = 2^-53, the sequential prefix sums of a row of sum sigma reach
+    index 2n and stay below 2 sigma, so each carries an error of at most
+    4 n u sigma, and a computed window sum is within e = (8n + 1) u sigma of
+    its exact value.  Carrying e through the q + 1 pieces above and the
+    rounding of the test and of W_s / (s + d - 1), the rounded W_w' /
+    (w' + d - 1) stays at most best when m >= 3 e / (best w) + (2n + 5) u;
+    since best >= sigma / n this is at most (24 n^2 + 5 n + 5) u, and
+    m = 32 n^2 u covers it at every n >= 2 (3.6e-11 at n = 100, 3.2e-8 at
+    n = 3000).  ``build_cyclic`` puts no upper limit on n, so the margin is
+    taken at the n of the call.  Skipped rows therefore keep exactly the
+    value the full loop would give them.
     """
     n, d = alloc.n, alloc.d
-    best = demands.sum(axis=1) / n
+    out = demands.sum(axis=1) / n
     if d >= n:
-        return best
+        return out
+    shrink = 1.0 - 32.0 * n * n * 2.0**-53
     p = prefix_sums(demands, wrap=n - d - 1)
+    rows = np.arange(len(out))
+    best = out.copy()
+    final = np.zeros(len(out), dtype=bool)
     for w in range(1, n - d + 1):
-        np.maximum(best, window_max(p, n, w, circle=True) / (w + d - 1), out=best)
-    return best
+        wmax = window_max(p, n, w, circle=True)
+        np.maximum(best, wmax / (w + d - 1), out=best)
+        final |= wmax <= best * (w * shrink)
+        if np.count_nonzero(final) >= _COMPACT_SHARE * len(final):
+            out[rows[final]] = best[final]
+            live = ~final
+            p, rows, best, final = p[live], rows[live], best[live], final[live]
+            if not len(rows):
+                return out
+    out[rows] = best
+    return out
 
 
 # ---------------------------------------------------------------------------

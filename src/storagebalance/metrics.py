@@ -24,6 +24,7 @@ import numpy as np
 from .allocation import Allocation, UnsupportedDesignError, node_expansion
 from .loadsolver import FAMILIES, STABILITY_TOL, NumericalFailureError, t_star_batch
 from .spacings import (
+    BATCH_ELEMENTS,
     EULER_GAMMA,
     REGIME_LOG_ORDER_D,
     REGIME_SINGLE,
@@ -83,16 +84,21 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
 def _t_star_chunk(args, memo: Optional[dict] = None) -> np.ndarray:
     """t* of one chunk of trials.
 
-    ``memo`` holds at most one demand batch, keyed by
-    ``(k, sigma, master_seed, start, count)``: a chunk with the same key
-    reuses it, any other chunk drops it before drawing its own.
+    ``memo`` maps ``(k, sigma, master_seed, start, count)`` to the demand
+    batch drawn for that chunk, and a chunk with a held key reuses it.  It
+    holds the batches of one (k, sigma, master_seed) at a time, while their
+    elements total at most ``BATCH_ELEMENTS``: a chunk of another triple, or
+    one whose batch would pass that total, empties it before drawing.  So
+    the memo never holds more than one batch would alone.
     """
     alloc, sigma, master_seed, start, count = args
     memo = {} if memo is None else memo
     key = (alloc.k, sigma, master_seed, start, count)
     demands = memo.get(key)
     if demands is None:
-        memo.clear()
+        held = sum(batch.size for batch in memo.values())
+        if any(other[:3] != key[:3] for other in memo) or held + alloc.k * count > BATCH_ELEMENTS:
+            memo.clear()
         demands = memo[key] = spacing_matrix(
             alloc.k, sigma, master_seed, count, start_index=start
         )
@@ -116,7 +122,7 @@ def t_star_series(
     Trial i draws from substream (master_seed, i); results are assembled in
     trial order, so the series is independent of the worker count.  A
     ``memo`` dict (see ``_t_star_chunk``) lets consecutive calls with the
-    same demand batch draw it once; the process pool never receives it.
+    same demand batches draw each once; the process pool never receives it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

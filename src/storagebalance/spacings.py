@@ -159,6 +159,11 @@ def prefix_sums(a: np.ndarray, wrap: int = 0) -> np.ndarray:
     return p
 
 
+def _window_sums(p: np.ndarray, k: int, d: int, circle: bool) -> np.ndarray:
+    s = k if circle else k - d + 1
+    return p[:, d : d + s] - p[:, :s]
+
+
 def window_max(p: np.ndarray, k: int, d: int, circle: bool) -> np.ndarray:
     """Per-row maximum sum of d consecutive entries, cut from ``prefix_sums``.
 
@@ -166,8 +171,18 @@ def window_max(p: np.ndarray, k: int, d: int, circle: bool) -> np.ndarray:
     needs a prefix continued at least d - 1 entries.  The first k - d + 1
     circular windows are the line windows, so circle >= line holds exactly.
     """
-    s = k if circle else k - d + 1
-    return (p[:, d : d + s] - p[:, :s]).max(axis=1)
+    return _window_sums(p, k, d, circle).max(axis=1)
+
+
+def window_max_pair(p: np.ndarray, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(line, circle) ``window_max`` of d entries from one array of window sums.
+
+    The line maximum is taken over the first k - d + 1 circular windows, so
+    both equal their ``window_max`` bit for bit and only one (T, k) array of
+    sums is made.
+    """
+    sums = _window_sums(p, k, d, circle=True)
+    return sums[:, : k - d + 1].max(axis=1), sums.max(axis=1)
 
 
 def _window_maxima(spacings: np.ndarray, d: int, circle: bool) -> np.ndarray:

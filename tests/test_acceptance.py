@@ -313,24 +313,15 @@ def test_criterion_11_circular_spacing_facts():
 def test_criterion_12_figure_shapes():
     t0 = time.perf_counter()
     n, trials = 100, 100_000
-    demand_cache = {}
+    memo = {}
     p_means = {}
     i_means = {}
-    batch = 20_000
-    # paired demand draws shared across the d sweep
+    # paired demand draws shared across the d sweep: the run memo holds all
+    # five batches, so each is drawn once
     for d in range(1, 6):
-        alloc = build_cyclic(n, d)
-        stable = 0
-        acc = 0.0
-        for start in range(0, trials, batch):
-            key = start
-            if key not in demand_cache:
-                demand_cache[key] = spacing_matrix(n, 80.0, SEED, batch, start_index=start)
-            t_stars = t_star_batch(alloc, demand_cache[key])
-            stable += int(np.count_nonzero(t_stars <= 1 + STABILITY_TOL))
-            acc += float((t_stars * n / 80.0).sum())
-        p_means[d] = stable / trials
-        i_means[d] = acc / trials
+        p_est, i_est = estimate_metrics(build_cyclic(n, d), 80.0, trials, SEED, memo=memo)
+        p_means[d] = p_est.mean
+        i_means[d] = i_est.mean
     i1 = i_means[1]
     shape_ok = 4.0 <= i1 <= 5.5
     ratio_ok = all(0.65 <= i_means[d] * d / i1 <= 1.35 for d in range(2, 6))

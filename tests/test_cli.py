@@ -276,7 +276,7 @@ def test_sweep_draws_each_batch_once_per_call(monkeypatch):
     assert len(calls) == 2
 
 
-def test_sweep_with_several_batches_redraws_each_point(monkeypatch):
+def test_sweep_with_several_batches_draws_each_batch_once(monkeypatch):
     import storagebalance.metrics as metrics_mod
 
     calls = _count_draws(monkeypatch)
@@ -284,6 +284,21 @@ def test_sweep_with_several_batches_redraws_each_point(monkeypatch):
     shared = rows_to_csv(run_simulate(cfg))
     assert len(calls) == 1
     monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 64)  # three chunks per point
+    assert rows_to_csv(run_simulate(cfg)) == shared
+    assert len(calls) == 1 + 3
+    assert [c[3:] for c in calls[1:]] == [(64, 0), (64, 64), (22, 128)]
+
+
+@pytest.mark.parametrize("cap_batches", [1, 0])
+def test_sweep_past_the_element_cap_holds_one_batch(monkeypatch, cap_batches):
+    import storagebalance.metrics as metrics_mod
+
+    calls = _count_draws(monkeypatch)
+    cfg = ExperimentConfig.from_dict({**BASE_CONFIG, "trials": 150})
+    shared = rows_to_csv(run_simulate(cfg))
+    monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 64)
+    # room for one 64-row batch of k = 12, or for none: each point redraws
+    monkeypatch.setattr(metrics_mod, "BATCH_ELEMENTS", cap_batches * 64 * 12)
     assert rows_to_csv(run_simulate(cfg)) == shared
     assert len(calls) == 1 + 3 * 3
 

@@ -28,8 +28,10 @@ from storagebalance.loadsolver import (
 )
 from storagebalance.spacings import (
     RandomStream,
+    prefix_sums,
     sample_uniform_spacings,
     spacing_matrix,
+    window_max,
     window_maxima_circle,
 )
 from util import random_regular_allocation as random_regular
@@ -220,6 +222,86 @@ def test_cyclic_closed_form_matches_lp_at_larger_n(n, d):
     matrices = to_matrices(alloc)
     lp = [min_max_load(matrices, row).max_load for row in demands]
     assert np.abs(t_star_batch(alloc, demands) - lp).max() <= 1e-8
+
+
+def _t_star_cyclic_unpruned(alloc, demands):
+    """The cyclic closed form with every window size run for every row."""
+    n, d = alloc.n, alloc.d
+    best = demands.sum(axis=1) / n
+    if d >= n:
+        return best
+    p = prefix_sums(demands, wrap=n - d - 1)
+    for w in range(1, n - d + 1):
+        np.maximum(best, window_max(p, n, w, circle=True) / (w + d - 1), out=best)
+    return best
+
+
+def _adversarial_rows(rng, n, d, sigma):
+    """Demand rows whose window ratios tie or differ only in the last bits.
+
+    Spacings, near-uniform rows 1 + eps * noise, exact ties, one-hot rows,
+    rows with many zeros and d-periodic rows, each scaled to sum sigma (an
+    all-zero row stays zero).
+    """
+    rows = [rng.standard_exponential((3, n))]
+    for eps in (1e-15, 1e-13, 1e-10, 1e-6):
+        rows.append(1.0 + eps * rng.standard_normal((2, n)))
+    ties = np.ones((3, n))
+    ties[1, ::2] = 2.0
+    ties[2, : max(1, n // 3)] = 3.0
+    one_hot = np.zeros((2, n))
+    one_hot[0, 0] = one_hot[1, rng.integers(n)] = 1.0
+    zeros = rng.standard_exponential((2, n)) * (rng.random((2, n)) < 0.3)
+    period = np.stack(
+        [np.resize(rng.standard_exponential(d), n), np.resize(np.eye(1, d)[0], n)]
+    )
+    rows = np.vstack(rows + [ties, one_hot, zeros, period])
+    total = rows.sum(axis=1, keepdims=True)
+    return rows * np.divide(sigma, total, out=np.zeros_like(total), where=total > 0)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_cyclic_kernel_equals_unpruned_loop(data):
+    n = data.draw(st.integers(min_value=2, max_value=400), label="n")
+    d = data.draw(st.one_of(st.integers(1, n), st.sampled_from([n - 1, n])), label="d")
+    sigma = 10.0 ** data.draw(st.floats(min_value=-6.0, max_value=6.0), label="log10 sigma")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rows seed"))
+    alloc = build_cyclic(n, d)
+    demands = _adversarial_rows(rng, n, d, sigma)
+    want = _t_star_cyclic_unpruned(alloc, demands)
+    assert t_star_batch(alloc, demands).tobytes() == want.tobytes()
+
+
+def test_cyclic_kernel_equals_unpruned_loop_at_n_3000():
+    alloc = build_cyclic(3000, 3)
+    demands = _adversarial_rows(np.random.default_rng(30), 3000, 3, 2400.0)
+    want = _t_star_cyclic_unpruned(alloc, demands)
+    assert t_star_batch(alloc, demands).tobytes() == want.tobytes()
+
+
+def test_cyclic_kernel_skips_final_rows(monkeypatch):
+    import storagebalance.loadsolver as loadsolver_mod
+
+    handed = []
+
+    def counting(p, k, w, circle):
+        handed.append(len(p))
+        return window_max(p, k, w, circle)
+
+    monkeypatch.setattr(loadsolver_mod, "window_max", counting)
+    n, trials = 100, 1000
+    demands = spacing_matrix(n, 0.8 * n, 5, trials)
+    for d in (1, 3):
+        handed.clear()
+        alloc = build_cyclic(n, d)
+        got = t_star_batch(alloc, demands)
+        assert got.tobytes() == _t_star_cyclic_unpruned(alloc, demands).tobytes()
+        # the full loop hands trials * (n - d) rows to window_max
+        if d == 1:
+            assert sum(handed) <= 2 * trials  # every row live at w = 1, final at w = 2
+        else:
+            assert sum(handed) < trials * (n - d) / 5
 
 
 def test_t_star_batch_block_design_uses_lp():
