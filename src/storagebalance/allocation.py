@@ -16,11 +16,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix, triu
+from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
 
 KINDS = ("single_choice", "clustering", "cyclic", "block_design", "cyclic_xor", "custom")
 
@@ -62,6 +62,12 @@ class Allocation:
         B.sum_duplicates()
         B.data[:] = 1
         return B
+
+    @property
+    def num_portions(self) -> int:
+        """Number of demand portions: one per (object, choice) pair, so the
+        column count of the routing matrices."""
+        return sum(len(obj_sets) for obj_sets in self.recovery_sets)
 
 
 @dataclass(frozen=True)
@@ -359,39 +365,33 @@ def r_gap_radius(alloc: Allocation) -> int:
     return int(max(gaps, default=0))
 
 
-def hall_check(
-    alloc: Allocation,
-    exhaustive_limit: int = 12,
-    samples: int = 2000,
-    seed: int = 0,
-) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Check node_expansion(S) >= |S| for object subsets (batch-code property).
+def hall_check(alloc: Allocation) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Check node_expansion(S) >= |S| for every object set S (Hall's condition).
 
-    Exhaustive for k <= exhaustive_limit, otherwise over ``samples`` random
-    subsets.  Returns (ok, witness) with a violating subset if one is found.
+    Exact at every k: by Hall's theorem the condition holds iff a maximum
+    matching of the incidence B covers every object.  Returns (True, None)
+    or (False, witness), where the witness is the smallest object set with
+    the largest deficiency |S| - node_expansion(S), sorted.  It is the set of
+    objects reached from the unmatched ones by alternating paths (Dulmage-
+    Mendelsohn), so it does not depend on which maximum matching is found.
     """
-    k = alloc.k
-    node_sets = [frozenset(row) for row in alloc.incidence.tolil().rows]
-
-    def expansion(objs) -> int:
-        nodes: set[int] = set()
-        for i in objs:
-            nodes |= node_sets[i]
-        return len(nodes)
-
-    if k <= exhaustive_limit:
-        for size in range(1, k + 1):
-            for objs in combinations(range(k), size):
-                if expansion(objs) < size:
-                    return False, objs
+    B, k = alloc.incidence, alloc.k
+    node_of = maximum_bipartite_matching(B, perm_type="column")
+    unmatched = np.flatnonzero(node_of < 0)
+    if not unmatched.size:
         return True, None
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    for _ in range(samples):
-        size = int(rng.integers(1, k + 1))
-        objs = rng.choice(k, size=size, replace=False).tolist()
-        if expansion(objs) < size:
-            return False, tuple(sorted(objs))
-    return True, None
+    matched = np.flatnonzero(node_of >= 0)
+    object_of = np.full(alloc.n, -1)
+    object_of[node_of[matched]] = matched
+    # object i -> the object matched to each of i's nodes; source k -> unmatched
+    src = np.repeat(np.arange(k), np.diff(B.indptr))
+    dst = object_of[B.indices]
+    keep = dst >= 0
+    src = np.concatenate([src[keep], np.full(unmatched.size, k)])
+    dst = np.concatenate([dst[keep], unmatched])
+    G = csr_matrix((np.ones(src.size, np.int8), (src, dst)), shape=(k + 1, k + 1))
+    reached = breadth_first_order(G, k, return_predecessors=False)[1:]
+    return False, tuple(np.sort(reached).tolist())
 
 
 def pairwise_overlap_histogram(alloc: Allocation) -> dict[int, int]:
@@ -466,7 +466,7 @@ def designs_isomorphic(
 
 def to_matrices(alloc: Allocation) -> AllocationMatrices:
     """Binary routing matrices in object-major, choice-minor column order."""
-    cols = sum(len(obj_sets) for obj_sets in alloc.recovery_sets)
+    cols = alloc.num_portions
     M = np.zeros((alloc.n, cols), dtype=np.int8)
     T = np.zeros((alloc.k, cols), dtype=np.int8)
     owner = []

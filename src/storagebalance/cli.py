@@ -32,7 +32,6 @@ from .allocation import (
     overlap_sum,
     pairwise_overlap_histogram,
     r_gap_radius,
-    to_matrices,
     validate_regular_balanced,
 )
 from .limitlaws import run_limit_checks
@@ -305,7 +304,6 @@ def _cmd_inspect(args) -> int:
         alloc = build_allocation(
             args.kind, args.n or 0, d=args.d or 1, r=args.r or 1, m=args.m or 1
         )
-    matrices = to_matrices(alloc)
     violations = validate_regular_balanced(alloc)
     ok, witness = hall_check(alloc)
     info = {
@@ -317,8 +315,8 @@ def _cmd_inspect(args) -> int:
         "valid_regular_balanced": not violations,
         "violations": violations,
         "hall_check": {"passed": ok, "witness": list(witness) if witness else None},
-        "matrix_shape_M": list(matrices.M.shape),
-        "matrix_shape_T": list(matrices.T.shape),
+        "matrix_shape_M": [alloc.n, alloc.num_portions],
+        "matrix_shape_T": [alloc.k, alloc.num_portions],
     }
     if alloc.r == 1:
         info["overlap_sum"] = overlap_sum(alloc)

@@ -32,7 +32,7 @@ from storagebalance.allocation import (
     to_matrices,
     validate_regular_balanced,
 )
-from util import random_regular_allocation
+from util import crowded_allocation, random_regular_allocation
 
 
 def node_contents(alloc):
@@ -281,13 +281,12 @@ def test_rgap_expansion_bounds(n, data):
     assert len(objs) <= expansion <= len(objs) + 2 * r
 
 
-def test_hall_condition_exhaustive_and_sampled():
-    for alloc in (build_cyclic(7, 3), build_clustering(9, 3), build_block_design(3)):
-        ok, witness = hall_check(alloc)
-        assert ok and witness is None
-    big = build_cyclic(40, 3)
-    ok, witness = hall_check(big, samples=500, seed=1)
-    assert ok
+def test_hall_condition_holds_on_builders():
+    for alloc in (
+        build_cyclic(7, 3), build_clustering(9, 3), build_block_design(3), build_cyclic(40, 3),
+        build_cyclic(3000, 3),
+    ):
+        assert hall_check(alloc) == (True, None)
 
 
 def test_hall_check_finds_violation():
@@ -300,18 +299,11 @@ def test_hall_check_finds_violation():
     assert not ok and witness == (0, 1)
 
 
-def test_hall_check_sampled_violation_witness():
-    # k = 40 > 12 objects on 39 nodes (objects 0 and 39 share node 0), so
-    # the sampled branch runs; the witness is the first violating subset of
-    # the fixed Philox stream, returned sorted
-    bad = Allocation(
-        n=39, k=40, d=1, r=1, kind="custom",
-        recovery_sets=tuple(((i % 39,),) for i in range(40)),
-    )
-    assert hall_check(bad) == (False, (
-        0, 2, 3, 4, 5, 6, 8, 10, 11, 12, 16, 18, 19, 21, 22, 23, 24, 25, 27,
-        28, 30, 33, 36, 38, 39,
-    ))
+def test_hall_check_is_exact_at_large_k():
+    # the only deficient sets contain objects 0-3, which share three nodes
+    assert hall_check(crowded_allocation()) == (False, (0, 1, 2, 3))
+    # k = 6 objects on 3 nodes: only the whole set has the largest deficiency
+    assert hall_check(build_single_choice(3, 2)) == (False, (0, 1, 2, 3, 4, 5))
 
 
 def _design(kind, data):
@@ -343,20 +335,23 @@ def _design(kind, data):
     return Allocation(n=n, k=k, d=d, r=1, kind="custom", recovery_sets=tuple(sets))
 
 
-def _first_hall_violation(unions, k, seed):
-    """Hall witness by direct unions, enumerating subsets as documented."""
-    if k <= 12:
-        subsets = (c for size in range(1, k + 1) for c in combinations(range(k), size))
-    else:
-        rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-        subsets = (
-            tuple(sorted(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False).tolist()))
-            for _ in range(2000)
-        )
-    for objs in subsets:
-        if len(set().union(*(unions[i] for i in objs))) < len(objs):
-            return False, objs
-    return True, None
+def _hall_brute_force(alloc):
+    """Hall verdict and witness over all 2^k object sets, as bitmasks.
+
+    unions[mask] is the node bitmask of the objects whose bits are set in
+    mask, built by doubling: one OR per mask.  The witness is the
+    intersection of every set with the largest deficiency |S| - |N(S)|.
+    """
+    unions = np.zeros(1, np.int64)
+    for obj in alloc.recovery_sets:
+        unions = np.concatenate([unions, unions | sum(1 << v for v in {v for s in obj for v in s})])
+    masks = np.arange(unions.size)
+    deficiency = np.bitwise_count(masks).astype(int) - np.bitwise_count(unions)
+    worst = deficiency.max()  # the empty set gives 0
+    if worst == 0:
+        return True, None
+    common = int(np.bitwise_and.reduce(masks[deficiency == worst]))
+    return False, tuple(i for i in range(alloc.k) if common >> i & 1)
 
 
 def test_structure_queries_on_duplicate_node():
@@ -397,8 +392,7 @@ def test_structure_queries_match_brute_force(kind, data):
     for _ in range(3):
         objs = data.draw(st.sets(st.integers(0, k - 1)))
         assert node_expansion(a, objs) == len(set().union(*(unions[i] for i in objs)))
-    seed = data.draw(st.sampled_from([0, 1, 2**63 - 1]))
-    assert hall_check(a, seed=seed) == _first_hall_violation(unions, k, seed)
+    assert hall_check(a) == _hall_brute_force(a)
     if a.r != 1:
         for query in (overlap_sum, r_gap_radius, pairwise_overlap_histogram):
             with pytest.raises(UnsupportedDesignError):

@@ -1,10 +1,11 @@
 """End-to-end tests of the command-line harness."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from storagebalance.allocation import KINDS, allocation_to_dict, build_cyclic
+from storagebalance.allocation import KINDS, allocation_to_dict, build_cyclic, save_allocation
 from storagebalance.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -18,6 +19,7 @@ from storagebalance.cli import (
 )
 from storagebalance.loadsolver import FAMILIES
 from storagebalance.metrics import CSV_COLUMNS, rows_to_csv
+from util import crowded_allocation
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -335,6 +337,27 @@ def test_inspect_builder(tmp_path, capsys):
     assert info["hall_check"]["passed"] is True
     assert info["valid_regular_balanced"] is True
     assert info["matrix_shape_M"] == [7, 21]
+
+
+def test_inspect_reports_hall_witness_from_file(tmp_path, capsys):
+    path = tmp_path / "crowded.json"
+    save_allocation(crowded_allocation(), str(path))
+    assert main(["inspect", "--file", str(path)]) == EXIT_OK
+    info = json.loads(capsys.readouterr().out)
+    assert info["hall_check"] == {"passed": False, "witness": [0, 1, 2, 3]}
+
+
+def test_inspect_large_cyclic_builds_no_dense_matrices(capsys):
+    # dense M and T would take 2 * 5000 * 15000 bytes (143 MiB)
+    tracemalloc.start()
+    try:
+        assert main(["inspect", "--kind", "cyclic", "--n", "5000", "--d", "3"]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    info = json.loads(capsys.readouterr().out)
+    assert info["matrix_shape_M"] == info["matrix_shape_T"] == [5000, 15000]
+    assert peak < 16 * 2**20
 
 
 def test_inspect_block_design_histogram(capsys):
