@@ -319,12 +319,20 @@ _PAIR_BLOCK = 1 << 22
 
 
 def _shared_pairs(alloc: Allocation):
-    """Yield (i, j, |C_i & C_j|) arrays over pairs i < j with a shared node."""
+    """Yield (i, j, |C_i & C_j|) arrays over pairs i < j with a shared node.
+
+    Row i of B @ B.T takes one product per object on each node of C_i; a block
+    of rows holds at most ``_PAIR_BLOCK`` products unless it is a single row."""
     B = alloc.incidence
-    step = max(1, _PAIR_BLOCK // alloc.k)
-    for lo in range(0, alloc.k, step):
-        g = triu(B[lo : lo + step] @ B.T, k=lo + 1, format="coo")
+    Bt = B.T.tocsr()
+    work = np.cumsum(B @ np.diff(Bt.indptr).astype(np.int64))
+    lo = 0
+    while lo < alloc.k:
+        done = work[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(work, done + _PAIR_BLOCK, side="right")))
+        g = triu(B[lo:hi] @ Bt, k=lo + 1, format="coo")
         yield g.row + lo, g.col, g.data
+        lo = hi
 
 
 def overlap_sum(alloc: Allocation) -> int:

@@ -237,37 +237,34 @@ def _apply_overrides(data: dict, args) -> dict:
         data["master_seed"] = args.seed
     if args.trials is not None:
         data["trials"] = args.trials
-    if args.out is not None:
-        fmt = args.format or "csv"
-        data["outputs"] = [{"format": fmt, "path": args.out}]
     return data
+
+
+def _outputs(args, configured: list[dict], default_format: str) -> list[dict]:
+    """``--out`` replaces the config's outputs, which replace stdout; ``--out``
+    and stdout take ``--format``, else the command's default format."""
+    fmt = args.format or default_format
+    if args.out is not None:
+        return [{"format": fmt, "path": args.out}]
+    return configured or [{"format": fmt, "path": None}]
 
 
 def _cmd_simulate(args) -> int:
     data = _apply_overrides(_load_config_file(args.config), args)
     config = ExperimentConfig.from_dict(data)
     rows = run_simulate(config)
-    _write_outputs(config.outputs or [{"format": "csv", "path": None}], config.echo(), rows)
+    _write_outputs(_outputs(args, config.outputs, "csv"), config.echo(), rows)
     return EXIT_OK
 
 
 def _cmd_limit_checks(args) -> int:
     if args.config:
         data = _load_config_file(args.config)
-        if args.seed is not None:
-            data["master_seed"] = args.seed
-        if args.trials is not None:
-            data["trials"] = args.trials
+    elif args.k is None:
+        raise ConfigError("limit-checks needs --config or --k")
     else:
-        if args.k is None:
-            raise ConfigError("limit-checks needs --config or --k")
-        data = {
-            "k": args.k,
-            "d": args.d or [1],
-            "trials": args.trials or 1000,
-            "master_seed": args.seed if args.seed is not None else 0,
-        }
-    _validate_config(data, "limit_checks")
+        data = {"k": args.k, "d": args.d or [1], "trials": 1000, "master_seed": 0}
+    _validate_config(_apply_overrides(data, args), "limit_checks")
     d_values = [int(x) for x in _as_list(data["d"])]
     if max(d_values) > data["k"]:
         raise ConfigError(f"d={max(d_values)} out of range [1, {data['k']}]")
@@ -278,7 +275,8 @@ def _cmd_limit_checks(args) -> int:
         master_seed=data["master_seed"],
         count_trials=data.get("count_trials"),
     )
-    _emit(_render_limit_report(report, args.format or "json", data), args.out)
+    for out in _outputs(args, data.get("outputs", []), "json"):
+        _emit(_render_limit_report(report, out["format"], data), out["path"])
     return EXIT_OK
 
 
@@ -295,9 +293,8 @@ def _cmd_inspect(args) -> int:
     if args.file:
         try:
             alloc = load_allocation(args.file)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            sys.stderr.write(f"input error: {exc}\n")
-            return EXIT_CONFIG
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read allocation {args.file}: {exc}") from exc
     else:
         if not args.kind:
             raise ConfigError("inspect needs --file or --kind with --n/--d")
@@ -355,7 +352,7 @@ def _parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, help="override master_seed")
     sim.add_argument("--trials", type=int, help="override trials")
     sim.add_argument("--out", help="override output path")
-    sim.add_argument("--format", choices=["csv", "json"], help="output format for --out")
+    sim.add_argument("--format", choices=["csv", "json"], help="format of --out or of stdout")
     sim.set_defaults(func=_cmd_simulate)
 
     lim = sub.add_parser("limit-checks", help="statistical checks of the limit laws")

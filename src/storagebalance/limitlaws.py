@@ -136,19 +136,14 @@ def _one_pass(k: int, d_values, trials: int, count_trials: int, master_seed: int
     return _Pass(line=line, circle=circle, counts=counts)
 
 
-def _maxima(k: int, d: int, trials: int, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(line, circle) maxima of d consecutive unit spacings, per trial."""
-    sample = _one_pass(k, [d], trials, 0, master_seed)
-    return sample.line[d], sample.circle[d]
-
-
 def gumbel_ks_checks(
-    k: int, d: int, trials: int, master_seed: int, maxima: Optional[tuple] = None
+    k: int, d: int, line: Optional[np.ndarray], circle: Optional[np.ndarray]
 ) -> list[LimitCheck]:
     """KS distance of the centered scaled maxima (line and circle) to Gumbel.
 
-    ``maxima`` is the (line, circle) pair of a pass that already drew the
-    rows; without it they are drawn here.
+    ``line`` and ``circle`` are the per-trial maxima of one pass; at d = k
+    the window spans the whole interval, no maxima are needed and the check
+    is skipped.
     """
     if d == k:
         return [
@@ -160,11 +155,11 @@ def gumbel_ks_checks(
                 detail="window spans the whole interval; statistic is constant",
             )
         ]
-    line, circ = maxima or _maxima(k, d, trials, master_seed)
+    trials = len(line)
     center = dspacing_gumbel_centering(k, d)
     threshold = ks_threshold(d, trials)
     out = []
-    for name, arr in (("line", line), ("circle", circ)):
+    for name, arr in (("line", line), ("circle", circle)):
         ks = ks_distance(arr * k - center, gumbel_cdf)
         out.append(
             LimitCheck(
@@ -179,19 +174,19 @@ def gumbel_ks_checks(
 
 
 def circular_line_checks(
-    k: int, d: int, trials: int, master_seed: int, maxima: Optional[tuple] = None
+    k: int, d: int, line: np.ndarray, circle: np.ndarray
 ) -> list[LimitCheck]:
     """Circle-vs-line facts: mismatch probability and the tail sandwich.
 
     The probability that the circular maximum exceeds the line maximum is at
     most d/k, and at any x the circular tail is sandwiched between the line
     tail and (k/(k-d)) times it.  The sandwich is evaluated at the 0.5 and
-    0.9 empirical quantiles of the line maximum.  ``maxima`` is as in
-    ``gumbel_ks_checks``.
+    0.9 empirical quantiles of the line maximum.  ``line`` and ``circle``
+    are the per-trial maxima of one pass, for d < k.
     """
-    line, circ = maxima or _maxima(k, d, trials, master_seed)
+    trials = len(line)
     out = []
-    p_diff = float(np.count_nonzero(circ > line) / trials)
+    p_diff = float(np.count_nonzero(circle > line) / trials)
     bound = d / k + 3.0 * math.sqrt(max(p_diff * (1 - p_diff), 1e-12) / trials)
     out.append(
         LimitCheck(
@@ -206,7 +201,7 @@ def circular_line_checks(
     for q in (0.5, 0.9):
         x = float(np.quantile(line, q))
         p_line = float(np.count_nonzero(line > x) / trials)
-        p_circ = float(np.count_nonzero(circ > x) / trials)
+        p_circ = float(np.count_nonzero(circle > x) / trials)
         lower_ok = p_line <= p_circ  # exact per-sample dominance
         se = math.sqrt(
             p_circ * (1 - p_circ) / trials + ratio**2 * p_line * (1 - p_line) / trials
@@ -253,9 +248,7 @@ def _count_stats(counts: np.ndarray) -> tuple[float, float, float]:
     return float(m), float(var), m4
 
 
-def count_range_checks(
-    k: int, trials: int, master_seed: int, counts: Optional[dict] = None
-) -> list[LimitCheck]:
+def count_range_checks(k: int, counts: dict[str, np.ndarray]) -> list[LimitCheck]:
     """Counts of spacings in scaled ranges against their limit distributions.
 
     Around-average range [a/k, b/k]: normal with mean ~ k(e^-a - e^-b) and
@@ -265,12 +258,11 @@ def count_range_checks(
     and variances are compared against the exact finite-k moments (the O(1/k)
     gap to the limit values would otherwise dominate the MC error); the
     limit value itself is checked to be within 5% of the exact moment.
-    ``counts`` maps each range name to the per-trial counts of a pass that
-    already drew the rows; without it they are drawn here.
+    ``counts`` maps each range name to the per-trial counts of one pass.
     """
-    counts = counts or _one_pass(k, [], 0, trials, master_seed).counts
     checks = []
     for name, lo, hi, limit_mean, limit_var in _count_ranges(k):
+        trials = len(counts[name])
         mean, var, m4 = _count_stats(counts[name])
         exact_mean, exact_var = exact_count_moments(k, lo, hi)
         se_mean = math.sqrt(var / trials)
@@ -328,11 +320,11 @@ def run_limit_checks(
     sample = _one_pass(k, d_values, trials, count_trials, master_seed)
     checks: list[LimitCheck] = []
     for d in d_values:
-        maxima = (sample.line[d], sample.circle[d]) if d < k else None
-        checks.extend(gumbel_ks_checks(k, d, trials, master_seed, maxima=maxima))
+        line, circle = sample.line.get(d), sample.circle.get(d)
+        checks.extend(gumbel_ks_checks(k, d, line, circle))
         if d < k:
-            checks.extend(circular_line_checks(k, d, trials, master_seed, maxima=maxima))
-    checks.extend(count_range_checks(k, count_trials, master_seed, counts=sample.counts))
+            checks.extend(circular_line_checks(k, d, line, circle))
+    checks.extend(count_range_checks(k, sample.counts))
     return {
         "k": k,
         "d_values": list(d_values),

@@ -376,6 +376,46 @@ def test_pair_queries_do_not_depend_on_row_blocks(monkeypatch):
     assert [(pairwise_overlap_histogram(a), r_gap_radius(a)) for a in designs] == whole
 
 
+def _pair_blocks(monkeypatch, alloc):
+    """(first row, row count) of every block of B @ B.T that _shared_pairs forms."""
+    import storagebalance.allocation as allocation
+
+    blocks = []
+    real = allocation.triu
+
+    def recording(m, k, format):
+        blocks.append((k - 1, m.shape[0]))
+        return real(m, k=k, format=format)
+
+    monkeypatch.setattr(allocation, "triu", recording)
+    list(allocation._shared_pairs(alloc))
+    return blocks
+
+
+@pytest.mark.parametrize("cap", [7, 40, 300])
+def test_pair_blocks_are_sized_by_products(monkeypatch, cap):
+    import storagebalance.allocation as allocation
+
+    monkeypatch.setattr(allocation, "_PAIR_BLOCK", cap)
+    for a in (crowded_allocation(), build_cyclic(40, 3), build_block_design(4)):
+        unions = [{v for s in obj for v in s} for obj in a.recovery_sets]
+        degree = np.bincount([v for u in unions for v in u], minlength=a.n)
+        products = [int(degree[list(u)].sum()) for u in unions]  # entries row i generates
+        blocks = _pair_blocks(monkeypatch, a)
+        assert [lo for lo, _ in blocks] == list(np.cumsum([0] + [r for _, r in blocks[:-1]]))
+        assert sum(r for _, r in blocks) == a.k
+        for lo, rows in blocks:
+            held = sum(products[lo : lo + rows])
+            assert rows == 1 or held <= cap
+            if lo + rows < a.k:  # the next row would not have fit
+                assert held + products[lo + rows] > cap
+
+
+def test_pair_blocks_at_large_k_do_not_grow_with_k(monkeypatch):
+    # 20 000 rows of 9 products each fit the default cap in one block
+    assert _pair_blocks(monkeypatch, build_cyclic(20_000, 3)) == [(0, 20_000)]
+
+
 @pytest.mark.parametrize(
     "kind",
     [

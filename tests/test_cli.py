@@ -377,26 +377,45 @@ def test_inspect_tampered_file(tmp_path, capsys):
     assert any("object 1" in v for v in info["violations"])
 
 
+def _assert_unreadable_allocation(capsys, path):
+    assert main(["inspect", "--file", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: cannot read allocation {path}: " in captured.err
+    assert captured.out == ""
+
+
 def test_inspect_unparseable_file(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
-    assert main(["inspect", "--file", str(path)]) == EXIT_CONFIG
-    assert "input error" in capsys.readouterr().err
+    _assert_unreadable_allocation(capsys, path)
+
+
+def test_inspect_missing_file(tmp_path, capsys):
+    _assert_unreadable_allocation(capsys, tmp_path / "nope.json")
+
+
+LIMIT_CONFIG = {"k": 300, "d": [1, 300], "trials": 200, "master_seed": 4}
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,config",
     [
-        ["simulate", "--config", "{config}"],
-        ["inspect", "--kind", "cyclic", "--n", "7", "--d", "3"],
-        ["exact-k3", "--d", "2", "--sigma", "3"],
-        ["limit-checks", "--k", "300", "--d", "1", "--trials", "200", "--format", "json"],
-        ["limit-checks", "--k", "300", "--d", "1", "--trials", "200", "--format", "csv"],
+        (["simulate", "--config", "{config}"], BASE_CONFIG),
+        (["simulate", "--config", "{config}", "--format", "json"], BASE_CONFIG),
+        (["inspect", "--kind", "cyclic", "--n", "7", "--d", "3"], None),
+        (["exact-k3", "--d", "2", "--sigma", "3"], None),
+        (["limit-checks", "--k", "300", "--d", "1", "--trials", "200", "--format", "json"], None),
+        (["limit-checks", "--k", "300", "--d", "1", "--trials", "200", "--format", "csv"], None),
+        (["limit-checks", "--config", "{config}", "--seed", "9"], LIMIT_CONFIG),
     ],
-    ids=["simulate", "inspect", "exact-k3", "limit-checks-json", "limit-checks-csv"],
+    ids=[
+        "simulate", "simulate-json", "inspect", "exact-k3", "limit-checks-json",
+        "limit-checks-csv", "limit-checks-config",
+    ],
 )
-def test_out_file_equals_stdout(tmp_path, capsys, argv):
-    argv = [a.replace("{config}", write_config(tmp_path, BASE_CONFIG)) for a in argv]
+def test_out_file_equals_stdout(tmp_path, capsys, argv, config):
+    if config is not None:
+        argv = [a.replace("{config}", write_config(tmp_path, config)) for a in argv]
     assert main(argv) == EXIT_OK
     printed = capsys.readouterr().out
     out = tmp_path / "out.txt"
@@ -468,6 +487,27 @@ def test_limit_checks_config_file(tmp_path):
     )
     assert main(["limit-checks", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())["data"]["trials"] == 300
+
+
+def test_limit_checks_writes_config_outputs(tmp_path, capsys):
+    csv_out, json_out = tmp_path / "lc.csv", tmp_path / "lc.json"
+    outputs = [{"format": "csv", "path": str(csv_out)}, {"format": "json", "path": str(json_out)}]
+    config = {**LIMIT_CONFIG, "outputs": outputs}
+    cfg = write_config(tmp_path, config)
+    assert main(["limit-checks", "--config", cfg, "--format", "csv"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    report = json.loads(json_out.read_text())
+    assert report["config"] == config  # the echo is the config as given
+    lines = csv_out.read_text().splitlines()
+    assert lines[0] == "name,statistic,threshold,passed"
+    names = [c["name"] for c in report["data"]["checks"]]
+    assert [line.split(",")[0] for line in lines[1:]] == names
+    # --out replaces the config's outputs and stays out of the echo
+    out = tmp_path / "only.json"
+    csv_out.unlink()
+    assert main(["limit-checks", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["config"] == config
+    assert not csv_out.exists()
 
 
 def test_limit_checks_requires_k(capsys):

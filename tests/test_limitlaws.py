@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from storagebalance.limitlaws import (
+    _one_pass,
     circular_line_checks,
     count_range_checks,
     exact_count_moments,
     gumbel_ks_checks,
     ks_distance,
+    ks_threshold,
     run_limit_checks,
 )
 from storagebalance.spacings import gumbel_cdf, spacing_matrix
@@ -41,29 +43,60 @@ def test_exact_count_moments_whole_interval():
     assert var == pytest.approx(0.0, abs=1e-9)
 
 
+def _maxima(k, d, trials, seed):
+    sample = _one_pass(k, [d], trials, 0, seed)
+    return sample.line[d], sample.circle[d]
+
+
 def test_gumbel_ks_check_small_case():
-    checks = gumbel_ks_checks(k=2000, d=1, trials=1500, master_seed=11)
+    checks = gumbel_ks_checks(2000, 1, *_maxima(2000, 1, 1500, 11))
     assert [c.passed for c in checks] == [True, True]
     names = {c.name for c in checks}
     assert any("line" in n for n in names) and any("circle" in n for n in names)
 
 
+def test_gumbel_ks_trials_come_from_the_statistics():
+    k, d = 200, 2
+    line = np.linspace(0.02, 0.08, 37)
+    checks = gumbel_ks_checks(k, d, line, line)
+    assert {c.threshold for c in checks} == {ks_threshold(d, 37)}
+    assert all(c.detail.endswith("trials 37") for c in checks)
+
+
 def test_gumbel_ks_skips_degenerate_window():
-    checks = gumbel_ks_checks(k=50, d=50, trials=10, master_seed=0)
+    checks = gumbel_ks_checks(50, 50, None, None)
     assert len(checks) == 1 and checks[0].passed
     assert "skipped" in checks[0].name
 
 
 def test_circular_line_checks_pass():
-    checks = circular_line_checks(k=100, d=3, trials=20_000, master_seed=5)
+    checks = circular_line_checks(100, 3, *_maxima(100, 3, 20_000, 5))
     assert all(c.passed for c in checks)
     mismatch = next(c for c in checks if "neq" in c.name)
     assert mismatch.statistic <= 3 / 100 + 0.01
 
 
+def test_circle_below_line_fails_tail_sandwich():
+    line = np.linspace(0.1, 1.0, 100)
+    assert all(c.passed for c in circular_line_checks(1000, 2, line, line.copy()))
+    circle = line.copy()
+    circle[-1] = 0.0  # a circular maximum below its line maximum is impossible
+    checks = {c.name: c for c in circular_line_checks(1000, 2, line, circle)}
+    assert checks["circle_neq_line_prob_k1000_d2"].passed
+    assert not checks["tail_sandwich_q50_k1000_d2"].passed
+    assert not checks["tail_sandwich_q90_k1000_d2"].passed
+
+
 def test_count_range_checks_pass():
-    checks = count_range_checks(k=1000, trials=20_000, master_seed=6)
+    checks = count_range_checks(1000, _one_pass(1000, [], 0, 20_000, 6).counts)
     assert all(c.passed for c in checks), [c.as_dict() for c in checks if not c.passed]
+
+
+def test_count_range_checks_read_trials_from_counts():
+    counts = {"mid": np.array([9.0, 11.0] * 4), "tiny": np.zeros(8), "top": np.zeros(8)}
+    mid = count_range_checks(1000, counts)[0]
+    assert mid.name == "count_mid_mean_k1000" and mid.statistic == 10.0
+    assert mid.threshold == pytest.approx(3.0 * math.sqrt(np.var(counts["mid"], ddof=1) / 8))
 
 
 def test_run_limit_checks_report_shape():
@@ -93,9 +126,11 @@ def test_one_pass_matches_separate_runs():
             alone = run_limit_checks(k, [d], trials, seed, count_trials=count_trials)
             assert [c for c in alone["checks"] if c["name"].startswith("count_")] == count_part
             per_d += [c for c in alone["checks"] if not c["name"].startswith("count_")]
-            direct = gumbel_ks_checks(k, d, trials, seed) + circular_line_checks(k, d, trials, seed)
+            maxima = _maxima(k, d, trials, seed)
+            direct = gumbel_ks_checks(k, d, *maxima) + circular_line_checks(k, d, *maxima)
             assert [c.as_dict() for c in direct] == per_d[-len(direct) :]
-        direct = count_range_checks(k, count_trials or trials, seed)
+        counts = _one_pass(k, [], 0, count_trials or trials, seed).counts
+        direct = count_range_checks(k, counts)
         assert [c.as_dict() for c in direct] == count_part
         assert joint["checks"] == per_d + count_part
 
