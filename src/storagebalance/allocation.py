@@ -63,10 +63,10 @@ class Allocation:
         B.data[:] = 1
         return B
 
-    @property
+    @cached_property
     def num_portions(self) -> int:
         """Number of demand portions: one per (object, choice) pair, so the
-        column count of the routing matrices."""
+        column count of the routing matrices.  Counted once."""
         return sum(len(obj_sets) for obj_sets in self.recovery_sets)
 
 

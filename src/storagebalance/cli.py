@@ -232,11 +232,15 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+#: Command-line flags that override a config field: (flag, field).
+_OVERRIDES = (("seed", "master_seed"), ("trials", "trials"), ("k", "k"), ("d", "d"))
+
+
 def _apply_overrides(data: dict, args) -> dict:
-    if args.seed is not None:
-        data["master_seed"] = args.seed
-    if args.trials is not None:
-        data["trials"] = args.trials
+    for flag, name in _OVERRIDES:
+        value = getattr(args, flag, None)
+        if value is not None:
+            data[name] = value
     return data
 
 
@@ -263,7 +267,7 @@ def _cmd_limit_checks(args) -> int:
     elif args.k is None:
         raise ConfigError("limit-checks needs --config or --k")
     else:
-        data = {"k": args.k, "d": args.d or [1], "trials": 1000, "master_seed": 0}
+        data = {"d": [1], "trials": 1000, "master_seed": 0}
     _validate_config(_apply_overrides(data, args), "limit_checks")
     d_values = [int(x) for x in _as_list(data["d"])]
     if max(d_values) > data["k"]:

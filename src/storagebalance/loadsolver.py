@@ -5,13 +5,14 @@ minimizes the maximum node load:
 
     min_x ||M x||_inf   subject to   T x = rho, x >= 0.
 
-The epigraph LP is solved with HiGHS.  Replica allocations additionally get
-an independent max-flow bisection oracle, and the single-choice, clustering,
-and cyclic families have exact closed forms (window maxima over the demand
-vector) used as fast paths by the Monte Carlo layer; all routes are
-cross-checked in the test suite.  What the package knows about each named
-design family (builder, closed form, stability conditions, predictor) lives
-in one table, ``FAMILIES``.
+The epigraph LP is solved with HiGHS, a block of demand rows per call, and
+every row's split is certified by its dual.  Replica allocations
+additionally get an independent max-flow bisection oracle, and the
+single-choice, clustering, and cyclic families have exact closed forms
+(window maxima over the demand vector) used as fast paths by the Monte
+Carlo layer; all routes are cross-checked in the test suite.  What the
+package knows about each named design family (builder, closed form,
+stability conditions, predictor) lives in one table, ``FAMILIES``.
 
 A node is stable when its load is at most 1; the strict inequality of the
 model has probability-zero boundary under the continuous demand model, so
@@ -25,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from .allocation import (
@@ -54,6 +55,11 @@ STABILITY_TOL = 1e-9
 #: LP feasibility/optimality tolerance requested from the solver.
 LP_TOL = 1e-9
 
+#: Demand rows per HiGHS call on the LP route of ``t_star_batch``.  Most of
+#: a one-row call is fixed cost; past about 16 rows the simplex iterations
+#: dominate, while resident memory keeps growing with the block.
+LP_BLOCK = 16
+
 
 class NumericalFailureError(RuntimeError):
     """The LP or flow solver failed to converge to the requested tolerance."""
@@ -71,41 +77,116 @@ class LoadSplit:
 def min_max_load(matrices: AllocationMatrices, rho) -> LoadSplit:
     """Solve the min-max load program to optimality.
 
-    Raises NumericalFailureError if the solver does not converge; never
-    silently returns an unverified split.
+    The one-row case of the block solve behind ``t_star_batch``: the split
+    is checked for demand conservation and certified by its dual.  Raises
+    NumericalFailureError if the solver does not converge or a check fails;
+    never silently returns an unverified split.
     """
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != (matrices.k,):
         raise ValueError(f"rho must have length k={matrices.k}, got shape {rho.shape}")
-    if np.any(rho < 0):
-        raise ValueError("demands must be non-negative")
-    L = matrices.num_portions
-    c = np.zeros(L + 1)
-    c[-1] = 1.0
-    a_ub = np.hstack([matrices.M.astype(np.float64), -np.ones((matrices.n, 1))])
-    a_eq = np.hstack([matrices.T.astype(np.float64), np.zeros((matrices.k, 1))])
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.zeros(matrices.n),
-        A_eq=a_eq,
-        b_eq=rho,
-        bounds=[(0, None)] * (L + 1),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if res.status != 0:
-        raise NumericalFailureError(f"LP solver failed (status {res.status}): {res.message}")
-    x = res.x[:L]
-    recon = matrices.T @ x
-    scale = max(1.0, float(rho.max(initial=0.0)))
-    if np.max(np.abs(recon - rho)) > LP_TOL * scale:
-        raise NumericalFailureError("LP solution violates demand-conservation constraints")
-    loads = matrices.M @ x
-    return LoadSplit(portions=x, max_load=float(loads.max()), node_loads=loads)
+    x, loads = _EpigraphLP(matrices).solve(rho[None, :])
+    return LoadSplit(portions=x[0], max_load=float(loads[0].max()), node_loads=loads[0])
+
+
+class _EpigraphLP:
+    """The epigraph LP of one allocation, solved for a block of demand rows.
+
+    A block of b rows is one HiGHS call on the block-diagonal program
+
+        min sum_j t_j  s.t.  M x_j - t_j <= 0,  T x_j = rho_j,  x_j, t_j >= 0,
+
+    whose blocks are independent, so each x_j is an optimal split of row j.
+    Row j's t* is max(M x_j).  Every row must pass two checks, each at
+    LP_TOL (absolute on the dual, relative to max(1, max rho_j) on
+    demands and loads):
+
+    - conservation: |T x_j - rho_j| <= LP_TOL * scale;
+    - a dual certificate from row j's slices y_j (equalities) and z_j
+      (inequalities) of the solver's marginals: z_j <= LP_TOL, every
+      reduced cost -M^T z_j - T^T y_j of x_j and 1 + sum(z_j) of t_j is at
+      least -LP_TOL, and |rho_j . y_j - t*_j| <= LP_TOL * scale.  A feasible
+      dual whose value meets the primal value proves the split optimal.
+    """
+
+    def __init__(self, matrices: AllocationMatrices):
+        self.M = matrices.M.astype(np.float64)
+        self.T = matrices.T.astype(np.float64)
+        (n, L), k = self.M.shape, self.T.shape[0]
+        c = np.append(np.zeros(L), 1.0)
+        a_ub = np.hstack([self.M, -np.ones((n, 1))])
+        a_eq = np.hstack([self.T, np.zeros((k, 1))])
+        # linprog takes a one-row program fastest dense, a block as CSC
+        self._blocks = {1: (c, a_ub, a_eq)}
+
+    def _block(self, b: int) -> tuple:
+        """(c, A_ub, A_eq) of a block of b rows, built once per size."""
+        if b not in self._blocks:
+            c, a_ub, a_eq = self._blocks[1]
+            self._blocks[b] = (np.tile(c, b), _block_diagonal(a_ub, b), _block_diagonal(a_eq, b))
+        return self._blocks[b]
+
+    def solve(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Optimal splits x (b, L) and node loads M x (b, n) of (b, k) rows.
+
+        A failed check raises NumericalFailureError whose ``row_index`` is
+        the failing row's index in ``rows`` (0 when the whole solve fails).
+        """
+        if np.any(rows < 0):
+            raise ValueError("demands must be non-negative")
+        (b, k), (n, L) = rows.shape, self.M.shape
+        c, a_ub, a_eq = self._block(b)
+        res = linprog(
+            c,
+            A_ub=a_ub,
+            b_ub=np.zeros(b * n),
+            A_eq=a_eq,
+            b_eq=rows.ravel(),
+            bounds=(0, None),
+            method="highs",
+            options={
+                "primal_feasibility_tolerance": 1e-10,
+                "dual_feasibility_tolerance": 1e-10,
+            },
+        )
+        if res.status != 0:
+            status = f"status {res.status}: {res.message}"
+            raise _row_failure(0, f"LP solver failed on the block of {b} rows from here ({status})")
+        x = res.x.reshape(b, L + 1)[:, :L]
+        loads = x @ self.M.T
+        y = res.eqlin.marginals.reshape(b, k)
+        z = res.ineqlin.marginals.reshape(b, n)
+        scale = LP_TOL * np.maximum(1.0, rows.max(axis=1))
+        conserved = np.abs(x @ self.T.T - rows).max(axis=1) <= scale
+        dual_feasible = (
+            (z.max(axis=1) <= LP_TOL)
+            & ((-(z @ self.M) - y @ self.T).min(axis=1) >= -LP_TOL)
+            & (1.0 + z.sum(axis=1) >= -LP_TOL)
+        )
+        gap_closed = np.abs(np.einsum("ij,ij->i", rows, y) - loads.max(axis=1)) <= scale
+        for ok, what in (
+            (conserved, "LP solution violates demand-conservation constraints"),
+            (dual_feasible, "LP dual certificate is infeasible"),
+            (gap_closed, "LP dual certificate does not meet the primal value"),
+        ):
+            if not ok.all():
+                raise _row_failure(int(np.argmin(ok)), what)
+        return x, loads
+
+
+def _block_diagonal(a: np.ndarray, b: int) -> csc_matrix:
+    """b copies of ``a`` along the diagonal, i.e. kron(identity(b), a), as CSC."""
+    a, copy = csc_matrix(a), np.arange(b)[:, None]
+    (rows, cols), nnz = a.shape, a.nnz
+    indptr = np.append((a.indptr[:-1] + nnz * copy).ravel(), nnz * b)
+    indices = (a.indices + rows * copy).ravel()
+    return csc_matrix((np.tile(a.data, b), indices, indptr), shape=(rows * b, cols * b))
+
+
+def _row_failure(row: int, message: str) -> NumericalFailureError:
+    exc = NumericalFailureError(message)
+    exc.row_index = row
+    return exc
 
 
 def dump_lp(matrices: AllocationMatrices, rho, path: str) -> None:
@@ -196,22 +277,28 @@ def t_star_batch(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
     """Optimal max load for each row of a (trials, k) demand matrix.
 
     A family with a closed form in ``FAMILIES`` (single_choice, clustering,
-    cyclic) runs its window-maximum kernel; anything else solves the LP row
-    by row.  Closed forms agree with the LP to machine precision (see the
-    solver cross-check tests).
+    cyclic) runs its window-maximum kernel; anything else solves the LP for
+    the blocks of ``LP_BLOCK`` consecutive rows [jB, (j+1)B), one HiGHS call
+    each, with every row certified (see ``_EpigraphLP``).  A row's t* can
+    differ in its last bits with its block peers, so the blocks are cut by
+    row index alone.  Closed forms agree with the LP to machine precision
+    (see the solver cross-check tests).  A failed row raises
+    NumericalFailureError with ``row_index`` set to its index in
+    ``demands``.
     """
     demands = _demand_rows(alloc, demands)
     kernel = getattr(FAMILIES.get(alloc.kind), "t_star", None)
     if kernel is not None:
         return kernel(alloc, demands)
-    matrices = to_matrices(alloc)
+    lp = _EpigraphLP(to_matrices(alloc))
     out = np.empty(demands.shape[0])
-    for i, row in enumerate(demands):
+    for start in range(0, len(out), LP_BLOCK):
         try:
-            out[i] = min_max_load(matrices, row).max_load
+            loads = lp.solve(demands[start : start + LP_BLOCK])[1]
         except NumericalFailureError as exc:
-            exc.row_index = i
+            exc.row_index = start + exc.row_index
             raise
+        out[start : start + len(loads)] = loads.max(axis=1)
     return out
 
 

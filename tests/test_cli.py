@@ -489,6 +489,20 @@ def test_limit_checks_config_file(tmp_path):
     assert json.loads(out.read_text())["data"]["trials"] == 300
 
 
+def test_limit_checks_flags_override_config_k_and_d(tmp_path):
+    out = tmp_path / "lc.json"
+    cfg = write_config(tmp_path, {"k": 50, "d": [1], "trials": 200, "master_seed": 9})
+    argv = ["limit-checks", "--config", cfg, "--k", "300", "--d", "7", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["data"]["k"] == 300 and report["data"]["d_values"] == [7]
+    assert report["config"]["k"] == 300 and report["config"]["d"] == [7]
+    # each flag alone overrides only its own field
+    assert main(["limit-checks", "--config", cfg, "--d", "2", "--out", str(out)]) == EXIT_OK
+    data = json.loads(out.read_text())["data"]
+    assert data["k"] == 50 and data["d_values"] == [2]
+
+
 def test_limit_checks_writes_config_outputs(tmp_path, capsys):
     csv_out, json_out = tmp_path / "lc.csv", tmp_path / "lc.json"
     outputs = [{"format": "csv", "path": str(csv_out)}, {"format": "json", "path": str(json_out)}]

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+import storagebalance.loadsolver as ls
 from storagebalance.allocation import (
     Allocation,
     UnsupportedDesignError,
@@ -179,6 +181,49 @@ def test_flow_oracle_random_agreement():
         t_fl = min_max_load_flow(alloc, rho, tol=1e-8)
         worst = max(worst, abs(t_lp - t_fl))
     assert worst <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# block LP route
+# ---------------------------------------------------------------------------
+
+_B = ls.LP_BLOCK
+_LP_DESIGNS = {
+    "block_design_d3": build_block_design(3),
+    "block_design_d4": build_block_design(4),
+    "block_design_d5": build_block_design(5),
+    "cyclic_xor_r2": build_cyclic_xor(15, 3, 2),
+    "cyclic_xor_r3": build_cyclic_xor(16, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LP_DESIGNS))
+def test_block_lp_matches_row_lp(name, monkeypatch):
+    alloc = _LP_DESIGNS[name]
+    demands = spacing_matrix(alloc.k, 0.8 * alloc.n, 41, 2 * _B + 3)
+    m = to_matrices(alloc)
+    rows = np.array([min_max_load(m, rho).max_load for rho in demands])
+    # the flow oracle is independent of the LP; it covers replica designs only
+    flows = np.array([min_max_load_flow(alloc, rho) for rho in demands]) if alloc.r == 1 else None
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(kwargs["b_eq"]) // alloc.k)
+        return linprog(*args, **kwargs)
+
+    def forbidden(*args):
+        raise AssertionError("the LP route must not solve row by row")
+
+    monkeypatch.setattr(ls, "linprog", counting)
+    monkeypatch.setattr(ls, "min_max_load", forbidden)
+    for trials in (1, _B - 1, _B, _B + 1, 2 * _B + 3):
+        calls.clear()
+        t = t_star_batch(alloc, demands[:trials])
+        assert np.max(np.abs(t - rows[:trials])) <= 1e-9 * max(1.0, rows.max())
+        if flows is not None:
+            assert np.max(np.abs(t - flows[:trials])) <= 1e-7
+        # one HiGHS call per block of LP_BLOCK consecutive rows
+        assert calls == [min(_B, trials - s) for s in range(0, trials, _B)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import storagebalance.loadsolver as ls
 from storagebalance.allocation import (
     UnsupportedDesignError,
     build_block_design,
@@ -28,7 +29,7 @@ from storagebalance.metrics import (
     t_star_series,
     wilson_interval,
 )
-from storagebalance.spacings import EULER_GAMMA, predict_single_choice
+from storagebalance.spacings import EULER_GAMMA, predict_single_choice, spacing_matrix
 
 SEED = 987654321
 
@@ -99,28 +100,85 @@ def test_p_sigma_monotone_in_sigma():
 def test_t_star_series_worker_invariance(monkeypatch):
     import storagebalance.metrics as metrics_mod
 
-    monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 32)  # force several chunks
-    alloc = build_block_design(3)
-    seq = t_star_series(alloc, 4.0, 150, SEED, workers=1)
-    par = t_star_series(alloc, 4.0, 150, SEED, workers=3)
-    assert np.array_equal(seq, par)
+    # chunks of 70, 70 and 10 trials: LP blocks restart at each chunk, and
+    # 70 is not a multiple of LP_BLOCK
+    monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 70)
+    assert 70 % ls.LP_BLOCK
+    for alloc in (build_block_design(3), build_cyclic_xor(9, 3, 2)):
+        seq = t_star_series(alloc, 4.0, 150, SEED, workers=1)
+        par = t_star_series(alloc, 4.0, 150, SEED, workers=3)
+        assert np.array_equal(seq, par)
+
+
+def _perturbed_linprog(monkeypatch, k, target, perturb):
+    """Make the LP solver hand back a result with ``perturb(res, j)`` applied,
+    where j is the block position of the demand row equal to ``target``."""
+    real = ls.linprog
+
+    def patched(*args, **kwargs):
+        res = real(*args, **kwargs)
+        hits = np.flatnonzero((kwargs["b_eq"].reshape(-1, k) == target).all(axis=1))
+        if hits.size:
+            perturb(res, int(hits[0]))
+        return res
+
+    monkeypatch.setattr(ls, "linprog", patched)
 
 
 def test_solver_failure_carries_trial_index(monkeypatch):
-    import storagebalance.loadsolver as ls
+    import storagebalance.metrics as metrics_mod
 
-    real = ls.min_max_load
-    calls = {"n": 0}
+    monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 70)  # chunks start at 0, 70, 140
+    alloc = build_block_design(3)
+    failing = 70 + ls.LP_BLOCK + 5  # second chunk, second block, sixth row
+    target = spacing_matrix(alloc.k, 4.0, SEED, 1, start_index=failing)[0]
+    width = ls.to_matrices(alloc).num_portions + 1
 
-    def flaky(matrices, rho):
-        calls["n"] += 1
-        if calls["n"] == 3:
-            raise ls.NumericalFailureError("synthetic solver failure")
-        return real(matrices, rho)
+    def break_conservation(res, j):
+        res.x[j * width] += 1e-6
 
-    monkeypatch.setattr(ls, "min_max_load", flaky)
-    with pytest.raises(ls.NumericalFailureError, match="trial 2"):
-        t_star_series(build_block_design(3), 4.0, 10, SEED)
+    _perturbed_linprog(monkeypatch, alloc.k, target, break_conservation)
+    with pytest.raises(ls.NumericalFailureError, match=f"trial {failing}: .*conservation"):
+        t_star_series(alloc, 4.0, 150, SEED)
+
+
+@pytest.mark.parametrize(
+    "marginals, entry, shift, message",
+    [
+        ("eqlin", 2, 1e-6, "infeasible"),  # a reduced cost turns negative
+        ("eqlin", 2, -1e-6, "does not meet the primal value"),  # the dual value drops
+        ("ineqlin", 4, 1e-6, "infeasible"),  # a load multiplier turns positive
+    ],
+)
+def test_perturbed_dual_fails_the_certificate(monkeypatch, marginals, entry, shift, message):
+    alloc = build_cyclic_xor(9, 3, 2)
+    demands = spacing_matrix(alloc.k, 6.0, SEED, 2 * ls.LP_BLOCK)
+    failing = ls.LP_BLOCK + 3
+    size = alloc.k if marginals == "eqlin" else alloc.n
+
+    def shift_dual(res, j):
+        getattr(res, marginals).marginals[j * size + entry] += shift
+
+    _perturbed_linprog(monkeypatch, alloc.k, demands[failing], shift_dual)
+    with pytest.raises(ls.NumericalFailureError, match=message) as info:
+        ls.t_star_batch(alloc, demands)
+    assert info.value.row_index == failing
+    with pytest.raises(ls.NumericalFailureError, match=message):
+        ls.min_max_load(ls.to_matrices(alloc), demands[failing])
+
+
+def test_failed_block_solve_names_its_first_row(monkeypatch):
+    alloc = build_block_design(3)
+    demands = spacing_matrix(alloc.k, 4.0, SEED, 3 * ls.LP_BLOCK)
+
+    def fail(res, j):
+        res.status, res.message = 4, "synthetic numerical difficulty"
+
+    _perturbed_linprog(monkeypatch, alloc.k, demands[2 * ls.LP_BLOCK + 1], fail)
+    message = f"block of {ls.LP_BLOCK} rows.*synthetic"
+    with pytest.raises(ls.NumericalFailureError, match=message) as info:
+        ls.t_star_batch(alloc, demands)
+    assert info.value.row_index == 2 * ls.LP_BLOCK
 
 
 def test_estimate_requires_positive_inputs():
