@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -52,22 +53,53 @@ class Allocation:
             raise ValueError("n, k, d, r must be positive")
 
     @cached_property
+    def portions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Portion table ``(owner, indptr, nodes)``, the one walk over
+        ``recovery_sets``.  Portions are object-major and choice-minor:
+        portion c belongs to object owner[c] and is served by the nodes
+        nodes[indptr[c]:indptr[c + 1]], as named (an id beyond int64 as -1).
+        Built once and shared by every caller, which must not modify it."""
+        sets = self.recovery_sets
+        choices = list(chain.from_iterable(sets))
+        owner = np.repeat(np.arange(len(sets)), np.fromiter(map(len, sets), np.intp, len(sets)))
+        indptr = np.cumsum([0, *map(len, choices)])
+        named = list(chain.from_iterable(choices))
+        try:
+            nodes = np.array(named, np.int64)
+        except OverflowError:  # out of range as well
+            nodes = np.array([v if -1 <= v < self.n else -1 for v in named], np.int64)
+        return owner, indptr, nodes
+
+    @cached_property
     def incidence(self) -> csr_matrix:
         """Object-node incidence B (k x n, 0/1 CSR): B[i, v] = 1 iff node v is
         in one of object i's recovery sets, however often it is named there.
         Built once and shared by every caller, which must not modify it."""
-        rows = [i for i, obj in enumerate(self.recovery_sets) for s in obj for _ in s]
-        cols = [v for obj in self.recovery_sets for s in obj for v in s]
-        B = csr_matrix((np.ones(len(cols), np.int32), (rows, cols)), shape=(self.k, self.n))
+        rows, cols = _entries_in_range(self)
+        B = csr_matrix((np.ones(cols.size, np.int32), (rows, cols)), shape=(self.k, self.n))
         B.sum_duplicates()
         B.data[:] = 1
         return B
 
-    @cached_property
+    @property
     def num_portions(self) -> int:
         """Number of demand portions: one per (object, choice) pair, so the
-        column count of the routing matrices.  Counted once."""
-        return sum(len(obj_sets) for obj_sets in self.recovery_sets)
+        column count of the routing matrices."""
+        return self.portions[0].size
+
+
+def _entries_in_range(alloc: Allocation) -> tuple[np.ndarray, np.ndarray]:
+    """Object and node of each portion-table entry, once every node id is
+    checked to lie in [0, n): the one range check behind the incidence, the
+    routing matrices and a loaded allocation."""
+    owner, indptr, nodes = alloc.portions
+    rows = np.repeat(owner, np.diff(indptr))
+    bad = np.flatnonzero((nodes < 0) | (nodes >= alloc.n))
+    if bad.size:
+        i = rows[bad[0]]
+        v = next(v for s in alloc.recovery_sets[i] for v in s if not 0 <= v < alloc.n)
+        raise ValueError(f"object {i}: node {v} out of range [0, {alloc.n})")
+    return rows, nodes
 
 
 @dataclass(frozen=True)
@@ -224,9 +256,8 @@ def build_cyclic_xor(n: int, d: int, r: int) -> Allocation:
 
     Object i's recovery sets are {i+1..i+r}, {i+r+1..i+2r}, ..., all mod n.
     The matching content layout (one XOR copy per recovery set, stored on the
-    set's last node together with exact copies on the others) is validated at
-    build time; it exists exactly when n >= 1 + r(d-1), which also makes the
-    choices pairwise disjoint.
+    set's last node together with exact copies on the others) exists exactly
+    when n >= 1 + r(d-1), which also makes the choices pairwise disjoint.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
@@ -240,13 +271,7 @@ def build_cyclic_xor(n: int, d: int, r: int) -> Allocation:
         for j in range(d - 1):
             choices.append(tuple((i + 1 + j * r + t) % n for t in range(r)))
         sets.append(tuple(choices))
-    alloc = Allocation(n=n, k=n, d=d, r=r, kind="cyclic_xor", recovery_sets=tuple(sets))
-    short = np.flatnonzero(np.diff(alloc.incidence.indptr) < 1 + r * (d - 1))
-    if short.size:
-        raise UnsupportedDesignError(
-            f"object {short[0]}: recovery sets are not disjoint (n too small)"
-        )
-    return alloc
+    return Allocation(n=n, k=n, d=d, r=r, kind="cyclic_xor", recovery_sets=tuple(sets))
 
 
 def cyclic_xor_contents(alloc: Allocation) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -280,15 +305,27 @@ def validate_regular_balanced(alloc: Allocation) -> list[str]:
     Checks: d recovery sets per object, pairwise disjoint, node ids in range,
     legal set sizes (1 for replicas; 1 or r for XOR), no duplicate object per
     node, and equal per-node participation counts.  An empty list means the
-    allocation is valid.
+    allocation is valid.  The portion table flags the objects that break a
+    check; only those are walked, to word their messages.
     """
+    owner, indptr, nodes = alloc.portions
+    sizes = np.diff(indptr)
+    rows = np.repeat(owner, sizes)
+    ok = (nodes >= 0) & (nodes < alloc.n)
+    pairs = np.sort(rows[ok] * alloc.n + nodes[ok])  # (object, node) pairs named
+    flagged = np.unique(np.concatenate([
+        np.flatnonzero(np.bincount(owner, minlength=len(alloc.recovery_sets)) != alloc.d),
+        owner[(sizes != 1) & (sizes != alloc.r)],
+        rows[~ok],
+        pairs[1:][pairs[1:] == pairs[:-1]] // alloc.n,
+    ]))
     out: list[str] = []
-    node_count = [0] * alloc.n
-    per_node_objects: list[set[int]] = [set() for _ in range(alloc.n)]
-    for i, obj_sets in enumerate(alloc.recovery_sets):
+    for i in flagged.tolist():
+        obj_sets = alloc.recovery_sets[i]
         if len(obj_sets) != alloc.d:
             out.append(f"object {i}: has {len(obj_sets)} recovery sets, expected {alloc.d}")
         seen: set[int] = set()
+        named: set[int] = set()
         for s in obj_sets:
             if alloc.r == 1 and len(s) != 1:
                 out.append(f"object {i}: replica choice {s} is not a single node")
@@ -298,16 +335,16 @@ def validate_regular_balanced(alloc: Allocation) -> list[str]:
                 if not 0 <= v < alloc.n:
                     out.append(f"object {i}: node {v} out of range [0, {alloc.n})")
                     continue
-                node_count[v] += 1
-                if i in per_node_objects[v]:
+                if v in named:
                     out.append(f"node {v}: object {i} appears in more than one of its choices")
-                per_node_objects[v].add(i)
+                named.add(v)
             if seen & set(s):
                 out.append(f"object {i}: recovery sets overlap at {sorted(seen & set(s))}")
             seen |= set(s)
-    if len(set(node_count)) > 1:
-        lo, hi = min(node_count), max(node_count)
-        bad = [v for v, c in enumerate(node_count) if c in (lo, hi)][:4]
+    node_count = np.bincount(nodes[ok], minlength=alloc.n)
+    lo, hi = int(node_count.min()), int(node_count.max())
+    if lo != hi:
+        bad = np.flatnonzero((node_count == lo) | (node_count == hi))[:4].tolist()
         out.append(
             f"unbalanced: per-node participation ranges {lo}..{hi} (e.g. nodes {bad})"
         )
@@ -474,19 +511,15 @@ def designs_isomorphic(
 
 def to_matrices(alloc: Allocation) -> AllocationMatrices:
     """Binary routing matrices in object-major, choice-minor column order."""
-    cols = alloc.num_portions
-    M = np.zeros((alloc.n, cols), dtype=np.int8)
-    T = np.zeros((alloc.k, cols), dtype=np.int8)
-    owner = []
-    c = 0
-    for i, obj_sets in enumerate(alloc.recovery_sets):
-        for j, s in enumerate(obj_sets):
-            for v in s:
-                M[v, c] = 1
-            T[i, c] = 1
-            owner.append((i, j))
-            c += 1
-    return AllocationMatrices(M=M, T=T, column_owner=tuple(owner))
+    _entries_in_range(alloc)
+    owner, indptr, nodes = alloc.portions
+    cols = np.arange(owner.size)
+    M = np.zeros((alloc.n, cols.size), dtype=np.int8)
+    M[nodes, np.repeat(cols, np.diff(indptr))] = 1
+    T = np.zeros((alloc.k, cols.size), dtype=np.int8)
+    T[owner, cols] = 1
+    choice = cols - np.searchsorted(owner, owner)
+    return AllocationMatrices(M=M, T=T, column_owner=tuple(zip(owner.tolist(), choice.tolist())))
 
 
 def allocation_to_dict(alloc: Allocation) -> dict:
@@ -500,16 +533,22 @@ def allocation_to_dict(alloc: Allocation) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    if type(value) is not int:  # a JSON integer: not a bool, float or string
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def allocation_from_dict(data: dict) -> Allocation:
     try:
         sets = tuple(
-            tuple(tuple(int(v) for v in s) for s in obj) for obj in data["recovery_sets"]
+            tuple(tuple(_json_int(v) for v in s) for s in obj) for obj in data["recovery_sets"]
         )
         alloc = Allocation(
-            n=int(data["n"]),
-            k=int(data["k"]),
-            d=int(data["d"]),
-            r=int(data["r"]),
+            n=_json_int(data["n"]),
+            k=_json_int(data["k"]),
+            d=_json_int(data["d"]),
+            r=_json_int(data["r"]),
             kind=str(data["kind"]),
             recovery_sets=sets,
         )
@@ -519,11 +558,7 @@ def allocation_from_dict(data: dict) -> Allocation:
         raise ValueError(
             f"recovery_sets has {len(alloc.recovery_sets)} objects, expected k={alloc.k}"
         )
-    for i, obj_sets in enumerate(alloc.recovery_sets):
-        for s in obj_sets:
-            for v in s:
-                if not 0 <= v < alloc.n:
-                    raise ValueError(f"object {i}: node {v} out of range [0, {alloc.n})")
+    _entries_in_range(alloc)
     return alloc
 
 

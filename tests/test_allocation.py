@@ -1,5 +1,6 @@
 """Tests for allocation builders, validation, and routing matrices."""
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -32,7 +33,14 @@ from storagebalance.allocation import (
     to_matrices,
     validate_regular_balanced,
 )
-from util import crowded_allocation, random_regular_allocation
+from util import (
+    crowded_allocation,
+    random_regular_allocation,
+    reference_incidence,
+    reference_num_portions,
+    reference_to_matrices,
+    reference_validate,
+)
 
 
 def node_contents(alloc):
@@ -229,9 +237,10 @@ def test_validation_reports_deleted_copy():
         n=7, k=7, d=3, r=1, kind="custom",
         recovery_sets=tuple(tuple(s) for s in sets),
     )
-    violations = validate_regular_balanced(broken)
-    assert any("object 2" in v for v in violations)
-    assert any("unbalanced" in v for v in violations)
+    assert validate_regular_balanced(broken) == [
+        "object 2: has 2 recovery sets, expected 3",
+        "unbalanced: per-node participation ranges 2..3 (e.g. nodes [0, 1, 2, 3])",
+    ]
 
 
 def test_validation_reports_duplicate_object_on_node():
@@ -239,8 +248,72 @@ def test_validation_reports_duplicate_object_on_node():
         n=2, k=2, d=2, r=1, kind="custom",
         recovery_sets=(((0,), (0,)), ((1,), (0,))),
     )
-    violations = validate_regular_balanced(dup)
-    assert violations
+    assert validate_regular_balanced(dup) == [  # object 0's two choices overlap
+        "node 0: object 0 appears in more than one of its choices",
+        "object 0: recovery sets overlap at [0]",
+        "unbalanced: per-node participation ranges 1..3 (e.g. nodes [0, 1])",
+    ]
+
+
+def _with_object(alloc, i, choices):
+    """``alloc`` as a custom design, with object i's choices replaced."""
+    sets = list(alloc.recovery_sets)
+    sets[i] = choices
+    return Allocation(
+        n=alloc.n, k=alloc.k, d=alloc.d, r=alloc.r, kind="custom", recovery_sets=tuple(sets)
+    )
+
+
+@pytest.mark.parametrize(
+    "alloc,expected",
+    [
+        pytest.param(
+            Allocation(n=2, k=2, d=1, r=1, kind="custom", recovery_sets=(((0, 1),), ((1, 0),))),
+            [
+                "object 0: replica choice (0, 1) is not a single node",
+                "object 1: replica choice (1, 0) is not a single node",
+            ],
+            id="replica-size",
+        ),
+        pytest.param(
+            _with_object(build_cyclic_xor(7, 3, 2), 0, ((0,), (1, 2, 5), (3, 4))),
+            [
+                "object 0: choice (1, 2, 5) has size 3, expected 1 or 2",
+                "unbalanced: per-node participation ranges 5..6 (e.g. nodes [0, 1, 2, 3])",
+            ],
+            id="xor-size",
+        ),
+        pytest.param(
+            _with_object(build_cyclic_xor(5, 2, 2), 0, ((0,), (1, 1))),
+            [
+                "node 1: object 0 appears in more than one of its choices",
+                "unbalanced: per-node participation ranges 2..4 (e.g. nodes [1, 2])",
+            ],
+            id="node-repeated-in-choice",
+        ),
+        pytest.param(
+            _with_object(build_single_choice(3, 1), 1, ((0,),)),
+            ["unbalanced: per-node participation ranges 0..2 (e.g. nodes [0, 1])"],
+            id="unbalanced",
+        ),
+    ],
+)
+def test_validation_reports_exact_violations(alloc, expected):
+    assert validate_regular_balanced(alloc) == expected
+
+
+@pytest.mark.parametrize("node", [-1, 3, 2**64])
+def test_node_out_of_range_is_named_not_wrapped(node):
+    # at node -1 a wrapped index would read node 2 and look like a valid design
+    a = Allocation(n=3, k=3, d=1, r=1, kind="custom", recovery_sets=(((0,),), ((1,),), ((node,),)))
+    message = f"object 2: node {node} out of range [0, 3)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        to_matrices(a)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        a.incidence
+    assert validate_regular_balanced(a) == [
+        message, "unbalanced: per-node participation ranges 0..1 (e.g. nodes [0, 1, 2])"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -326,6 +399,16 @@ def _design(kind, data):
     if kind == "cyclic_xor":
         d, r = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
         return build_cyclic_xor(data.draw(st.integers(1 + r * (d - 1), 16)), d, r)
+    if kind == "broken":
+        # set counts off d, choice sizes other than 1 and r, repeated and
+        # (in half the draws) out-of-range nodes
+        n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+        d, r = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        lo, hi = data.draw(st.sampled_from([(0, n - 1), (-2, n + 1)]))
+        choice = st.lists(st.integers(lo, hi), max_size=r + 1).map(tuple)
+        obj = st.lists(choice, min_size=d - 1, max_size=d + 1).map(tuple)
+        sets = data.draw(st.lists(obj, min_size=k, max_size=k))
+        return Allocation(n=n, k=k, d=d, r=r, kind="custom", recovery_sets=tuple(sets))
     # free layouts: any node per choice, so objects may name one node twice
     n = data.draw(st.integers(1, 8))
     k = data.draw(st.integers(1, 16))
@@ -448,6 +531,39 @@ def test_structure_queries_match_brute_force(kind, data):
     assert r_gap_radius(a) == max(gaps, default=0)
     for r in range(k + 1):
         assert is_r_gap(a, r) == all(g <= r for g in gaps)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "random_regular", "cyclic", "clustering", "single_choice", "block_design", "cyclic_xor",
+        "free", "broken",
+    ],
+)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_portion_table_readers_match_reference_walks(kind, data):
+    a = _design(kind, data)
+    assert validate_regular_balanced(a) == reference_validate(a)
+    assert a.num_portions == reference_num_portions(a)
+    outside = [(i, v) for i, obj in enumerate(a.recovery_sets) for s in obj for v in s
+               if not 0 <= v < a.n]
+    if outside:
+        message = re.escape("object {}: node {} out of range [0, {})".format(*outside[0], a.n))
+        with pytest.raises(ValueError, match=message):
+            a.incidence
+        with pytest.raises(ValueError, match=message):
+            to_matrices(a)
+        return
+    B, ref = a.incidence, reference_incidence(a)
+    assert B.shape == ref.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(B, part), getattr(ref, part))
+        assert getattr(B, part).dtype == getattr(ref, part).dtype
+    m, ref_m = to_matrices(a), reference_to_matrices(a)
+    assert np.array_equal(m.M, ref_m.M) and m.M.dtype == ref_m.M.dtype
+    assert np.array_equal(m.T, ref_m.T) and m.T.dtype == ref_m.T.dtype
+    assert m.column_owner == ref_m.column_owner
 
 
 # ---------------------------------------------------------------------------

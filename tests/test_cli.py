@@ -382,6 +382,7 @@ def _assert_unreadable_allocation(capsys, path):
     captured = capsys.readouterr()
     assert f"config error: cannot read allocation {path}: " in captured.err
     assert captured.out == ""
+    return captured.err
 
 
 def test_inspect_unparseable_file(tmp_path, capsys):
@@ -392,6 +393,51 @@ def test_inspect_unparseable_file(tmp_path, capsys):
 
 def test_inspect_missing_file(tmp_path, capsys):
     _assert_unreadable_allocation(capsys, tmp_path / "nope.json")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda data: data["recovery_sets"][0].__setitem__(0, [0.7]),
+        lambda data: data["recovery_sets"][0].__setitem__(0, [True]),
+        lambda data: data.__setitem__("n", "2"),
+    ],
+    ids=["float-node", "bool-node", "string-n"],
+)
+def test_inspect_rejects_non_integer_fields(tmp_path, capsys, edit):
+    data = allocation_to_dict(build_cyclic(2, 1))
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    err = _assert_unreadable_allocation(capsys, path)
+    assert "malformed allocation data: expected an integer, got " in err
+
+
+@pytest.mark.parametrize("node", [-1, 2, 10**30])
+def test_inspect_rejects_node_out_of_range(tmp_path, capsys, node):
+    data = allocation_to_dict(build_cyclic(2, 1))
+    data["recovery_sets"][1][0] = [node]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["inspect", "--file", str(path)]) == EXIT_CONFIG
+    assert f"object 1: node {node} out of range [0, 2)" in capsys.readouterr().err
+
+
+def test_inspect_large_cyclic_matches_closed_forms(capsys):
+    # every query at k = 10^5: a per-object Python walk or a quadratic step
+    # in any of them would show as a slow test
+    n, d = 100_000, 3
+    assert main(["inspect", "--kind", "cyclic", "--n", str(n), "--d", str(d)]) == EXIT_OK
+    hist = {str(d - delta): n for delta in range(1, d)}  # distance delta shares d - delta
+    hist["0"] = n * (n - 1) // 2 - n * (d - 1)
+    assert json.loads(capsys.readouterr().out) == {
+        "kind": "cyclic", "n": n, "k": n, "d": d, "r": 1,
+        "valid_regular_balanced": True, "violations": [],
+        "hall_check": {"passed": True, "witness": None},
+        "matrix_shape_M": [n, n * d], "matrix_shape_T": [n, n * d],
+        "overlap_sum": (d - 1) * d * n, "r_gap_radius": d - 1,
+        "pairwise_overlap_histogram": {key: hist[key] for key in sorted(hist)},
+    }
 
 
 LIMIT_CONFIG = {"k": 300, "d": [1, 300], "trials": 200, "master_seed": 4}

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from storagebalance.allocation import Allocation
+from storagebalance.allocation import Allocation, AllocationMatrices
 
 
 def random_regular_allocation(n: int, d: int, rng: np.random.Generator) -> Allocation:
@@ -31,3 +32,69 @@ def crowded_allocation() -> Allocation:
     crowded = (((0,), (1,), (2,)),) * 4
     cyclic = tuple(tuple((3 + (i + j) % 197,) for j in range(3)) for i in range(196))
     return Allocation(n=200, k=200, d=3, r=1, kind="custom", recovery_sets=crowded + cyclic)
+
+
+# Reference implementations: per-object walks over ``recovery_sets``, kept to
+# check the readers of ``Allocation.portions`` against.
+
+
+def reference_incidence(alloc: Allocation) -> csr_matrix:
+    rows = [i for i, obj in enumerate(alloc.recovery_sets) for s in obj for _ in s]
+    cols = [v for obj in alloc.recovery_sets for s in obj for v in s]
+    B = csr_matrix((np.ones(len(cols), np.int32), (rows, cols)), shape=(alloc.k, alloc.n))
+    B.sum_duplicates()
+    B.data[:] = 1
+    return B
+
+
+def reference_num_portions(alloc: Allocation) -> int:
+    return sum(len(obj_sets) for obj_sets in alloc.recovery_sets)
+
+
+def reference_to_matrices(alloc: Allocation) -> AllocationMatrices:
+    cols = reference_num_portions(alloc)
+    M = np.zeros((alloc.n, cols), dtype=np.int8)
+    T = np.zeros((alloc.k, cols), dtype=np.int8)
+    owner = []
+    c = 0
+    for i, obj_sets in enumerate(alloc.recovery_sets):
+        for j, s in enumerate(obj_sets):
+            for v in s:
+                M[v, c] = 1
+            T[i, c] = 1
+            owner.append((i, j))
+            c += 1
+    return AllocationMatrices(M=M, T=T, column_owner=tuple(owner))
+
+
+def reference_validate(alloc: Allocation) -> list[str]:
+    out: list[str] = []
+    node_count = [0] * alloc.n
+    per_node_objects: list[set[int]] = [set() for _ in range(alloc.n)]
+    for i, obj_sets in enumerate(alloc.recovery_sets):
+        if len(obj_sets) != alloc.d:
+            out.append(f"object {i}: has {len(obj_sets)} recovery sets, expected {alloc.d}")
+        seen: set[int] = set()
+        for s in obj_sets:
+            if alloc.r == 1 and len(s) != 1:
+                out.append(f"object {i}: replica choice {s} is not a single node")
+            if alloc.r > 1 and len(s) not in (1, alloc.r):
+                out.append(f"object {i}: choice {s} has size {len(s)}, expected 1 or {alloc.r}")
+            for v in s:
+                if not 0 <= v < alloc.n:
+                    out.append(f"object {i}: node {v} out of range [0, {alloc.n})")
+                    continue
+                node_count[v] += 1
+                if i in per_node_objects[v]:
+                    out.append(f"node {v}: object {i} appears in more than one of its choices")
+                per_node_objects[v].add(i)
+            if seen & set(s):
+                out.append(f"object {i}: recovery sets overlap at {sorted(seen & set(s))}")
+            seen |= set(s)
+    if len(set(node_count)) > 1:
+        lo, hi = min(node_count), max(node_count)
+        bad = [v for v, c in enumerate(node_count) if c in (lo, hi)][:4]
+        out.append(
+            f"unbalanced: per-node participation ranges {lo}..{hi} (e.g. nodes {bad})"
+        )
+    return out
