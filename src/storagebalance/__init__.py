@@ -9,11 +9,7 @@ asymptotic predictors and stability conditions.
 
 __version__ = "0.1.0"
 
-from .spacings import (
-    RandomStream,
-    SpacingSample,
-    sample_uniform_spacings,
-)
+from .spacings import RandomStream
 from .allocation import (
     Allocation,
     AllocationMatrices,
@@ -25,13 +21,11 @@ from .allocation import (
     to_matrices,
 )
 from .loadsolver import LoadSplit, min_max_load, min_max_load_flow
-from .metrics import MetricEstimate, estimate_I, estimate_P_sigma, exact_p_sigma_k3
+from .metrics import MetricEstimate, estimate_metrics, exact_p_sigma_k3
 
 __all__ = [
     "__version__",
     "RandomStream",
-    "SpacingSample",
-    "sample_uniform_spacings",
     "Allocation",
     "AllocationMatrices",
     "build_single_choice",
@@ -44,7 +38,6 @@ __all__ = [
     "min_max_load",
     "min_max_load_flow",
     "MetricEstimate",
-    "estimate_P_sigma",
-    "estimate_I",
+    "estimate_metrics",
     "exact_p_sigma_k3",
 ]

@@ -14,10 +14,10 @@ Objects and nodes are 0-based; all cyclic index arithmetic is modulo n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix, triu
@@ -114,19 +114,10 @@ class AllocationMatrices:
 
     M: np.ndarray
     T: np.ndarray
-    column_owner: tuple[tuple[int, int], ...] = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.M.shape[0]
 
     @property
     def k(self) -> int:
         return self.T.shape[0]
-
-    @property
-    def num_portions(self) -> int:
-        return self.M.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +156,8 @@ def build_cyclic(n: int, d: int) -> Allocation:
         raise ValueError("n and d must be positive")
     if d > n:
         raise ValueError(f"d={d} must be <= n={n}")
-    sets = tuple(tuple(((i + j) % n,) for j in range(d)) for i in range(n))
+    layout = (np.arange(n)[:, None] + np.arange(d)) % n
+    sets = tuple(zip(*(zip(nodes) for nodes in layout.T.tolist())))
     return Allocation(n=n, k=n, d=d, r=1, kind="cyclic", recovery_sets=sets)
 
 
@@ -274,26 +266,6 @@ def build_cyclic_xor(n: int, d: int, r: int) -> Allocation:
     return Allocation(n=n, k=n, d=d, r=r, kind="cyclic_xor", recovery_sets=tuple(sets))
 
 
-def cyclic_xor_contents(alloc: Allocation) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per-node XOR copies implied by the cyclic XOR layout.
-
-    Node v stores, for each recovery set it terminates, one XOR copy whose
-    members are the served object plus the primaries of the set's other
-    nodes.  Returned as a tuple per node of object-id tuples (the exact
-    primary copy o_v is implicit).
-    """
-    if alloc.kind != "cyclic_xor":
-        raise UnsupportedDesignError("contents are defined for cyclic_xor allocations")
-    n, r = alloc.n, alloc.r
-    per_node: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for i, obj_sets in enumerate(alloc.recovery_sets):
-        for s in obj_sets[1:]:
-            last = s[-1]
-            members = (i,) + tuple(v % n for v in s[:-1])
-            per_node[last].append(tuple(sorted(members)))
-    return tuple(tuple(c) for c in per_node)
-
-
 # ---------------------------------------------------------------------------
 # Validation and structure queries
 # ---------------------------------------------------------------------------
@@ -392,15 +364,6 @@ def node_expansion(alloc: Allocation, objects: Iterable[int]) -> int:
     return int(np.count_nonzero(alloc.incidence[sorted(objs)].getnnz(axis=0)))
 
 
-def is_r_gap(alloc: Allocation, r: int) -> bool:
-    """True iff objects at circular index distance > r have disjoint choices."""
-    if alloc.r != 1:
-        raise UnsupportedDesignError("r-gap is defined for replica allocations")
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    return r_gap_radius(alloc) <= r
-
-
 def r_gap_radius(alloc: Allocation) -> int:
     """Smallest r for which the allocation is an r-gap design."""
     if alloc.r != 1:
@@ -447,61 +410,8 @@ def pairwise_overlap_histogram(alloc: Allocation) -> dict[int, int]:
     for _, _, c in _shared_pairs(alloc):
         hist += np.bincount(c, minlength=alloc.n + 1)
     hist[0] = alloc.k * (alloc.k - 1) // 2 - hist.sum()  # pairs sharing no node
-    return {c: int(m) for c, m in enumerate(hist) if m}
-
-
-def designs_isomorphic(
-    blocks_a: Sequence[Sequence[int]], blocks_b: Sequence[Sequence[int]]
-) -> bool:
-    """Whether two block systems coincide up to relabeling points and blocks.
-
-    Backtracking over the point permutation with degree pruning; intended
-    for small systems (tens of points).
-    """
-    if len(blocks_a) != len(blocks_b):
-        return False
-    pts_a = sorted({p for b in blocks_a for p in b})
-    pts_b = sorted({p for b in blocks_b for p in b})
-    if len(pts_a) != len(pts_b):
-        return False
-    target = sorted(tuple(sorted(b)) for b in blocks_b)
-
-    def degree(blocks, p):
-        return sum(p in b for b in blocks)
-
-    deg_a = {p: degree(blocks_a, p) for p in pts_a}
-    deg_b = {p: degree(blocks_b, p) for p in pts_b}
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def compatible() -> bool:
-        # every fully-mapped block of A must appear in B
-        remaining = list(target)
-        for b in blocks_a:
-            if all(p in mapping for p in b):
-                img = tuple(sorted(mapping[p] for p in b))
-                if img in remaining:
-                    remaining.remove(img)
-                else:
-                    return False
-        return True
-
-    def assign(idx: int) -> bool:
-        if idx == len(pts_a):
-            return compatible()
-        p = pts_a[idx]
-        for q in pts_b:
-            if q in used or deg_a[p] != deg_b[q]:
-                continue
-            mapping[p] = q
-            used.add(q)
-            if compatible() and assign(idx + 1):
-                return True
-            del mapping[p]
-            used.remove(q)
-        return False
-
-    return assign(0)
+    sizes = np.flatnonzero(hist)
+    return dict(zip(sizes.tolist(), hist[sizes].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +428,7 @@ def to_matrices(alloc: Allocation) -> AllocationMatrices:
     M[nodes, np.repeat(cols, np.diff(indptr))] = 1
     T = np.zeros((alloc.k, cols.size), dtype=np.int8)
     T[owner, cols] = 1
-    choice = cols - np.searchsorted(owner, owner)
-    return AllocationMatrices(M=M, T=T, column_owner=tuple(zip(owner.tolist(), choice.tolist())))
+    return AllocationMatrices(M=M, T=T)
 
 
 def allocation_to_dict(alloc: Allocation) -> dict:
@@ -572,14 +481,3 @@ def load_allocation(path: str) -> Allocation:
     with open(path) as fh:
         return allocation_from_dict(json.load(fh))
 
-
-def matrix_csv(matrices: AllocationMatrices, which: str = "M") -> str:
-    """CSV text of M or T with a header row naming each column's owner."""
-    if which not in ("M", "T"):
-        raise ValueError("which must be 'M' or 'T'")
-    mat = matrices.M if which == "M" else matrices.T
-    header = ",".join(f"o{i}c{j}" for i, j in matrices.column_owner)
-    lines = [header]
-    for row in mat:
-        lines.append(",".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"

@@ -302,9 +302,7 @@ def _cmd_inspect(args) -> int:
     else:
         if not args.kind:
             raise ConfigError("inspect needs --file or --kind with --n/--d")
-        alloc = build_allocation(
-            args.kind, args.n or 0, d=args.d or 1, r=args.r or 1, m=args.m or 1
-        )
+        alloc = build_allocation(args.kind, args.n, d=args.d, r=args.r, m=args.m)
     violations = validate_regular_balanced(alloc)
     ok, witness = hall_check(alloc)
     info = {
@@ -372,10 +370,10 @@ def _parser() -> argparse.ArgumentParser:
     ins = sub.add_parser("inspect", help="validate and summarize an allocation")
     ins.add_argument("--file", help="allocation JSON file")
     ins.add_argument("--kind", help="builder kind")
-    ins.add_argument("--n", type=int)
-    ins.add_argument("--d", type=int)
-    ins.add_argument("--r", type=int)
-    ins.add_argument("--m", type=int)
+    ins.add_argument("--n", type=int, default=0)
+    ins.add_argument("--d", type=int, default=1)
+    ins.add_argument("--r", type=int, default=1)
+    ins.add_argument("--m", type=int, default=1)
     ins.add_argument("--out")
     ins.set_defaults(func=_cmd_inspect)
 

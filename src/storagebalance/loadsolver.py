@@ -189,24 +189,6 @@ def _row_failure(row: int, message: str) -> NumericalFailureError:
     return exc
 
 
-def dump_lp(matrices: AllocationMatrices, rho, path: str) -> None:
-    """Write the epigraph LP in the CPLEX LP text format for external checks."""
-    rho = np.asarray(rho, dtype=np.float64)
-    lines = ["Minimize", " obj: t", "Subject To"]
-    for v in range(matrices.n):
-        portions = [f"x{j}" for j in range(matrices.num_portions) if matrices.M[v, j]]
-        if portions:
-            lines.append(f" node{v}: " + " + ".join(portions) + " - t <= 0")
-    for i in range(matrices.k):
-        portions = [f"x{j}" for j in range(matrices.num_portions) if matrices.T[i, j]]
-        lines.append(f" obj{i}: " + " + ".join(portions) + f" = {float(rho[i])!r}")
-    lines.append("Bounds")
-    lines.append(" t >= 0")
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Max-flow bisection oracle (replica allocations)
 # ---------------------------------------------------------------------------

@@ -185,20 +185,6 @@ def estimate_metrics(
     return p_est, i_est
 
 
-def estimate_P_sigma(
-    alloc: Allocation, sigma: float, trials: int, master_seed: int, workers: int = 1
-) -> MetricEstimate:
-    """Fraction of trials whose optimal max load is at most 1 (Wilson 95% CI)."""
-    return estimate_metrics(alloc, sigma, trials, master_seed, workers=workers)[0]
-
-
-def estimate_I(
-    alloc: Allocation, sigma: float, trials: int, master_seed: int, workers: int = 1
-) -> MetricEstimate:
-    """Mean imbalance factor with normal-approximation CI and 5/50/95% quantiles."""
-    return estimate_metrics(alloc, sigma, trials, master_seed, workers=workers)[1]
-
-
 # ---------------------------------------------------------------------------
 # Exact three-object geometry
 # ---------------------------------------------------------------------------

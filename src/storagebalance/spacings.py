@@ -3,8 +3,8 @@
 Demand vectors with a fixed cumulative load sigma are distributed like k
 uniform spacings scaled to [0, sigma].  The windowed maxima of those spacings
 (on the line and on the circle) drive both the exact stability conditions and
-the Gumbel-type limit laws, so they are implemented here once, with batch
-variants used by the Monte Carlo layer.
+the Gumbel-type limit laws, so they are implemented here once, over (T, k)
+batches of demand rows.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ class RandomStream:
     counter-based generator: identical keys reproduce identical draw
     sequences, distinct stream indices give statistically independent
     streams.  ``master_seed`` must lie in [0, 2^64); it is one 64-bit word of
-    the Philox key.  The per-trial stream of trial i is
-    ``RandomStream(master_seed, i)``; batch code (``spacing_matrix``)
-    reproduces those streams by re-keying one bit generator instead of
-    building one per trial.
+    the Philox key.  Trial i draws from the stream
+    ``RandomStream(master_seed, i)``, a Philox generator keyed
+    ``(i, master_seed)``; ``spacing_matrix`` re-keys one bit generator to
+    each trial's key instead of building one per trial.
     """
 
     master_seed: int
@@ -53,58 +53,18 @@ class RandomStream:
         """The Philox key ``(stream_index, master_seed)`` as exact uint64 words."""
         return np.array([self.stream_index & _UINT64_MASK, self.master_seed], dtype=np.uint64)
 
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self.key()))
-
-
-@dataclass(frozen=True, eq=False)
-class SpacingSample:
-    """k non-negative spacings summing to sigma (a demand vector)."""
-
-    spacings: np.ndarray
-    sigma: float
-    k: int
-
-    def __post_init__(self):
-        s = np.asarray(self.spacings, dtype=np.float64)
-        object.__setattr__(self, "spacings", s)
-        if self.k < 1 or len(s) != self.k:
-            raise ValueError(f"expected {self.k} spacings, got {len(s)}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if np.any(s < 0):
-            raise ValueError("spacings must be non-negative")
-        if abs(s.sum() - self.sigma) > 1e-12 * self.sigma:
-            raise ValueError("spacings do not sum to sigma")
-
-
-def sample_uniform_spacings(k: int, sigma: float, stream: RandomStream) -> SpacingSample:
-    """Sample k spacings uniformly from the simplex of side sigma.
-
-    Draws k unit-rate exponentials and normalizes (the Gamma representation
-    of uniform spacings), which is O(k) and makes sigma a pure scale factor:
-    the same stream at a different sigma yields the same sample multiplied
-    by sigma.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    e = stream.generator().standard_exponential(k)
-    return SpacingSample(spacings=e * (sigma / e.sum()), sigma=float(sigma), k=k)
-
 
 def spacing_matrix(
     k: int, sigma: float, master_seed: int, trials: int, start_index: int = 0
 ) -> np.ndarray:
     """Stack ``trials`` independent samples into a (trials, k) matrix.
 
-    Row i is bit-identical to
-    ``sample_uniform_spacings(k, sigma, RandomStream(master_seed, start_index + i))``,
-    so batch consumers see exactly the per-trial substreams.  One Philox bit
-    generator is re-keyed for each row (key ``(start_index + i, master_seed)``,
-    counter 0, buffer empty: the state of a freshly keyed Philox), which
-    reproduces each substream without building a generator per row.  Every
+    Row i is k unit-rate exponentials drawn from a Philox generator keyed
+    ``(start_index + i, master_seed)``, scaled to sum to sigma (the Gamma
+    representation of uniform spacings, so sigma is a pure scale factor).
+    One Philox bit generator is re-keyed for each row (counter 0, buffer
+    empty: the state of a freshly keyed Philox), which reproduces each
+    per-trial substream without building a generator per row.  Every
     call draws afresh; callers that reuse a batch keep it themselves, and only
     for the run that drew it.
     """
@@ -183,31 +143,6 @@ def window_max_pair(p: np.ndarray, k: int, d: int) -> tuple[np.ndarray, np.ndarr
     """
     sums = _window_sums(p, k, d, circle=True)
     return sums[:, : k - d + 1].max(axis=1), sums.max(axis=1)
-
-
-def _window_maxima(spacings: np.ndarray, d: int, circle: bool) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(spacings, dtype=np.float64))
-    k = a.shape[1]
-    if not 1 <= d <= k:
-        raise ValueError(f"d must be in [1, {k}], got {d}")
-    out = window_max(prefix_sums(a, d - 1 if circle else 0), k, d, circle)
-    return out if np.ndim(spacings) > 1 else out[0]
-
-
-def window_maxima_line(spacings: np.ndarray, d: int) -> np.ndarray:
-    """Per-row maximum over sums of d consecutive spacings (no wrap).
-
-    Accepts a (k,) vector or a (T, k) matrix.
-    """
-    return _window_maxima(spacings, d, circle=False)
-
-
-def window_maxima_circle(spacings: np.ndarray, d: int) -> np.ndarray:
-    """Per-row maximum over sums of d consecutive spacings with wraparound.
-
-    Accepts a (k,) vector or a (T, k) matrix; circle >= line holds exactly.
-    """
-    return _window_maxima(spacings, d, circle=True)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from storagebalance.allocation import (
     build_cyclic,
     build_cyclic_xor,
     build_single_choice,
-    designs_isomorphic,
     overlap_sum,
     to_matrices,
 )
@@ -40,14 +39,8 @@ from storagebalance.metrics import (
     rows_to_csv,
     t_star_series,
 )
-from storagebalance.spacings import (
-    batch_rows,
-    gumbel_cdf,
-    spacing_matrix,
-    window_maxima_circle,
-    window_maxima_line,
-)
-from util import random_regular_allocation
+from storagebalance.spacings import gumbel_cdf, spacing_matrix
+from util import is_fano_plane, random_regular_allocation, spacing_batches, window_maxima
 
 pytestmark = pytest.mark.acceptance
 
@@ -124,14 +117,15 @@ def test_criterion_04_reference_layouts():
     checks.append(
         ("cyclic(7,3) layout", all(contents[j] == {j % 7, (j - 1) % 7, (j - 2) % 7} for j in range(7)))
     )
-    # block(3) isomorphic to the printed seven-block design
+    # block(3) isomorphic to the printed seven-block design: both are the
+    # 2-(7,3,1) design, which is unique up to relabeling
     display = [(0, 1, 2), (0, 5, 6), (0, 3, 4), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
     bd = build_block_design(3)
     bd_contents = [[] for _ in range(7)]
     for i in range(7):
         for s in bd.recovery_sets[i]:
             bd_contents[s[0]].append(i)
-    checks.append(("block(3) isomorphic", designs_isomorphic(bd_contents, [list(b) for b in display])))
+    checks.append(("block(3) isomorphic", is_fano_plane(bd_contents) and is_fano_plane(display)))
     # routing matrices reproduced exactly
     m_rep = to_matrices(build_cyclic(3, 2)).M
     checks.append(
@@ -196,7 +190,7 @@ def test_criterion_06_stability_sandwich():
             v_necc += int(np.count_nonzero(stable & ~necessary))
             if alloc.kind == "cyclic":
                 # the expansion argument also gives W_d <= 2d - 1
-                window_d = window_maxima_circle(demands, alloc.d) <= 2.0 * alloc.d - 1.0
+                window_d = window_maxima(demands, alloc.d, circle=True) <= 2.0 * alloc.d - 1.0
                 variant_rejections[0] += int(np.count_nonzero(~stable & ~necessary))
                 variant_rejections[1] += int(np.count_nonzero(~stable & ~window_d))
         violations[alloc.kind] = (v_suff, v_necc)
@@ -282,17 +276,14 @@ def test_criterion_11_circular_spacing_facts():
     ok = True
     for k, d in ((100, 3), (1000, 10)):
         trials = 100_000
-        batch = batch_rows(k, 20_000)
         mismatch = 0
         line_all = np.empty(trials)
         circ_all = np.empty(trials)
-        for start in range(0, trials, batch):
-            cnt = min(batch, trials - start)
-            m = spacing_matrix(k, 1.0, SEED, cnt, start_index=start)
-            wl = window_maxima_line(m, d)
-            wc = window_maxima_circle(m, d)
-            line_all[start : start + cnt] = wl
-            circ_all[start : start + cnt] = wc
+        for start, m in spacing_batches(k, trials, SEED):
+            wl = window_maxima(m, d, circle=False)
+            wc = window_maxima(m, d, circle=True)
+            line_all[start : start + len(m)] = wl
+            circ_all[start : start + len(m)] = wc
             mismatch += int(np.count_nonzero(wc > wl))
         p_mis = mismatch / trials
         bound = d / k + 3.0 * math.sqrt(max(p_mis * (1 - p_mis), 1e-12) / trials)

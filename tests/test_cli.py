@@ -366,6 +366,22 @@ def test_inspect_block_design_histogram(capsys):
     assert info["pairwise_overlap_histogram"] == {"1": 21}
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kind", "cyclic", "--n", "5", "--d", "0"], "n and d must be positive"),
+        (["--kind", "single_choice", "--n", "5", "--m", "0"], "n and m must be positive"),
+    ],
+    ids=["cyclic-d0", "single_choice-m0"],
+)
+def test_inspect_rejects_explicit_zero(capsys, flags, message):
+    # an explicit 0 reaches the builder, not a default of 1
+    assert main(["inspect", *flags]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+
+
 def test_inspect_tampered_file(tmp_path, capsys):
     data = allocation_to_dict(build_cyclic(5, 2))
     data["recovery_sets"][1][1] = [1]  # duplicate node in object 1's choices

@@ -21,22 +21,14 @@ from storagebalance.allocation import (
 )
 from storagebalance.loadsolver import (
     STABILITY_TOL,
-    dump_lp,
     min_max_load,
     min_max_load_flow,
     necessary_condition,
     sufficient_condition,
     t_star_batch,
 )
-from storagebalance.spacings import (
-    RandomStream,
-    prefix_sums,
-    sample_uniform_spacings,
-    spacing_matrix,
-    window_max,
-    window_maxima_circle,
-)
-from util import random_regular_allocation as random_regular
+from storagebalance.spacings import prefix_sums, spacing_matrix, window_max
+from util import random_regular_allocation as random_regular, window_maxima
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +388,7 @@ def test_necessary_condition_cyclic_variants():
     # window-4 max 7.1 > 2d = 6 -> stated variant rejects
     assert not necessary_condition(alloc, s)[0]
     # window-3 max 6.9 > 2d-1 = 5 -> proof-sketch variant W_d <= 2d - 1 rejects too
-    assert window_maxima_circle(s, 3) > 5.0
+    assert window_maxima(s, 3, circle=True) > 5.0
 
 
 @pytest.mark.parametrize(
@@ -426,14 +418,14 @@ def test_conditions_return_one_bool_per_row(alloc):
 
 def test_conditions_vanishing_load():
     alloc = build_clustering(9, 3)
-    tiny = sample_uniform_spacings(9, 1e-6, RandomStream(4, 0)).spacings
+    tiny = spacing_matrix(9, 1e-6, 4, 1)[0]
     assert sufficient_condition(alloc, tiny)[0]
     assert necessary_condition(alloc, tiny)[0]
 
 
 def test_conditions_unsupported_kind():
     alloc = build_single_choice(4, 1)
-    s = sample_uniform_spacings(4, 1.0, RandomStream(0, 0)).spacings
+    s = spacing_matrix(4, 1.0, 0, 1)[0]
     with pytest.raises(UnsupportedDesignError):
         sufficient_condition(alloc, s)
     with pytest.raises(UnsupportedDesignError):
@@ -464,7 +456,7 @@ def test_xor_window_capacity_is_tight():
     assert rho.sum() == cap
     assert necessary_condition(alloc, rho)[0]
     # the servable point violates the 2d form W_D <= 2d, so that form is not necessary
-    assert window_maxima_circle(rho, 5) > 2 * 3
+    assert window_maxima(rho, 5, circle=True) > 2 * 3
     rho[4] += 0.05
     assert min_max_load(m, rho).max_load > 1.0 + 1e-6
 
@@ -489,19 +481,10 @@ def test_stability_sandwich(alloc, sigmas, kwargs):
         stable = t_star_batch(alloc, demands) <= 1 + STABILITY_TOL
         if kwargs.get("window_d"):
             # the cyclic expansion argument also gives W_d <= 2d - 1
-            necessary = window_maxima_circle(demands, alloc.d) <= 2.0 * alloc.d - 1.0
+            necessary = window_maxima(demands, alloc.d, circle=True) <= 2.0 * alloc.d - 1.0
         else:
             necessary = necessary_condition(alloc, demands, r_gap=r_gap)
         sufficient = sufficient_condition(alloc, demands, r_gap=r_gap)
         assert not np.any(sufficient & ~stable), f"sufficient held but unstable at sigma={sigma}"
         assert not np.any(stable & ~necessary), f"stable but necessary failed at sigma={sigma}"
 
-
-def test_dump_lp_format(tmp_path):
-    m = to_matrices(build_cyclic(3, 2))
-    path = tmp_path / "instance.lp"
-    dump_lp(m, [2.0, 1.0, 0.0], str(path))
-    text = path.read_text()
-    assert "Minimize" in text and "Subject To" in text and "End" in text
-    assert " node0: x0 + x5 - t <= 0" in text
-    assert " obj0: x0 + x1 = 2.0" in text

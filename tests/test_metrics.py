@@ -20,9 +20,7 @@ from storagebalance.metrics import (
     ExperimentRow,
     MetricEstimate,
     asymptotic_band_check,
-    estimate_I,
     estimate_metrics,
-    estimate_P_sigma,
     exact_p_sigma_k3,
     exact_region_k3,
     rows_to_csv,
@@ -62,14 +60,15 @@ def test_metric_estimate_validates():
 
 
 def test_full_replication_imbalance_is_one():
-    est = estimate_I(build_cyclic(4, 4), sigma=2.0, trials=200, master_seed=SEED)
+    est = estimate_metrics(build_cyclic(4, 4), sigma=2.0, trials=200, master_seed=SEED)[1]
     assert est.mean == pytest.approx(1.0, abs=1e-12)
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
     assert est.quantiles == pytest.approx({"q05": 1.0, "q50": 1.0, "q95": 1.0}, abs=1e-12)
 
 
 def test_single_choice_mean_imbalance_near_gumbel_mean():
-    est = estimate_I(build_single_choice(100, 1), sigma=1.0, trials=10_000, master_seed=SEED)
+    alloc = build_single_choice(100, 1)
+    est = estimate_metrics(alloc, sigma=1.0, trials=10_000, master_seed=SEED)[1]
     target = math.log(100) + 0.5772156649
     assert abs(est.mean - target) / target < 0.05
 
@@ -132,7 +131,7 @@ def test_solver_failure_carries_trial_index(monkeypatch):
     alloc = build_block_design(3)
     failing = 70 + ls.LP_BLOCK + 5  # second chunk, second block, sixth row
     target = spacing_matrix(alloc.k, 4.0, SEED, 1, start_index=failing)[0]
-    width = ls.to_matrices(alloc).num_portions + 1
+    width = alloc.num_portions + 1
 
     def break_conservation(res, j):
         res.x[j * width] += 1e-6
@@ -183,9 +182,9 @@ def test_failed_block_solve_names_its_first_row(monkeypatch):
 
 def test_estimate_requires_positive_inputs():
     with pytest.raises(ValueError):
-        estimate_P_sigma(build_cyclic(3, 2), 0.0, 10, SEED)
+        estimate_metrics(build_cyclic(3, 2), 0.0, 10, SEED)
     with pytest.raises(ValueError):
-        estimate_P_sigma(build_cyclic(3, 2), 1.0, 0, SEED)
+        estimate_metrics(build_cyclic(3, 2), 1.0, 0, SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +201,8 @@ def test_exact_p_sigma_three_node_values():
 def test_estimated_p_sigma_boundary_cases():
     # single-choice at the capacity boundary has measure zero; full
     # replication at sigma = n is stable with probability one
-    assert estimate_P_sigma(build_cyclic(3, 1), 3.0, 5000, SEED).mean == 0.0
-    assert estimate_P_sigma(build_cyclic(3, 3), 3.0, 5000, SEED).mean == 1.0
+    assert estimate_metrics(build_cyclic(3, 1), 3.0, 5000, SEED)[0].mean == 0.0
+    assert estimate_metrics(build_cyclic(3, 3), 3.0, 5000, SEED)[0].mean == 1.0
 
 
 def test_exact_region_vertices_d2():
@@ -229,7 +228,7 @@ def test_exact_region_d1_degenerate_point():
 def test_exact_small_sigma_fully_supported():
     assert exact_p_sigma_k3(build_cyclic(3, 2), 1.5) == 1.0
     # cross-check with Monte Carlo at moderate size
-    est = estimate_P_sigma(build_cyclic(3, 2), 1.5, 20_000, SEED)
+    est = estimate_metrics(build_cyclic(3, 2), 1.5, 20_000, SEED)[0]
     assert est.mean == 1.0
 
 
@@ -239,7 +238,7 @@ def test_exact_agrees_with_monte_carlo_grid():
         alloc = build_cyclic(3, d)
         for sigma in (1.5, 2.4, 3.0):
             exact = exact_p_sigma_k3(alloc, sigma)
-            est = estimate_P_sigma(alloc, sigma, trials, SEED)
+            est = estimate_metrics(alloc, sigma, trials, SEED)[0]
             slack = 3.0 * max(est.stderr, 1e-4)
             assert abs(est.mean - exact) <= slack, (d, sigma, exact, est.mean)
 

@@ -22,13 +22,11 @@ from storagebalance.spacings import (
     predict_single_choice,
     predict_xor,
     prefix_sums,
-    sample_uniform_spacings,
     solve_alpha,
     spacing_matrix,
     window_max,
-    window_maxima_circle,
-    window_maxima_line,
 )
+from util import per_trial_spacings, spacing_batches, window_maxima
 
 
 # ---------------------------------------------------------------------------
@@ -37,44 +35,33 @@ from storagebalance.spacings import (
 
 
 def test_single_spacing_is_whole_interval():
-    s = sample_uniform_spacings(1, 1.0, RandomStream(0, 0))
-    assert s.spacings.tolist() == [1.0]
+    assert spacing_matrix(1, 1.0, 0, 1).tolist() == [[1.0]]
 
 
 def test_identical_stream_reproduces_sample():
-    a = sample_uniform_spacings(3, 2.0, RandomStream(1234, 5))
-    b = sample_uniform_spacings(3, 2.0, RandomStream(1234, 5))
-    assert np.array_equal(a.spacings, b.spacings)
+    a = spacing_matrix(3, 2.0, 1234, 1, start_index=5)
+    b = spacing_matrix(3, 2.0, 1234, 1, start_index=5)
+    assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    a = sample_uniform_spacings(5, 1.0, RandomStream(1234, 0))
-    b = sample_uniform_spacings(5, 1.0, RandomStream(1234, 1))
-    assert not np.array_equal(a.spacings, b.spacings)
+    a = spacing_matrix(5, 1.0, 1234, 1, start_index=0)
+    b = spacing_matrix(5, 1.0, 1234, 1, start_index=1)
+    assert not np.array_equal(a, b)
 
 
 def test_sigma_is_a_pure_scale():
-    unit = sample_uniform_spacings(6, 1.0, RandomStream(9, 3))
-    scaled = sample_uniform_spacings(6, 7.5, RandomStream(9, 3))
-    assert np.array_equal(unit.spacings * 7.5, scaled.spacings)
-
-
-def test_invalid_arguments_rejected():
-    with pytest.raises(ValueError):
-        sample_uniform_spacings(0, 1.0, RandomStream(0))
-    with pytest.raises(ValueError):
-        sample_uniform_spacings(3, 0.0, RandomStream(0))
-    with pytest.raises(ValueError):
-        sample_uniform_spacings(3, -1.0, RandomStream(0))
+    unit = spacing_matrix(6, 1.0, 9, 1, start_index=3)
+    scaled = spacing_matrix(6, 7.5, 9, 1, start_index=3)
+    assert np.array_equal(unit * 7.5, scaled)
 
 
 def test_coordinate_means_match_exchangeability():
     # E[S_i] = 1/k by exchangeability; Monte Carlo with 10^6 draws.
     k, trials = 4, 1_000_000
     total = np.zeros(k)
-    batch = 50_000
-    for start in range(0, trials, batch):
-        total += spacing_matrix(k, 1.0, 2024, batch, start_index=start).sum(axis=0)
+    for _, m in spacing_batches(k, trials, 2024):
+        total += m.sum(axis=0)
     means = total / trials
     # var of one coordinate is about 1/k^2; MC stderr ~ 1/(k*sqrt(trials))
     tol = 3.0 / (k * math.sqrt(trials))
@@ -88,7 +75,7 @@ def test_spacing_matrix_rows_match_per_trial_streams():
         for seed in (0, 1, 77, 2**63 - 1, 2**63 + 1):
             mat = spacing_matrix(k, 2.0, seed, rows, start_index=3)
             for i in range(rows):
-                row = sample_uniform_spacings(k, 2.0, RandomStream(seed, 3 + i)).spacings
+                row = per_trial_spacings(k, 2.0, seed, 3 + i)
                 assert mat[i].tobytes() == row.tobytes(), (k, seed, i)
 
 
@@ -96,8 +83,8 @@ def test_seeds_beyond_2_63_draw_distinct_streams():
     a = spacing_matrix(10, 1.0, 2**63 + 1, 4, start_index=2)
     b = spacing_matrix(10, 1.0, 2**63 + 2, 4, start_index=2)
     assert not np.array_equal(a, b)
-    top = RandomStream(2**64 - 1, 0).generator().standard_exponential(4)
-    low = RandomStream(1, 0).generator().standard_exponential(4)
+    top = per_trial_spacings(4, 1.0, 2**64 - 1, 0)
+    low = per_trial_spacings(4, 1.0, 1, 0)
     assert not np.array_equal(top, low)
 
 
@@ -128,9 +115,8 @@ def test_max_spacing_mean_matches_harmonic_number():
     h_k = sum(1.0 / i for i in range(1, k + 1))
     acc = 0.0
     acc_sq = 0.0
-    batch = 20_000
-    for start in range(0, trials, batch):
-        m = window_maxima_line(spacing_matrix(k, 1.0, 31337, batch, start_index=start), 1) * k
+    for _, rows in spacing_batches(k, trials, 31337):
+        m = window_maxima(rows, 1, circle=False) * k
         acc += m.sum()
         acc_sq += (m * m).sum()
     mean = acc / trials
@@ -140,20 +126,18 @@ def test_max_spacing_mean_matches_harmonic_number():
 
 def test_line_window_examples():
     s = [0.4, 0.1, 0.1, 0.4]
-    assert window_maxima_line(s, 2) == pytest.approx(0.5, abs=1e-15)
+    assert window_maxima(s, 2, circle=False) == pytest.approx(0.5, abs=1e-15)
     s2 = [0.1, 0.2, 0.3, 0.4]
-    assert window_maxima_line(s2, 3) == pytest.approx(0.9, abs=1e-12)
-    assert window_maxima_line(s2, 4) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        window_maxima_line(s2, 5)
+    assert window_maxima(s2, 3, circle=False) == pytest.approx(0.9, abs=1e-12)
+    assert window_maxima(s2, 4, circle=False) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_circle_window_examples():
     s = [0.4, 0.1, 0.1, 0.4]
-    assert window_maxima_circle(s, 2) == pytest.approx(0.8, abs=1e-12)
+    assert window_maxima(s, 2, circle=True) == pytest.approx(0.8, abs=1e-12)
     s2 = [0.1, 0.2, 0.3, 0.4]
-    assert window_maxima_circle(s2, 2) == pytest.approx(0.7, abs=1e-12)
-    assert window_maxima_circle([s, s2], 2).tolist() == pytest.approx([0.8, 0.7], abs=1e-12)
+    assert window_maxima(s2, 2, circle=True) == pytest.approx(0.7, abs=1e-12)
+    assert window_maxima([s, s2], 2, circle=True).tolist() == pytest.approx([0.8, 0.7], abs=1e-12)
 
 
 @given(
@@ -166,8 +150,8 @@ def test_circle_dominates_line(values, data):
         values = [v + 0.1 for v in values]
     arr = np.asarray(values)
     d = data.draw(st.integers(min_value=1, max_value=len(values)))
-    line = window_maxima_line(arr, d)
-    circ = window_maxima_circle(arr, d)
+    line = window_maxima(arr, d, circle=False)
+    circ = window_maxima(arr, d, circle=True)
     assert circ >= line  # exact, by shared prefix sums
     if d == 1:
         assert circ == line
@@ -209,7 +193,7 @@ def test_prefix_sums_rejects_wrap_outside_row():
 
 def test_circle_equals_line_when_max_does_not_wrap():
     s = np.array([0.05, 0.5, 0.3, 0.1, 0.05])
-    assert window_maxima_circle(s, 2) == window_maxima_line(s, 2)
+    assert window_maxima(s, 2, circle=True) == window_maxima(s, 2, circle=False)
 
 
 def _range_counts(monkeypatch, ranges, k, rows, demands=None):
@@ -248,9 +232,7 @@ def test_count_tiny_range_poisson_mean():
     assert abs(exact_mean - 3.0) < 0.02  # finite-k gap to the limit
     acc = 0.0
     acc_sq = 0.0
-    batch = 20_000
-    for start in range(0, trials, batch):
-        m = spacing_matrix(k, 1.0, 4096, batch, start_index=start)
+    for _, m in spacing_batches(k, trials, 4096):
         c = np.count_nonzero((m >= lo) & (m <= hi), axis=1)
         acc += c.sum()
         acc_sq += (c.astype(np.float64) ** 2).sum()
@@ -417,10 +399,8 @@ def test_max_spacing_gumbel_ks():
 
     k, trials = 10_000, 10_000
     stats = np.empty(trials)
-    batch = 2000
-    for start in range(0, trials, batch):
-        m = spacing_matrix(k, 1.0, 99, batch, start_index=start)
-        stats[start : start + batch] = window_maxima_line(m, 1)
+    for start, m in spacing_batches(k, trials, 99):
+        stats[start : start + len(m)] = window_maxima(m, 1, circle=False)
     ks = ks_distance(stats * k - math.log(k), gumbel_cdf)
     assert ks <= 0.02
 
@@ -429,9 +409,8 @@ def test_circle_line_mismatch_probability():
     # Pr{circular max != line max} <= d/k (+ MC slack), k=100, d=3, 10^5 trials.
     k, d, trials = 100, 3, 100_000
     diff = 0
-    batch = 20_000
-    for start in range(0, trials, batch):
-        m = spacing_matrix(k, 1.0, 123, batch, start_index=start)
-        diff += int(np.count_nonzero(window_maxima_circle(m, d) > window_maxima_line(m, d)))
+    for _, m in spacing_batches(k, trials, 123):
+        wraps = window_maxima(m, d, circle=True) > window_maxima(m, d, circle=False)
+        diff += int(np.count_nonzero(wraps))
     p = diff / trials
     assert p <= d / k + 3.0 * math.sqrt(p * (1 - p) / trials)

@@ -1,9 +1,61 @@
 """Shared helpers for the test suite."""
 
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from storagebalance.allocation import Allocation, AllocationMatrices
+from storagebalance.spacings import (
+    RandomStream,
+    batch_rows,
+    prefix_sums,
+    spacing_matrix,
+    window_max,
+)
+
+
+def per_trial_spacings(k: int, sigma: float, seed: int, index: int) -> np.ndarray:
+    """Reference sampler: k spacings summing to sigma from trial ``index``'s
+    own Philox generator, which ``spacing_matrix`` row ``index`` must equal."""
+    gen = np.random.Generator(np.random.Philox(key=RandomStream(seed, index).key()))
+    e = gen.standard_exponential(k)
+    return e * (sigma / e.sum())
+
+
+def spacing_batches(k: int, trials: int, seed: int):
+    """Yield ``(start, rows)`` over ``trials`` unit-sum demand rows, in blocks
+    of ``batch_rows(k, 20_000)``.  Row i is substream (seed, i) whatever the
+    blocks, so a test draws the same rows as one ``spacing_matrix`` call."""
+    batch = batch_rows(k, 20_000)
+    for start in range(0, trials, batch):
+        yield start, spacing_matrix(k, 1.0, seed, min(batch, trials - start), start_index=start)
+
+
+def window_maxima(a, d: int, circle: bool):
+    """Per-row maximum sum of d consecutive entries of a (k,) or (T, k) array,
+    on the line or (wrapping around) on the circle."""
+    m = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    k = m.shape[1]
+    out = window_max(prefix_sums(m, d - 1 if circle else 0), k, d, circle)
+    return out if np.ndim(a) > 1 else out[0]
+
+
+def is_fano_plane(blocks) -> bool:
+    """Whether ``blocks`` form a 2-(7, 3, 1) design: seven blocks of three
+    points over seven points, every pair of points in exactly one block.
+    That design is unique up to relabeling (the Fano plane), so two block
+    systems that both pass are isomorphic."""
+    blocks = [frozenset(b) for b in blocks]
+    points = frozenset().union(*blocks)
+    pairs = Counter(pair for b in blocks for pair in combinations(sorted(b), 2))
+    return (
+        len(points) == len(blocks) == 7
+        and all(len(b) == 3 for b in blocks)
+        and len(pairs) == 21
+        and set(pairs.values()) == {1}
+    )
 
 
 def random_regular_allocation(n: int, d: int, rng: np.random.Generator) -> Allocation:
@@ -55,16 +107,14 @@ def reference_to_matrices(alloc: Allocation) -> AllocationMatrices:
     cols = reference_num_portions(alloc)
     M = np.zeros((alloc.n, cols), dtype=np.int8)
     T = np.zeros((alloc.k, cols), dtype=np.int8)
-    owner = []
     c = 0
     for i, obj_sets in enumerate(alloc.recovery_sets):
-        for j, s in enumerate(obj_sets):
+        for s in obj_sets:
             for v in s:
                 M[v, c] = 1
             T[i, c] = 1
-            owner.append((i, j))
             c += 1
-    return AllocationMatrices(M=M, T=T, column_owner=tuple(owner))
+    return AllocationMatrices(M=M, T=T)
 
 
 def reference_validate(alloc: Allocation) -> list[str]:
