@@ -49,8 +49,7 @@ class Allocation:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if min(self.n, self.k, self.d, self.r) < 1:
-            raise ValueError("n, k, d, r must be positive")
+        _require_positive(n=self.n, k=self.k, d=self.d, r=self.r)
 
     @cached_property
     def portions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,10 +124,16 @@ class AllocationMatrices:
 # ---------------------------------------------------------------------------
 
 
+def _require_positive(**params: int) -> None:
+    """Raise ValueError naming the first of the parameters that is below 1."""
+    for name, value in params.items():
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 def build_single_choice(n: int, m: int) -> Allocation:
     """k = n*m objects, node j hosting objects j*m .. j*m + m - 1, d = 1."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
+    _require_positive(n=n, m=m)
     sets = tuple(((i // m,),) for i in range(n * m))
     return Allocation(n=n, k=n * m, d=1, r=1, kind="single_choice", recovery_sets=sets)
 
@@ -139,8 +144,7 @@ def build_clustering(n: int, d: int) -> Allocation:
     Every object is replicated on all d nodes of its cluster.  Requires d | n;
     k = n.
     """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
+    _require_positive(n=n, d=d)
     if n % d != 0:
         raise ValueError(f"d={d} must divide n={n}")
     sets = []
@@ -152,8 +156,7 @@ def build_clustering(n: int, d: int) -> Allocation:
 
 def build_cyclic(n: int, d: int) -> Allocation:
     """Object i replicated on nodes i, i+1, ..., i+d-1 (mod n); k = n."""
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
+    _require_positive(n=n, d=d)
     if d > n:
         raise ValueError(f"d={d} must be <= n={n}")
     layout = (np.arange(n)[:, None] + np.arange(d)) % n
@@ -251,8 +254,7 @@ def build_cyclic_xor(n: int, d: int, r: int) -> Allocation:
     set's last node together with exact copies on the others) exists exactly
     when n >= 1 + r(d-1), which also makes the choices pairwise disjoint.
     """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
+    _require_positive(n=n, d=d)
     if r < 2:
         raise ValueError("r must be >= 2 for XOR designs")
     if n < 1 + r * (d - 1):

@@ -5,8 +5,8 @@ minimizes the maximum node load:
 
     min_x ||M x||_inf   subject to   T x = rho, x >= 0.
 
-The epigraph LP is solved with HiGHS, a block of demand rows per call, and
-every row's split is certified by its dual.  Replica allocations
+The epigraph LP is solved with HiGHS, one model re-solved row after row,
+and every row's split is certified by its dual.  Replica allocations
 additionally get an independent max-flow bisection oracle, and the
 single-choice, clustering, and cyclic families have exact closed forms
 (window maxima over the demand vector) used as fast paths by the Monte
@@ -25,7 +25,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (
+    HighsLp,
+    HighsModelStatus,
+    MatrixFormat,
+    _Highs,
+    kHighsInf,
+)
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
@@ -55,11 +61,6 @@ STABILITY_TOL = 1e-9
 #: LP feasibility/optimality tolerance requested from the solver.
 LP_TOL = 1e-9
 
-#: Demand rows per HiGHS call on the LP route of ``t_star_batch``.  Most of
-#: a one-row call is fixed cost; past about 16 rows the simplex iterations
-#: dominate, while resident memory keeps growing with the block.
-LP_BLOCK = 16
-
 
 class NumericalFailureError(RuntimeError):
     """The LP or flow solver failed to converge to the requested tolerance."""
@@ -77,10 +78,11 @@ class LoadSplit:
 def min_max_load(matrices: AllocationMatrices, rho) -> LoadSplit:
     """Solve the min-max load program to optimality.
 
-    The one-row case of the block solve behind ``t_star_batch``: the split
-    is checked for demand conservation and certified by its dual.  Raises
-    NumericalFailureError if the solver does not converge or a check fails;
-    never silently returns an unverified split.
+    The one-row case of the LP solve behind ``t_star_batch``, on a model
+    built for this call: the split is checked for demand conservation and
+    certified by its dual.  Raises NumericalFailureError if the solver does
+    not converge or a check fails; never silently returns an unverified
+    split.
     """
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != (matrices.k,):
@@ -90,22 +92,25 @@ def min_max_load(matrices: AllocationMatrices, rho) -> LoadSplit:
 
 
 class _EpigraphLP:
-    """The epigraph LP of one allocation, solved for a block of demand rows.
+    """The epigraph LP of one allocation, one HiGHS model re-solved per demand row.
 
-    A block of b rows is one HiGHS call on the block-diagonal program
+    The model
 
-        min sum_j t_j  s.t.  M x_j - t_j <= 0,  T x_j = rho_j,  x_j, t_j >= 0,
+        min t  s.t.  M x - t <= 0,  T x = rho,  x, t >= 0
 
-    whose blocks are independent, so each x_j is an optimal split of row j.
-    Row j's t* is max(M x_j).  Every row must pass two checks, each at
-    LP_TOL (absolute on the dual, relative to max(1, max rho_j) on
-    demands and loads):
+    is built once, with presolve off.  Each row sets the k equality bounds
+    to its rho and runs the simplex from the basis the row before it left,
+    so a row's x (and the last bits of its t*) can depend on the rows
+    solved before it on the same model.  Row j's t* is max(M x_j).  Every
+    row must pass two checks, each at LP_TOL (absolute on the dual,
+    relative to max(1, max rho_j) on demands and loads):
 
     - conservation: |T x_j - rho_j| <= LP_TOL * scale;
-    - a dual certificate from row j's slices y_j (equalities) and z_j
-      (inequalities) of the solver's marginals: z_j <= LP_TOL, every
-      reduced cost -M^T z_j - T^T y_j of x_j and 1 + sum(z_j) of t_j is at
-      least -LP_TOL, and |rho_j . y_j - t*_j| <= LP_TOL * scale.  A feasible
+    - a dual certificate from HiGHS's row duals y_j (equalities) and z_j
+      (inequalities), of the sign linprog reports as marginals:
+      z_j <= LP_TOL, every reduced cost -M^T z_j - T^T y_j of x_j and
+      1 + sum(z_j) of t_j is at least -LP_TOL, and
+      |rho_j . y_j - t*_j| <= LP_TOL * scale.  A feasible
       dual whose value meets the primal value proves the split optimal.
     """
 
@@ -113,49 +118,44 @@ class _EpigraphLP:
         self.M = matrices.M.astype(np.float64)
         self.T = matrices.T.astype(np.float64)
         (n, L), k = self.M.shape, self.T.shape[0]
-        c = np.append(np.zeros(L), 1.0)
-        a_ub = np.hstack([self.M, -np.ones((n, 1))])
-        a_eq = np.hstack([self.T, np.zeros((k, 1))])
-        # linprog takes a one-row program fastest dense, a block as CSC
-        self._blocks = {1: (c, a_ub, a_eq)}
-
-    def _block(self, b: int) -> tuple:
-        """(c, A_ub, A_eq) of a block of b rows, built once per size."""
-        if b not in self._blocks:
-            c, a_ub, a_eq = self._blocks[1]
-            self._blocks[b] = (np.tile(c, b), _block_diagonal(a_ub, b), _block_diagonal(a_eq, b))
-        return self._blocks[b]
+        a = csc_matrix(np.block([[self.M, -np.ones((n, 1))], [self.T, np.zeros((k, 1))]]))
+        lp = HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = L + 1
+        lp.num_row_ = lp.a_matrix_.num_row_ = n + k
+        lp.col_cost_ = np.append(np.zeros(L), 1.0)
+        lp.col_lower_, lp.col_upper_ = np.zeros(L + 1), np.full(L + 1, kHighsInf)
+        lp.row_lower_ = np.append(np.full(n, -kHighsInf), np.zeros(k))
+        lp.row_upper_ = np.zeros(n + k)
+        lp.a_matrix_.format_ = MatrixFormat.kColwise
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+        self._highs = _Highs()
+        for option, value in (
+            ("output_flag", False),
+            ("presolve", "off"),
+            ("primal_feasibility_tolerance", 1e-10),
+            ("dual_feasibility_tolerance", 1e-10),
+        ):
+            self._highs.setOptionValue(option, value)
+        self._highs.passModel(lp)
 
     def solve(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Optimal splits x (b, L) and node loads M x (b, n) of (b, k) rows.
 
-        A failed check raises NumericalFailureError whose ``row_index`` is
-        the failing row's index in ``rows`` (0 when the whole solve fails).
+        The rows are solved in order.  A failed solve or check raises
+        NumericalFailureError whose ``row_index`` is the failing row's
+        index in ``rows``.
         """
         if np.any(rows < 0):
             raise ValueError("demands must be non-negative")
         (b, k), (n, L) = rows.shape, self.M.shape
-        c, a_ub, a_eq = self._block(b)
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=np.zeros(b * n),
-            A_eq=a_eq,
-            b_eq=rows.ravel(),
-            bounds=(0, None),
-            method="highs",
-            options={
-                "primal_feasibility_tolerance": 1e-10,
-                "dual_feasibility_tolerance": 1e-10,
-            },
-        )
-        if res.status != 0:
-            status = f"status {res.status}: {res.message}"
-            raise _row_failure(0, f"LP solver failed on the block of {b} rows from here ({status})")
-        x = res.x.reshape(b, L + 1)[:, :L]
+        x, y, z = np.empty((b, L)), np.empty((b, k)), np.empty((b, n))
+        for i, rho in enumerate(rows):
+            status, xi, yi, zi = self._solve_row(rho)
+            if status != HighsModelStatus.kOptimal:
+                what = self._highs.modelStatusToString(status)
+                raise _row_failure(i, f"LP solver failed on this row (model status: {what})")
+            x[i], y[i], z[i] = xi, yi, zi
         loads = x @ self.M.T
-        y = res.eqlin.marginals.reshape(b, k)
-        z = res.ineqlin.marginals.reshape(b, n)
         scale = LP_TOL * np.maximum(1.0, rows.max(axis=1))
         conserved = np.abs(x @ self.T.T - rows).max(axis=1) <= scale
         dual_feasible = (
@@ -173,14 +173,18 @@ class _EpigraphLP:
                 raise _row_failure(int(np.argmin(ok)), what)
         return x, loads
 
+    def _solve_row(self, rho: np.ndarray) -> tuple:
+        """Re-solve the model at demand row rho: (model status, x, y, z).
 
-def _block_diagonal(a: np.ndarray, b: int) -> csc_matrix:
-    """b copies of ``a`` along the diagonal, i.e. kron(identity(b), a), as CSC."""
-    a, copy = csc_matrix(a), np.arange(b)[:, None]
-    (rows, cols), nnz = a.shape, a.nnz
-    indptr = np.append((a.indptr[:-1] + nnz * copy).ravel(), nnz * b)
-    indices = (a.indices + rows * copy).ravel()
-    return csc_matrix((np.tile(a.data, b), indices, indptr), shape=(rows * b, cols * b))
+        y and z are the duals of T x = rho and of M x - t <= 0.
+        """
+        n = self.M.shape[0]
+        for j, value in enumerate(rho.tolist()):
+            self._highs.changeRowBounds(n + j, value, value)
+        self._highs.run()
+        solution = self._highs.getSolution()
+        duals = solution.row_dual
+        return self._highs.getModelStatus(), solution.col_value[:-1], duals[n:], duals[:n]
 
 
 def _row_failure(row: int, message: str) -> NumericalFailureError:
@@ -260,9 +264,10 @@ def t_star_batch(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
 
     A family with a closed form in ``FAMILIES`` (single_choice, clustering,
     cyclic) runs its window-maximum kernel; anything else solves the LP for
-    the blocks of ``LP_BLOCK`` consecutive rows [jB, (j+1)B), one HiGHS call
-    each, with every row certified (see ``_EpigraphLP``).  A row's t* can
-    differ in its last bits with its block peers, so the blocks are cut by
+    the rows in order on one HiGHS model built for this call, each
+    re-solve starting from the basis of the row before, with every row
+    certified (see ``_EpigraphLP``).  A row's t* can differ in its last
+    bits with the rows before it in ``demands``, so callers cut batches by
     row index alone.  Closed forms agree with the LP to machine precision
     (see the solver cross-check tests).  A failed row raises
     NumericalFailureError with ``row_index`` set to its index in
@@ -272,16 +277,7 @@ def t_star_batch(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
     kernel = getattr(FAMILIES.get(alloc.kind), "t_star", None)
     if kernel is not None:
         return kernel(alloc, demands)
-    lp = _EpigraphLP(to_matrices(alloc))
-    out = np.empty(demands.shape[0])
-    for start in range(0, len(out), LP_BLOCK):
-        try:
-            loads = lp.solve(demands[start : start + LP_BLOCK])[1]
-        except NumericalFailureError as exc:
-            exc.row_index = start + exc.row_index
-            raise
-        out[start : start + len(loads)] = loads.max(axis=1)
-    return out
+    return _EpigraphLP(to_matrices(alloc)).solve(demands)[1].max(axis=1)
 
 
 def _demand_rows(alloc: Allocation, demands) -> np.ndarray:

@@ -6,7 +6,6 @@ deterministic; the stated runtime budgets are asserted where the criterion
 carries one.
 """
 
-import json
 import math
 import time
 from fractions import Fraction

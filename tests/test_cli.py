@@ -369,8 +369,8 @@ def test_inspect_block_design_histogram(capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--kind", "cyclic", "--n", "5", "--d", "0"], "n and d must be positive"),
-        (["--kind", "single_choice", "--n", "5", "--m", "0"], "n and m must be positive"),
+        (["--kind", "cyclic", "--n", "5", "--d", "0"], "d must be positive, got 0"),
+        (["--kind", "single_choice", "--n", "5", "--m", "0"], "m must be positive, got 0"),
     ],
     ids=["cyclic-d0", "single_choice-m0"],
 )
@@ -380,6 +380,22 @@ def test_inspect_rejects_explicit_zero(capsys, flags, message):
     captured = capsys.readouterr()
     assert captured.err == f"config error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kind", "single_choice", "--n", "-2"], "n must be positive, got -2"),
+        (["--kind", "clustering", "--d", "3"], "n must be positive, got 0"),
+        (["--kind", "cyclic"], "n must be positive, got 0"),
+        (["--kind", "cyclic_xor", "--n", "7", "--d", "-1"], "d must be positive, got -1"),
+    ],
+    ids=["single_choice", "clustering", "cyclic", "cyclic_xor"],
+)
+def test_inspect_names_the_parameter_at_fault(capsys, flags, message):
+    # each builder names the first bad value; --n defaults to 0 when omitted
+    assert main(["inspect", *flags]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_inspect_tampered_file(tmp_path, capsys):
@@ -427,6 +443,15 @@ def test_inspect_rejects_non_integer_fields(tmp_path, capsys, edit):
     path.write_text(json.dumps(data))
     err = _assert_unreadable_allocation(capsys, path)
     assert "malformed allocation data: expected an integer, got " in err
+
+
+def test_inspect_file_names_the_field_at_fault(tmp_path, capsys):
+    data = allocation_to_dict(build_cyclic(2, 1))
+    data["d"] = 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    err = _assert_unreadable_allocation(capsys, path)
+    assert "malformed allocation data: d must be positive, got 0" in err
 
 
 @pytest.mark.parametrize("node", [-1, 2, 10**30])

@@ -1,16 +1,12 @@
 """Tests for the min-max load solvers and stability conditions."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 import storagebalance.loadsolver as ls
 from storagebalance.allocation import (
-    Allocation,
     UnsupportedDesignError,
     build_block_design,
     build_clustering,
@@ -176,10 +172,9 @@ def test_flow_oracle_random_agreement():
 
 
 # ---------------------------------------------------------------------------
-# block LP route
+# batch LP route
 # ---------------------------------------------------------------------------
 
-_B = ls.LP_BLOCK
 _LP_DESIGNS = {
     "block_design_d3": build_block_design(3),
     "block_design_d4": build_block_design(4),
@@ -192,30 +187,65 @@ _LP_DESIGNS = {
 @pytest.mark.parametrize("name", sorted(_LP_DESIGNS))
 def test_block_lp_matches_row_lp(name, monkeypatch):
     alloc = _LP_DESIGNS[name]
-    demands = spacing_matrix(alloc.k, 0.8 * alloc.n, 41, 2 * _B + 3)
+    demands = spacing_matrix(alloc.k, 0.8 * alloc.n, 41, 35)
     m = to_matrices(alloc)
     rows = np.array([min_max_load(m, rho).max_load for rho in demands])
     # the flow oracle is independent of the LP; it covers replica designs only
     flows = np.array([min_max_load_flow(alloc, rho) for rho in demands]) if alloc.r == 1 else None
-    calls = []
+    full = t_star_batch(alloc, demands)
+    real, built = ls._Highs, []
 
-    def counting(*args, **kwargs):
-        calls.append(len(kwargs["b_eq"]) // alloc.k)
-        return linprog(*args, **kwargs)
+    def counting():
+        built.append(None)
+        return real()
 
     def forbidden(*args):
         raise AssertionError("the LP route must not solve row by row")
 
-    monkeypatch.setattr(ls, "linprog", counting)
+    monkeypatch.setattr(ls, "_Highs", counting)
     monkeypatch.setattr(ls, "min_max_load", forbidden)
-    for trials in (1, _B - 1, _B, _B + 1, 2 * _B + 3):
-        calls.clear()
+    for trials in (1, 15, 16, 17, 35):
+        built.clear()
         t = t_star_batch(alloc, demands[:trials])
         assert np.max(np.abs(t - rows[:trials])) <= 1e-9 * max(1.0, rows.max())
         if flows is not None:
             assert np.max(np.abs(t - flows[:trials])) <= 1e-7
-        # one HiGHS call per block of LP_BLOCK consecutive rows
-        assert calls == [min(_B, trials - s) for s in range(0, trials, _B)]
+        # one HiGHS model per call, re-solved row after row: a row's bits
+        # depend only on the rows before it
+        assert len(built) == 1
+        assert t.tobytes() == full[:trials].tobytes()
+
+
+def _hot_start_hazards(k, sigma, seed):
+    """Spacing rows, each followed by a degenerate row, then the degenerate
+    rows back to back in both orders.
+
+    The degenerate rows are all-equal, one-hot, zero but the last entry,
+    and alternating zeros, each scaled to sum sigma.
+    """
+    degenerate = np.zeros((4, k))
+    degenerate[0] = 1.0
+    degenerate[1, 0] = 1.0
+    degenerate[2, -1] = 1.0
+    degenerate[3, ::2] = 1.0
+    degenerate *= sigma / degenerate.sum(axis=1, keepdims=True)
+    spacings = spacing_matrix(k, sigma, seed, 12)
+    interleaved = np.stack([spacings, degenerate[np.arange(12) % 4]], axis=1).reshape(24, k)
+    return np.vstack([interleaved, degenerate, degenerate[::-1]])
+
+
+@pytest.mark.parametrize("name", sorted(_LP_DESIGNS))
+def test_hot_started_rows_match_cold_solves(name):
+    # each row of one batch starts from the basis of the row before it
+    alloc = _LP_DESIGNS[name]
+    demands = _hot_start_hazards(alloc.k, 0.8 * alloc.n, 43)
+    hot = t_star_batch(alloc, demands)
+    m = to_matrices(alloc)
+    cold = np.array([min_max_load(m, rho).max_load for rho in demands])
+    assert np.all(np.abs(hot - cold) <= 1e-9 * np.maximum(1.0, hot))
+    if alloc.r == 1:
+        flows = np.array([min_max_load_flow(alloc, rho) for rho in demands])
+        assert np.max(np.abs(hot - flows)) <= 1e-7
 
 
 # ---------------------------------------------------------------------------

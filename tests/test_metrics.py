@@ -10,7 +10,6 @@ import storagebalance.loadsolver as ls
 from storagebalance.allocation import (
     UnsupportedDesignError,
     build_block_design,
-    build_clustering,
     build_cyclic,
     build_cyclic_xor,
     build_single_choice,
@@ -99,29 +98,29 @@ def test_p_sigma_monotone_in_sigma():
 def test_t_star_series_worker_invariance(monkeypatch):
     import storagebalance.metrics as metrics_mod
 
-    # chunks of 70, 70 and 10 trials: LP blocks restart at each chunk, and
-    # 70 is not a multiple of LP_BLOCK
+    # chunks of 70, 70 and 10 trials: each chunk starts a fresh LP model, so
+    # the model restarts mid-run at the same trials at any worker count
     monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 70)
-    assert 70 % ls.LP_BLOCK
     for alloc in (build_block_design(3), build_cyclic_xor(9, 3, 2)):
         seq = t_star_series(alloc, 4.0, 150, SEED, workers=1)
         par = t_star_series(alloc, 4.0, 150, SEED, workers=3)
         assert np.array_equal(seq, par)
+        # a row depends only on the rows before it, so a shorter run is a prefix
+        assert np.array_equal(t_star_series(alloc, 4.0, 100, SEED), seq[:100])
 
 
-def _perturbed_linprog(monkeypatch, k, target, perturb):
-    """Make the LP solver hand back a result with ``perturb(res, j)`` applied,
-    where j is the block position of the demand row equal to ``target``."""
-    real = ls.linprog
+def _perturbed_row(monkeypatch, target, perturb):
+    """Make the LP's per-row solve hand back ``perturb(status, x, y, z)``
+    for the demand row equal to ``target``."""
+    real = ls._EpigraphLP._solve_row
 
-    def patched(*args, **kwargs):
-        res = real(*args, **kwargs)
-        hits = np.flatnonzero((kwargs["b_eq"].reshape(-1, k) == target).all(axis=1))
-        if hits.size:
-            perturb(res, int(hits[0]))
-        return res
+    def patched(self, rho):
+        status, x, y, z = real(self, rho)
+        if np.array_equal(rho, target):
+            return perturb(status, np.array(x), np.array(y), np.array(z))
+        return status, x, y, z
 
-    monkeypatch.setattr(ls, "linprog", patched)
+    monkeypatch.setattr(ls._EpigraphLP, "_solve_row", patched)
 
 
 def test_solver_failure_carries_trial_index(monkeypatch):
@@ -129,16 +128,17 @@ def test_solver_failure_carries_trial_index(monkeypatch):
 
     monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 70)  # chunks start at 0, 70, 140
     alloc = build_block_design(3)
-    failing = 70 + ls.LP_BLOCK + 5  # second chunk, second block, sixth row
+    failing = 91  # second chunk, 22nd row
     target = spacing_matrix(alloc.k, 4.0, SEED, 1, start_index=failing)[0]
-    width = alloc.num_portions + 1
 
-    def break_conservation(res, j):
-        res.x[j * width] += 1e-6
+    def break_conservation(status, x, y, z):
+        x[0] += 1e-6
+        return status, x, y, z
 
-    _perturbed_linprog(monkeypatch, alloc.k, target, break_conservation)
-    with pytest.raises(ls.NumericalFailureError, match=f"trial {failing}: .*conservation"):
+    _perturbed_row(monkeypatch, target, break_conservation)
+    with pytest.raises(ls.NumericalFailureError, match=f"trial {failing}: .*conservation") as info:
         t_star_series(alloc, 4.0, 150, SEED)
+    assert info.value.__cause__.row_index == failing - 70
 
 
 @pytest.mark.parametrize(
@@ -150,15 +150,16 @@ def test_solver_failure_carries_trial_index(monkeypatch):
     ],
 )
 def test_perturbed_dual_fails_the_certificate(monkeypatch, marginals, entry, shift, message):
+    # eqlin: the duals y of T x = rho; ineqlin: the duals z of M x - t <= 0
     alloc = build_cyclic_xor(9, 3, 2)
-    demands = spacing_matrix(alloc.k, 6.0, SEED, 2 * ls.LP_BLOCK)
-    failing = ls.LP_BLOCK + 3
-    size = alloc.k if marginals == "eqlin" else alloc.n
+    demands = spacing_matrix(alloc.k, 6.0, SEED, 32)
+    failing = 19
 
-    def shift_dual(res, j):
-        getattr(res, marginals).marginals[j * size + entry] += shift
+    def shift_dual(status, x, y, z):
+        (y if marginals == "eqlin" else z)[entry] += shift
+        return status, x, y, z
 
-    _perturbed_linprog(monkeypatch, alloc.k, demands[failing], shift_dual)
+    _perturbed_row(monkeypatch, demands[failing], shift_dual)
     with pytest.raises(ls.NumericalFailureError, match=message) as info:
         ls.t_star_batch(alloc, demands)
     assert info.value.row_index == failing
@@ -166,18 +167,19 @@ def test_perturbed_dual_fails_the_certificate(monkeypatch, marginals, entry, shi
         ls.min_max_load(ls.to_matrices(alloc), demands[failing])
 
 
-def test_failed_block_solve_names_its_first_row(monkeypatch):
+def test_failed_row_solve_names_that_row(monkeypatch):
     alloc = build_block_design(3)
-    demands = spacing_matrix(alloc.k, 4.0, SEED, 3 * ls.LP_BLOCK)
+    demands = spacing_matrix(alloc.k, 4.0, SEED, 48)
+    failing = 33
 
-    def fail(res, j):
-        res.status, res.message = 4, "synthetic numerical difficulty"
+    def fail(status, x, y, z):
+        return ls.HighsModelStatus.kSolveError, x, y, z
 
-    _perturbed_linprog(monkeypatch, alloc.k, demands[2 * ls.LP_BLOCK + 1], fail)
-    message = f"block of {ls.LP_BLOCK} rows.*synthetic"
+    _perturbed_row(monkeypatch, demands[failing], fail)
+    message = "LP solver failed on this row.*Solve error"
     with pytest.raises(ls.NumericalFailureError, match=message) as info:
         ls.t_star_batch(alloc, demands)
-    assert info.value.row_index == 2 * ls.LP_BLOCK
+    assert info.value.row_index == failing
 
 
 def test_estimate_requires_positive_inputs():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from storagebalance.allocation import build_single_choice
 from storagebalance.loadsolver import t_star_batch
 from storagebalance.spacings import (
-    EULER_GAMMA,
     REGIME_LOG_ORDER_D,
     REGIME_SMALL_D,
     AsymptoticPrediction,

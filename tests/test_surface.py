@@ -47,3 +47,34 @@ def test_every_public_name_has_a_non_test_caller():
             if name not in used | _references(s for s in tree.body if s is not stmt):
                 unused.append(f"{path.name}:{name}")
     assert unused == [], f"public names only tests call: {unused}"
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """Names an import binds that the module never reads, by line.
+
+    A name listed in the module's ``__all__`` counts as read.
+    """
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def test_every_imported_name_is_read():
+    unread = {}
+    for folder in ("src", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            names = _unread_imports(ast.parse(path.read_text()))
+            if names:
+                unread[str(path.relative_to(ROOT))] = names
+    assert unread == {}, f"imported names never read: {unread}"
