@@ -180,12 +180,11 @@ def run_simulate(config: ExperimentConfig) -> list[ExperimentRow]:
     return rows
 
 
-def report_json(config_echo: dict, data, timestamp: bool = True) -> str:
+def report_json(config_echo: dict, data) -> str:
     import datetime
 
-    meta = {"artifact": "storagebalance", "version": __version__}
-    if timestamp:
-        meta["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    meta = {"artifact": "storagebalance", "version": __version__, "generated_at": now}
     return json.dumps(
         {"meta": meta, "config": config_echo, "data": data}, indent=2, sort_keys=False
     ) + "\n"

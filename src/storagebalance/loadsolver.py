@@ -7,10 +7,10 @@ minimizes the maximum node load:
 
 The epigraph LP is solved with HiGHS, one model re-solved row after row,
 and every row's split is certified by its dual.  Replica allocations
-additionally get an independent max-flow bisection oracle, and the
-single-choice, clustering, and cyclic families have exact closed forms
-(window maxima over the demand vector) used as fast paths by the Monte
-Carlo layer; all routes are cross-checked in the test suite.  What the
+additionally get an independent min-cut oracle (t* as rho(S) / |N(S)|),
+and the single-choice, clustering, and cyclic families have exact closed
+forms (window maxima over the demand vector) used as fast paths by the
+Monte Carlo layer; all routes are cross-checked in the test suite.  What the
 package knows about each named design family (builder, closed form,
 stability conditions, predictor) lives in one table, ``FAMILIES``.
 
@@ -33,7 +33,7 @@ from scipy.optimize._highspy._core import (
     kHighsInf,
 )
 from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .allocation import (
     Allocation,
@@ -44,6 +44,7 @@ from .allocation import (
     build_cyclic,
     build_cyclic_xor,
     build_single_choice,
+    node_expansion,
     to_matrices,
 )
 from .spacings import (
@@ -63,7 +64,7 @@ LP_TOL = 1e-9
 
 
 class NumericalFailureError(RuntimeError):
-    """The LP or flow solver failed to converge to the requested tolerance."""
+    """The LP solver failed to converge, or its split failed a check."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +195,7 @@ def _row_failure(row: int, message: str) -> NumericalFailureError:
 
 
 # ---------------------------------------------------------------------------
-# Max-flow bisection oracle (replica allocations)
+# Min-cut oracle (replica allocations)
 # ---------------------------------------------------------------------------
 
 # Flow solver capacities must stay below 2**31; demands are normalized to
@@ -202,56 +203,68 @@ def _row_failure(row: int, message: str) -> NumericalFailureError:
 _FLOW_SCALE = 2**30
 
 
-def _flow_feasible(B, rho_int, total: int, t_int: int) -> bool:
-    # source 0, objects 1..k, nodes k+1..k+n, sink k+n+1; object-node edges
-    # are the entries of the incidence B
-    k, n = B.shape
-    owner = np.repeat(np.arange(k), np.diff(B.indptr))
-    rows = np.concatenate([np.zeros(k, np.int64), 1 + owner, 1 + k + np.arange(n)])
-    cols = np.concatenate([1 + np.arange(k), 1 + k + B.indices, np.full(n, k + n + 1)])
-    caps = np.concatenate([rho_int, np.full(owner.size, total), np.full(n, t_int)])
-    g = csr_matrix((caps, (rows, cols)), shape=(k + n + 2, k + n + 2), dtype=np.int64)
-    return maximum_flow(g, 0, k + n + 1).flow_value >= total
-
-
-def min_max_load_flow(alloc: Allocation, rho, tol: float = 1e-8) -> float:
-    """t* via bisection on the node-capacity bound with a max-flow test.
-
-    Independent of the LP: source->object edges carry the demands, objects
-    connect to their hosting nodes, nodes drain into the sink with capacity
-    t.  Only replica allocations form a bipartite transportation problem, so
-    r > 1 is rejected.  The problem is solved on demands normalized to sum 1
-    (the optimum is homogeneous in the demand scale) with capacities on a
-    2**30 integer grid; quantization error is a few grid units, orders of
-    magnitude below any sensible tol.
-    """
+def min_max_load_flow(alloc: Allocation, rho) -> float:
+    """t* of a replica design as rho(S) / |N(S)| for the S of ``_binding_set``,
+    N(S) the nodes hosting S: by max-flow duality, independent of the LP."""
     if alloc.r != 1:
         raise UnsupportedDesignError("flow oracle requires a replica allocation")
-    if tol <= 1e-11:
-        raise ValueError("tol too small for the integer-scaled flow network")
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != (alloc.k,):
         raise ValueError(f"rho must have length k={alloc.k}")
     if np.any(rho < 0):
         raise ValueError("demands must be non-negative")
-    sigma = float(rho.sum())
-    if sigma == 0.0:
+    if rho.sum() == 0.0:
         return 0.0
-    B = alloc.incidence
+    S = _binding_set(alloc, rho)
+    return float(rho[S].sum() / node_expansion(alloc, S))
+
+
+def _binding_set(alloc: Allocation, rho: np.ndarray) -> np.ndarray:
+    """The sorted object set S of largest rho(S) / |N(S)|, by Dinkelbach's iteration.
+
+    The network is source -> object i (capacity rho_int_i = round(rho_i u / sigma),
+    u = 2**30, sigma = sum rho) -> i's nodes (capacity total = sum rho_int) ->
+    sink (capacity c per node); its min cuts have source side S + N(S) and cost
+    total - rho_int(S) + c |N(S)|.  From t = max_i rho_i / |N({i})|, each step
+    sets c = floor(t u / sigma) and stops if the flow saturates the source.
+    Else the objects S' reached in the residual graph form a min cut, and as
+    no object-node edge is full the nodes reached are N(S'); t moves to
+    rho(S') / |N(S')| if that is a rise, or stops.  Every t is a real set's
+    ratio, so t <= t* up to float rounding, and t rises, so the loop ends.
+
+    Stop rule: |rho_int(S) - rho(S) u / sigma| <= |S| / 2 and
+    0 <= t u / sigma - c < 1.  Saturation means rho_int(S*) <= c |N(S*)|, so
+    t* - t <= sigma 2**-31 |S*| / |N(S*)|.  No rise at the min cut S', which
+    maximises G(S) = rho_int(S) - c |N(S)|, means
+    |N(S*)| (t* - t) u / sigma - |S*| / 2 <= G(S*) <= G(S') < |N(S')| + |S'| / 2,
+    so t* - t < sigma 2**-30 (n + k) / |N(S*)|.  Either way t is t* itself
+    unless another set's ratio lies within that bound below t*.
+    """
+    B, k, n = alloc.incidence, alloc.k, alloc.n
+    sigma = float(rho.sum())
     rho_int = np.round(rho / sigma * _FLOW_SCALE).astype(np.int64)
     total = int(rho_int.sum())
-    unit_tol = tol / sigma
-    lo = float(rho.max()) / sigma / alloc.d
-    hi = 1.0
-    if _flow_feasible(B, rho_int, total, int(round(lo * _FLOW_SCALE))):
-        return lo * sigma
-    while hi - lo > unit_tol:
-        mid = 0.5 * (lo + hi)
-        if _flow_feasible(B, rho_int, total, int(round(mid * _FLOW_SCALE))):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi) * sigma
+    degree = np.diff(B.indptr)
+    # source 0, objects 1..k, nodes k+1..k+n (object-node edges from B), sink k+n+1
+    owner = np.repeat(np.arange(k), degree)
+    rows = np.concatenate([np.zeros(k, np.int64), 1 + owner, 1 + k + np.arange(n)])
+    cols = np.concatenate([1 + np.arange(k), 1 + k + B.indices, np.full(n, k + n + 1)])
+    caps = np.concatenate([rho_int, np.full(owner.size, total), np.ones(n, np.int64)])
+    g = csr_matrix((caps, (rows, cols)), shape=(k + n + 2, k + n + 2), dtype=np.int64)
+    sink_edges = g.indptr[k + 1 : k + n + 1]  # a node's one entry is its sink edge
+    S = np.array([np.argmax(rho / degree)])
+    t = rho[S].sum() / degree[S[0]]
+    while True:
+        g.data[sink_edges] = int(t * _FLOW_SCALE / sigma)
+        flow = maximum_flow(g, 0, k + n + 1)
+        if flow.flow_value >= total:
+            return S
+        reached = breadth_first_order((g - flow.flow) > 0, 0, return_predecessors=False)
+        objects = np.sort(reached[(reached >= 1) & (reached <= k)]) - 1
+        ratio = rho[objects].sum() / np.count_nonzero(reached > k)
+        if ratio <= t:
+            return S
+        S, t = objects, ratio
 
 
 # ---------------------------------------------------------------------------

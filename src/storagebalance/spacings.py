@@ -175,6 +175,14 @@ def solve_alpha(c: float) -> float:
     return float(brentq(f, 1e-16, hi, xtol=1e-15, rtol=8.9e-16))
 
 
+def _log_order_d_constants(c: Optional[float]) -> tuple[float, float]:
+    """(alpha, tau = c (1 + alpha)^2 / alpha) of the regime d = c log n."""
+    if c is None or c <= 0:
+        raise ValueError("log_order_d regime requires c > 0")
+    alpha = solve_alpha(c)
+    return alpha, c * (1.0 + alpha) ** 2 / alpha
+
+
 def gumbel_centering_m_blocks(n: float, m: int) -> float:
     """Centering of the scaled non-overlapping block maximum, log n + f_n.
 
@@ -297,10 +305,7 @@ def predict_d_choice(
             band_hi=b / d,
         )
     if regime == REGIME_LOG_ORDER_D:
-        if c is None or c <= 0:
-            raise ValueError("log_order_d regime requires c > 0")
-        alpha = solve_alpha(c)
-        tau = c * (1.0 + alpha) ** 2 / alpha
+        alpha, tau = _log_order_d_constants(c)
         q = 3.0 * (alpha + 1.0) / (2.0 * c * alpha) * math.log(math.log(n)) / math.log(n)
         return AsymptoticPrediction(
             centering=(1.0 + alpha) * c * math.log(n),
@@ -340,10 +345,7 @@ def predict_xor(
             band_hi=b / d,
         )
     if regime == REGIME_LOG_ORDER_D:
-        if c is None or c <= 0:
-            raise ValueError("log_order_d regime requires c > 0")
-        alpha = solve_alpha(c)
-        tau = c * (1.0 + alpha) ** 2 / alpha
+        alpha, tau = _log_order_d_constants(c)
         x = (alpha + 1.0) * (
             3.0 / (2.0 * c * alpha) * math.log(math.log(n)) / math.log(n) + r
         )
@@ -372,9 +374,6 @@ def p_sigma_transition(
     if kind_regime == REGIME_SMALL_D:
         return (float(d), 2.0 * d)
     if kind_regime == REGIME_LOG_ORDER_D:
-        if c is None or c <= 0:
-            raise ValueError("log_order_d regime requires c > 0")
-        alpha = solve_alpha(c)
-        tau = c * (1.0 + alpha) ** 2 / alpha
+        _, tau = _log_order_d_constants(c)
         return (d / (1.5 * tau), 4.0 * d / tau)
     raise ValueError(f"unknown regime {kind_regime!r}")

@@ -39,7 +39,7 @@ from storagebalance.metrics import (
     t_star_series,
 )
 from storagebalance.spacings import gumbel_cdf, spacing_matrix
-from util import is_fano_plane, random_regular_allocation, spacing_batches, window_maxima
+from util import is_fano_plane, replica_instance, spacing_batches, window_maxima
 
 pytestmark = pytest.mark.acceptance
 
@@ -142,27 +142,11 @@ def test_criterion_05_solver_cross_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(515151)
     worst = 0.0
-    count = 0
-    while count < 1000:
-        mode = count % 3
-        if mode == 0:
-            n = int(rng.integers(3, 13))
-            d = int(rng.integers(1, min(n, 4) + 1))
-            alloc = random_regular_allocation(n, d, rng)
-        elif mode == 1:
-            n = int(rng.integers(3, 13))
-            d = int(rng.integers(1, n + 1))
-            alloc = build_cyclic(n, d)
-        else:
-            d = int(rng.integers(1, 5))
-            n = d * int(rng.integers(1, 12 // d + 1))
-            alloc = build_clustering(n, d)
-        e = rng.standard_exponential(alloc.k)
-        rho = e / e.sum() * float(rng.uniform(0.3, 1.5)) * alloc.n
+    for count in range(1000):
+        alloc, rho = replica_instance(rng, count % 3)
         t_lp = min_max_load(to_matrices(alloc), rho).max_load
-        t_fl = min_max_load_flow(alloc, rho, tol=1e-8)
+        t_fl = min_max_load_flow(alloc, rho)
         worst = max(worst, abs(t_lp - t_fl))
-        count += 1
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-7 and elapsed < 120.0
     report(5, ok, f"1000 instances, max |LP - flow| = {worst:.2e}, {elapsed:.1f}s")

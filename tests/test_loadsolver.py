@@ -13,6 +13,7 @@ from storagebalance.allocation import (
     build_cyclic,
     build_cyclic_xor,
     build_single_choice,
+    node_expansion,
     to_matrices,
 )
 from storagebalance.loadsolver import (
@@ -24,7 +25,7 @@ from storagebalance.loadsolver import (
     t_star_batch,
 )
 from storagebalance.spacings import prefix_sums, spacing_matrix, window_max
-from util import random_regular_allocation as random_regular, window_maxima
+from util import crowded_allocation, replica_instance, window_maxima
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +143,18 @@ def test_xor_grid_search_oracle():
 # ---------------------------------------------------------------------------
 
 
+def _certifies(alloc, rho, t_lp) -> bool:
+    """Whether rho(S) / |N(S)|, for the flow oracle's binding set S, meets the
+    LP's t* within 1e-9 max(1, t*): a check of the LP that does not use it."""
+    S = ls._binding_set(alloc, rho)
+    return abs(t_lp - rho[S].sum() / node_expansion(alloc, S)) <= 1e-9 * max(1.0, t_lp)
+
+
 def test_flow_oracle_matches_lp_basic():
+    # t* = 1 is the ratio of {0}, {0, 1} and {0, 1, 2} alike, exactly in floats
     alloc = build_cyclic(3, 2)
     rho = np.array([2.0, 1.0, 0.0])
-    assert min_max_load_flow(alloc, rho, tol=1e-9) == pytest.approx(1.0, abs=1e-8)
+    assert min_max_load_flow(alloc, rho) == 1.0
     assert min_max_load_flow(alloc, np.zeros(3)) == 0.0
 
 
@@ -154,20 +163,24 @@ def test_flow_oracle_rejects_xor():
         min_max_load_flow(build_cyclic_xor(7, 3, 2), np.ones(7))
 
 
+def test_flow_oracle_rejects_bad_input():
+    alloc = build_cyclic(3, 2)
+    with pytest.raises(ValueError, match="length"):
+        min_max_load_flow(alloc, [1.0, 2.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        min_max_load_flow(alloc, [1.0, -0.5, 0.0])
+
+
 def test_flow_oracle_random_agreement():
-    # 120 random replica instances here; the 1000-instance sweep runs in the
-    # acceptance suite.
+    # 120 instances of the acceptance suite's three replica families here;
+    # its 1000-instance sweep runs there.
     rng = np.random.default_rng(8)
     worst = 0.0
-    for _ in range(120):
-        n = int(rng.integers(3, 13))
-        d = int(rng.integers(1, min(n, 4) + 1))
-        alloc = random_regular(n, d, rng)
-        e = rng.standard_exponential(n)
-        rho = e / e.sum() * float(rng.uniform(0.3, 1.5)) * n
+    for i in range(120):
+        alloc, rho = replica_instance(rng, i % 3)
         t_lp = min_max_load(to_matrices(alloc), rho).max_load
-        t_fl = min_max_load_flow(alloc, rho, tol=1e-8)
-        worst = max(worst, abs(t_lp - t_fl))
+        worst = max(worst, abs(t_lp - min_max_load_flow(alloc, rho)))
+        assert _certifies(alloc, rho, t_lp)
     assert worst <= 1e-7
 
 
@@ -181,6 +194,7 @@ _LP_DESIGNS = {
     "block_design_d5": build_block_design(5),
     "cyclic_xor_r2": build_cyclic_xor(15, 3, 2),
     "cyclic_xor_r3": build_cyclic_xor(16, 3, 3),
+    "crowded": crowded_allocation(),
 }
 
 
@@ -246,6 +260,7 @@ def test_hot_started_rows_match_cold_solves(name):
     if alloc.r == 1:
         flows = np.array([min_max_load_flow(alloc, rho) for rho in demands])
         assert np.max(np.abs(hot - flows)) <= 1e-7
+        assert all(_certifies(alloc, rho, t) for rho, t in zip(demands, cold))
 
 
 # ---------------------------------------------------------------------------

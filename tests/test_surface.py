@@ -72,7 +72,7 @@ def _unread_imports(tree: ast.Module) -> list[str]:
 
 def test_every_imported_name_is_read():
     unread = {}
-    for folder in ("src", "tests"):
+    for folder in ("src", "tests", "scripts", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             names = _unread_imports(ast.parse(path.read_text()))
             if names:

@@ -6,7 +6,12 @@ from itertools import combinations
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from storagebalance.allocation import Allocation, AllocationMatrices
+from storagebalance.allocation import (
+    Allocation,
+    AllocationMatrices,
+    build_clustering,
+    build_cyclic,
+)
 from storagebalance.spacings import (
     RandomStream,
     batch_rows,
@@ -75,6 +80,27 @@ def random_regular_allocation(n: int, d: int, rng: np.random.Generator) -> Alloc
         if ok:
             sets = tuple(tuple((int(p[i]),) for p in perms) for i in range(n))
             return Allocation(n=n, k=n, d=d, r=1, kind="custom", recovery_sets=sets)
+
+
+def replica_instance(rng: np.random.Generator, mode: int) -> tuple[Allocation, np.ndarray]:
+    """A small replica design and a demand row for the solver cross-checks:
+    mode 0 draws a random regular design (n <= 12, d <= 4), 1 a cyclic and
+    2 a clustering design (n <= 12), each with exponential demands scaled
+    to sum between 0.3 n and 1.5 n."""
+    if mode == 0:
+        n = int(rng.integers(3, 13))
+        d = int(rng.integers(1, min(n, 4) + 1))
+        alloc = random_regular_allocation(n, d, rng)
+    elif mode == 1:
+        n = int(rng.integers(3, 13))
+        d = int(rng.integers(1, n + 1))
+        alloc = build_cyclic(n, d)
+    else:
+        d = int(rng.integers(1, 5))
+        n = d * int(rng.integers(1, 12 // d + 1))
+        alloc = build_clustering(n, d)
+    e = rng.standard_exponential(alloc.k)
+    return alloc, e / e.sum() * float(rng.uniform(0.3, 1.5)) * alloc.n
 
 
 def crowded_allocation() -> Allocation:
