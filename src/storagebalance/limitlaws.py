@@ -9,7 +9,7 @@ laws; defaults are documented in the README.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -53,13 +53,7 @@ class LimitCheck:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def ks_distance(sample: np.ndarray, cdf) -> float:
@@ -309,10 +303,13 @@ def run_limit_checks(
 
     One pass draws each batch of rows once and reduces it to the maxima of
     every d and the three range counts; the checks are then built from those
-    per-trial statistics.
+    per-trial statistics.  Both trial counts must be at least 2, since the
+    checks take sample variances.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
+    if trials < 2 or (count_trials is not None and count_trials < 2):
+        raise ValueError("trials and count_trials must be >= 2")
     for d in d_values:
         if not 1 <= d <= k:
             raise ValueError(f"d={d} out of range [1, {k}]")

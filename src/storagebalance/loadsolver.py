@@ -48,6 +48,7 @@ from .allocation import (
     to_matrices,
 )
 from .spacings import (
+    REGIME_SMALL_D,
     AsymptoticPrediction,
     predict_d_choice,
     predict_single_choice,
@@ -357,7 +358,7 @@ def _t_star_cyclic(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
     best = out.copy()
     final = np.zeros(len(out), dtype=bool)
     for w in range(1, n - d + 1):
-        wmax = window_max(p, n, w, circle=True)
+        wmax = window_max(p, n, w)
         np.maximum(best, wmax / (w + d - 1), out=best)
         final |= wmax <= best * (w * shrink)
         if np.count_nonzero(final) >= _COMPACT_SHARE * len(final):
@@ -413,7 +414,7 @@ def _condition(alloc: Allocation, demands, name: str, generic) -> np.ndarray:
     if pairs:
         p = prefix_sums(demands, wrap=min(max(w for w, _ in pairs), k) - 1)
         for w, bound in pairs:
-            ok &= window_max(p, k, min(w, k), circle=True) <= bound
+            ok &= window_max(p, k, min(w, k)) <= bound
     return ok
 
 
@@ -426,15 +427,15 @@ def _condition(alloc: Allocation, demands, name: str, generic) -> np.ndarray:
 class Family:
     """What the package knows about one named design family.
 
-    ``build(n, d, r, m)`` constructs it; ``predict(alloc, regime, c)`` is the
-    asymptotic band of its imbalance factor; ``t_star(alloc, demands)`` is its
-    closed form over (T, k) demand rows (None: the LP); ``sufficient`` and
-    ``necessary`` map (d, r) to (window, bound), meaning W_window <= bound
-    (None: no known condition).
+    ``build(n, d, r, m)`` constructs it; ``predict(alloc)`` is the asymptotic
+    band of its imbalance factor (small d for the d-choice families);
+    ``t_star(alloc, demands)`` is its closed form over (T, k) demand rows
+    (None: the LP); ``sufficient`` and ``necessary`` map (d, r) to (window,
+    bound), meaning W_window <= bound (None: no known condition).
     """
 
     build: Callable[[int, int, int, int], Allocation]
-    predict: Callable[[Allocation, str, Optional[float]], AsymptoticPrediction]
+    predict: Callable[[Allocation], AsymptoticPrediction]
     t_star: Optional[Callable[[Allocation, np.ndarray], np.ndarray]] = None
     sufficient: Optional[Callable[[int, int], tuple[int, float]]] = None
     necessary: Optional[Callable[[int, int], tuple[int, float]]] = None
@@ -446,32 +447,32 @@ class Family:
 FAMILIES: dict[str, Family] = {
     "single_choice": Family(
         build=lambda n, d, r, m: build_single_choice(n, m),
-        predict=lambda a, regime, c: predict_single_choice(a.n, a.k // a.n),
+        predict=lambda a: predict_single_choice(a.n, a.k // a.n),
         t_star=_t_star_clusters,
     ),
     "clustering": Family(
         build=lambda n, d, r, m: build_clustering(n, d),
-        predict=lambda a, regime, c: predict_d_choice(a.n, a.d, regime, c=c),
+        predict=lambda a: predict_d_choice(a.n, a.d, REGIME_SMALL_D),
         t_star=_t_star_clusters,
         sufficient=lambda d, r: (d, d),
         necessary=lambda d, r: (d + 1, 2.0 * d),
     ),
     "cyclic": Family(
         build=lambda n, d, r, m: build_cyclic(n, d),
-        predict=lambda a, regime, c: predict_d_choice(a.n, a.d, regime, c=c),
+        predict=lambda a: predict_d_choice(a.n, a.d, REGIME_SMALL_D),
         t_star=_t_star_cyclic,
         sufficient=lambda d, r: (d, d),
         necessary=lambda d, r: (d + 1, 2.0 * d),
     ),
     "block_design": Family(
         build=lambda n, d, r, m: build_block_design(d),
-        predict=lambda a, regime, c: predict_d_choice(a.n, a.d, regime, c=c),
+        predict=lambda a: predict_d_choice(a.n, a.d, REGIME_SMALL_D),
         sufficient=lambda d, r: (d, d / 2.0),
         necessary=lambda d, r: (d, d * d - 2.0 * d + 3.0),
     ),
     "cyclic_xor": Family(
         build=lambda n, d, r, m: build_cyclic_xor(n, d, r),
-        predict=lambda a, regime, c: predict_xor(a.n, a.d, a.r, regime, c=c),
+        predict=lambda a: predict_xor(a.n, a.d, a.r, REGIME_SMALL_D),
         sufficient=lambda d, r: (1 + r * (d - 1), d),
         necessary=lambda d, r: (1 + r * (d - 1), d + r * (d - 1)),
     ),

@@ -26,9 +26,7 @@ from .loadsolver import FAMILIES, STABILITY_TOL, NumericalFailureError, t_star_b
 from .spacings import (
     BATCH_ELEMENTS,
     EULER_GAMMA,
-    REGIME_LOG_ORDER_D,
     REGIME_SINGLE,
-    REGIME_SMALL_D,
     batch_rows,
     p_sigma_transition,
     spacing_matrix,
@@ -48,6 +46,9 @@ BAND_SLACK = (0.4, 1.2)
 #: Factors applied to the phase-transition thresholds when probing the
 #: robustness 0/1 transition from both sides.
 TRANSITION_PROBE = (0.5, 1.5)
+
+#: Trials of each robustness estimate on either side of the transition.
+TRANSITION_TRIALS = 2000
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,11 @@ class MetricEstimate:
             raise ValueError("stderr must be non-negative")
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    z = _Z95
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -315,35 +317,25 @@ class BandCheck:
         }
 
 
-def asymptotic_band_check(
-    alloc: Allocation,
-    trials: int,
-    master_seed: int,
-    sigma: Optional[float] = None,
-    c: Optional[float] = None,
-    slack: tuple[float, float] = BAND_SLACK,
-    probe_transition: bool = True,
-    transition_trials: int = 2000,
-) -> dict:
+def asymptotic_band_check(alloc: Allocation, trials: int, master_seed: int) -> dict:
     """Compare simulated metrics against the closed-form predictor bands.
 
-    Runs the imbalance estimate (the imbalance factor does not depend on the
-    cumulative load, which only scales the optimum) and checks the observed
-    mean against the predicted band with the configured finite-size slack;
-    for single-choice storage with m objects per node the observed statistic
-    is imbalance * m, the coordinate of its limit law.  When
-    ``probe_transition`` is set, the robustness probability is also
-    estimated at cumulative loads b * n / log n for b on both sides of the
-    predicted 0/1 transition.
+    Runs the imbalance estimate at cumulative load 0.8 n (the imbalance
+    factor does not depend on the cumulative load, which only scales the
+    optimum) and checks the observed mean against the family's band with
+    the finite-size slack ``BAND_SLACK``; for single-choice storage with m
+    objects per node the observed statistic is imbalance * m, the coordinate
+    of its limit law.  The robustness probability is also estimated, from
+    ``TRANSITION_TRIALS`` trials each, at cumulative loads b * n / log n for
+    b on both sides of the predicted 0/1 transition.
     """
     n, d, r = alloc.n, alloc.d, alloc.r
     m = max(1, alloc.k // n)
     family = FAMILIES.get(alloc.kind)
     if family is None:
         raise UnsupportedDesignError(f"no predictor for kind {alloc.kind!r}")
-    pred = family.predict(alloc, REGIME_SMALL_D if c is None else REGIME_LOG_ORDER_D, c)
-    sigma = sigma if sigma is not None else 0.8 * n
-    _, i_est = estimate_metrics(alloc, sigma, trials, master_seed)
+    pred = family.predict(alloc)
+    _, i_est = estimate_metrics(alloc, 0.8 * n, trials, master_seed)
 
     if pred.regime == REGIME_SINGLE:
         # the limit law centres imbalance * m; Gumbel mean shift
@@ -351,23 +343,20 @@ def asymptotic_band_check(
         name, observed = "mean_imbalance_over_prediction", i_est.mean * m / target
     else:
         name, observed = "mean_imbalance_over_band_hi", i_est.mean / pred.band_hi
-    checks = [BandCheck(name=name, observed=observed, lo=slack[0], hi=slack[1])]
+    checks = [BandCheck(name=name, observed=observed, lo=BAND_SLACK[0], hi=BAND_SLACK[1])]
 
-    transition = None
-    if probe_transition:
-        b_lo, b_hi = p_sigma_transition(pred.regime, d, m=m, c=c)
-        probes = {}
-        for label, b in (("below", TRANSITION_PROBE[0] * b_lo), ("above", TRANSITION_PROBE[1] * b_hi)):
-            sig = b * n / math.log(n)
-            p_est, _ = estimate_metrics(alloc, sig, transition_trials, master_seed)
-            probes[label] = {"b": b, "sigma": sig, "p_sigma": p_est.mean}
-        checks.append(
-            BandCheck(name="p_sigma_below_transition", observed=probes["below"]["p_sigma"], lo=0.9, hi=1.0)
-        )
-        checks.append(
-            BandCheck(name="p_sigma_above_transition", observed=probes["above"]["p_sigma"], lo=0.0, hi=0.1)
-        )
-        transition = probes
+    b_lo, b_hi = p_sigma_transition(pred.regime, d, m=m)
+    transition = {}
+    for label, b in (("below", TRANSITION_PROBE[0] * b_lo), ("above", TRANSITION_PROBE[1] * b_hi)):
+        sig = b * n / math.log(n)
+        p_est, _ = estimate_metrics(alloc, sig, TRANSITION_TRIALS, master_seed)
+        transition[label] = {"b": b, "sigma": sig, "p_sigma": p_est.mean}
+    checks.append(
+        BandCheck(name="p_sigma_below_transition", observed=transition["below"]["p_sigma"], lo=0.9, hi=1.0)
+    )
+    checks.append(
+        BandCheck(name="p_sigma_above_transition", observed=transition["above"]["p_sigma"], lo=0.0, hi=0.1)
+    )
 
     return {
         "kind": alloc.kind,
@@ -382,8 +371,6 @@ def asymptotic_band_check(
             "scale": pred.scale,
             "band_lo": pred.band_lo,
             "band_hi": pred.band_hi,
-            "alpha": pred.alpha,
-            "tau": pred.tau,
         },
         "observed_mean_imbalance": i_est.mean,
         "observed_stderr": i_est.stderr,

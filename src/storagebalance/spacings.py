@@ -119,29 +119,27 @@ def prefix_sums(a: np.ndarray, wrap: int = 0) -> np.ndarray:
     return p
 
 
-def _window_sums(p: np.ndarray, k: int, d: int, circle: bool) -> np.ndarray:
-    s = k if circle else k - d + 1
-    return p[:, d : d + s] - p[:, :s]
+def _window_sums(p: np.ndarray, k: int, d: int) -> np.ndarray:
+    return p[:, d : d + k] - p[:, :k]
 
 
-def window_max(p: np.ndarray, k: int, d: int, circle: bool) -> np.ndarray:
-    """Per-row maximum sum of d consecutive entries, cut from ``prefix_sums``.
+def window_max(p: np.ndarray, k: int, d: int) -> np.ndarray:
+    """Per-row maximum sum of d entries on the circle, cut from ``prefix_sums``.
 
-    On the line the windows start at 0..k-d; on the circle at 0..k-1, which
-    needs a prefix continued at least d - 1 entries.  The first k - d + 1
-    circular windows are the line windows, so circle >= line holds exactly.
+    The windows start at 0..k-1, which needs a prefix continued at least
+    d - 1 entries; line maxima come from ``window_max_pair``.
     """
-    return _window_sums(p, k, d, circle).max(axis=1)
+    return _window_sums(p, k, d).max(axis=1)
 
 
 def window_max_pair(p: np.ndarray, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(line, circle) ``window_max`` of d entries from one array of window sums.
+    """(line, circle) maxima of d consecutive entries from one array of window sums.
 
-    The line maximum is taken over the first k - d + 1 circular windows, so
-    both equal their ``window_max`` bit for bit and only one (T, k) array of
-    sums is made.
+    The line windows are the first k - d + 1 circular windows, so circle >=
+    line holds exactly, the circle maximum equals ``window_max`` bit for bit,
+    and only one (T, k) array of sums is made.
     """
-    sums = _window_sums(p, k, d, circle=True)
+    sums = _window_sums(p, k, d)
     return sums[:, : k - d + 1].max(axis=1), sums.max(axis=1)
 
 
@@ -196,21 +194,19 @@ def gumbel_centering_m_blocks(n: float, m: int) -> float:
     return math.log(n) + f_n
 
 
-def dspacing_gumbel_centering(k: float, d: int, refined: bool = True) -> float:
+def dspacing_gumbel_centering(k: float, d: int) -> float:
     """Centering b_k for the Gumbel law of the maximal d-spacing times k.
 
-    Asymptotic form: log k + (d-1) loglog k - log((d-1)!).  For d > 1 this
-    converges very slowly; the refined form solves the self-consistent
-    equation b = log k + (d-1) log b - log((d-1)!) by fixed-point iteration,
-    which agrees to first order but tracks moderate k far better.
+    The asymptotic form log k + (d-1) loglog k - log((d-1)!) converges very
+    slowly for d > 1, so b_k solves the self-consistent equation
+    b = log k + (d-1) log b - log((d-1)!) by fixed-point iteration, which
+    agrees to first order but tracks moderate k far better.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
     base = math.log(k) - math.lgamma(d)
     if d == 1:
         return math.log(k)
-    if not refined:
-        return base + (d - 1) * math.log(math.log(k))
     b = math.log(k)
     for _ in range(100):
         nxt = base + (d - 1) * math.log(b)
@@ -281,14 +277,30 @@ def predict_single_choice(n: float, m: int) -> AsymptoticPrediction:
     )
 
 
+def _small_d_band(n: float, d: int, r: int) -> AsymptoticPrediction:
+    """Small-d band of d-choice designs whose recovery sets hold r nodes.
+
+    With B = log n + r(d-1)(1 + loglog n - log(1 + r(d-1))), the imbalance
+    factor lies in [B/(2d), B/d]; r = 1 is the replica band.
+    """
+    b = math.log(n) + r * (d - 1) * (1.0 + math.log(math.log(n)) - math.log(1.0 + r * (d - 1)))
+    return AsymptoticPrediction(
+        centering=b,
+        scale=1.0,
+        regime=REGIME_SMALL_D,
+        band_lo=b / (2 * d),
+        band_hi=b / d,
+    )
+
+
 def predict_d_choice(
     n: float, d: int, regime: str, c: Optional[float] = None
 ) -> AsymptoticPrediction:
     """Band for the imbalance factor of d-choice replica designs.
 
-    small_d: with B = log n + (d-1)(1 + loglog n - log d), the imbalance lies
-    in [B/(2d), B/d].  log_order_d (d = c log n): the band comes from the
-    fluctuation bound of the window maximum, rearranged, using the root of
+    small_d: ``_small_d_band`` with r = 1, so B = log n + (d-1)(1 + loglog n
+    - log d).  log_order_d (d = c log n): the band comes from the fluctuation
+    bound of the window maximum, rearranged, using the root of
     (1+a)e^{-a} = e^{-1/c}.
     """
     if n < 3:
@@ -296,14 +308,7 @@ def predict_d_choice(
     if d < 1:
         raise ValueError("d must be >= 1")
     if regime == REGIME_SMALL_D:
-        b = math.log(n) + (d - 1) * (1.0 + math.log(math.log(n)) - math.log(d))
-        return AsymptoticPrediction(
-            centering=b,
-            scale=1.0,
-            regime=regime,
-            band_lo=b / (2 * d),
-            band_hi=b / d,
-        )
+        return _small_d_band(n, d, 1)
     if regime == REGIME_LOG_ORDER_D:
         alpha, tau = _log_order_d_constants(c)
         q = 3.0 * (alpha + 1.0) / (2.0 * c * alpha) * math.log(math.log(n)) / math.log(n)
@@ -324,9 +329,9 @@ def predict_xor(
 ) -> AsymptoticPrediction:
     """Band for the imbalance factor of d-choice designs built from r-XORs.
 
-    small_d: with beta = r(d-1)(1 + loglog n - log(1 + r(d-1))), the
-    imbalance lies in [(log n + beta)/(2d), (log n + beta)/d].  log_order_d:
-    the band is [X/2, X] with X = (a+1)(3 loglog n / (2 c a log n) + r).
+    small_d: ``_small_d_band``, the replica band with r(d-1) in place of d-1.
+    log_order_d: the band is [X/2, X] with X = (a+1)(3 loglog n / (2 c a
+    log n) + r).
     """
     if r < 2:
         raise ValueError("r must be >= 2 for XOR designs")
@@ -335,15 +340,7 @@ def predict_xor(
     if d < 1:
         raise ValueError("d must be >= 1")
     if regime == REGIME_SMALL_D:
-        beta = r * (d - 1) * (1.0 + math.log(math.log(n)) - math.log(1.0 + r * (d - 1)))
-        b = math.log(n) + beta
-        return AsymptoticPrediction(
-            centering=b,
-            scale=1.0,
-            regime=regime,
-            band_lo=b / (2 * d),
-            band_hi=b / d,
-        )
+        return _small_d_band(n, d, r)
     if regime == REGIME_LOG_ORDER_D:
         alpha, tau = _log_order_d_constants(c)
         x = (alpha + 1.0) * (

@@ -37,6 +37,8 @@ BASE_CONFIG = {
     "master_seed": 20240101,
 }
 
+LIMIT_CONFIG = {"k": 300, "d": [1, 300], "trials": 200, "master_seed": 4}
+
 
 # ---------------------------------------------------------------------------
 # config handling
@@ -202,6 +204,9 @@ def test_simulate_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
         (["limit-checks", "--k", "10", "--trials", "20", "--out", "{missing}/x.json"], None),
         (["simulate", "--config", "{config}", "--seed", "3"], [1, 2]),
         (["limit-checks", "--config", "{config}", "--seed", "3"], [1, 2]),
+        (["limit-checks", "--k", "50", "--d", "2", "--trials", "1"], None),
+        (["limit-checks", "--config", "{config}"], {**LIMIT_CONFIG, "trials": 1}),
+        (["limit-checks", "--config", "{config}"], {**LIMIT_CONFIG, "count_trials": 1}),
     ],
     ids=[
         "clustering-d-not-dividing-n",
@@ -213,6 +218,9 @@ def test_simulate_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
         "limit-checks-unwritable-out",
         "simulate-top-level-list",
         "limit-checks-top-level-list",
+        "limit-checks-one-trial-flag",
+        "limit-checks-one-trial-field",
+        "limit-checks-one-count-trial-field",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, argv, config):
@@ -479,9 +487,6 @@ def test_inspect_large_cyclic_matches_closed_forms(capsys):
         "overlap_sum": (d - 1) * d * n, "r_gap_radius": d - 1,
         "pairwise_overlap_histogram": {key: hist[key] for key in sorted(hist)},
     }
-
-
-LIMIT_CONFIG = {"k": 300, "d": [1, 300], "trials": 200, "master_seed": 4}
 
 
 @pytest.mark.parametrize(

@@ -114,6 +114,11 @@ def test_run_limit_checks_validates_input():
         run_limit_checks(k=2, d_values=[1], trials=10, master_seed=0)
     with pytest.raises(ValueError):
         run_limit_checks(k=10, d_values=[11], trials=10, master_seed=0)
+    # one trial has no sample variance
+    with pytest.raises(ValueError, match="trials"):
+        run_limit_checks(k=50, d_values=[2], trials=1, master_seed=0)
+    with pytest.raises(ValueError, match="count_trials"):
+        run_limit_checks(k=50, d_values=[2], trials=10, master_seed=0, count_trials=1)
 
 
 def test_one_pass_matches_separate_runs():

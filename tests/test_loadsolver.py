@@ -314,7 +314,7 @@ def _t_star_cyclic_unpruned(alloc, demands):
         return best
     p = prefix_sums(demands, wrap=n - d - 1)
     for w in range(1, n - d + 1):
-        np.maximum(best, window_max(p, n, w, circle=True) / (w + d - 1), out=best)
+        np.maximum(best, window_max(p, n, w) / (w + d - 1), out=best)
     return best
 
 
@@ -367,9 +367,9 @@ def test_cyclic_kernel_skips_final_rows(monkeypatch):
 
     handed = []
 
-    def counting(p, k, w, circle):
+    def counting(p, k, w):
         handed.append(len(p))
-        return window_max(p, k, w, circle)
+        return window_max(p, k, w)
 
     monkeypatch.setattr(loadsolver_mod, "window_max", counting)
     n, trials = 100, 1000

@@ -264,9 +264,7 @@ def test_exact_region_contains_origin():
 
 
 def test_band_check_single_choice():
-    report = asymptotic_band_check(
-        build_single_choice(100, 1), trials=2000, master_seed=SEED, sigma=1.0
-    )
+    report = asymptotic_band_check(build_single_choice(100, 1), trials=2000, master_seed=SEED)
     main = report["checks"][0]
     assert main["name"] == "mean_imbalance_over_prediction"
     assert main["passed"]
@@ -276,9 +274,7 @@ def test_band_check_single_choice():
 
 def test_band_check_single_choice_uses_m():
     # the limit law centres imbalance * m, not the imbalance itself
-    report = asymptotic_band_check(
-        build_single_choice(200, 2), trials=300, master_seed=SEED, probe_transition=False
-    )
+    report = asymptotic_band_check(build_single_choice(200, 2), trials=300, master_seed=SEED)
     centering = predict_single_choice(200, 2).centering
     assert report["prediction"]["centering"] == centering
     main = report["checks"][0]
@@ -286,9 +282,7 @@ def test_band_check_single_choice_uses_m():
 
 
 def test_band_check_cyclic_small_d():
-    report = asymptotic_band_check(
-        build_cyclic(200, 3), trials=500, master_seed=SEED, transition_trials=1000
-    )
+    report = asymptotic_band_check(build_cyclic(200, 3), trials=500, master_seed=SEED)
     main = report["checks"][0]
     assert main["name"] == "mean_imbalance_over_band_hi"
     assert 0.4 <= main["observed"] <= 1.2

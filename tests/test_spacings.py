@@ -16,6 +16,7 @@ from storagebalance.spacings import (
     RandomStream,
     dspacing_gumbel_centering,
     gumbel_cdf,
+    gumbel_centering_m_blocks,
     p_sigma_transition,
     predict_d_choice,
     predict_single_choice,
@@ -24,6 +25,7 @@ from storagebalance.spacings import (
     solve_alpha,
     spacing_matrix,
     window_max,
+    window_max_pair,
 )
 from util import per_trial_spacings, spacing_batches, window_maxima
 
@@ -173,8 +175,8 @@ def test_shared_prefix_matches_direct_window_sums(data):
     p = prefix_sums(a, wrap=max(ds) - 1)
     ext = np.concatenate([a, a[:, : k - 1]], axis=1)
     for d in sorted(ds):
-        line = window_max(p, k, d, circle=False)
-        circ = window_max(p, k, d, circle=True)
+        line, circ = window_max_pair(p, k, d)
+        assert window_max(p, k, d).tobytes() == circ.tobytes()
         line_ref = sum(a[:, j : k - d + 1 + j] for j in range(d)).max(axis=1)
         circ_ref = sum(ext[:, j : k + j] for j in range(d)).max(axis=1)
         np.testing.assert_allclose(line, line_ref, rtol=1e-12, atol=0)
@@ -294,11 +296,12 @@ def test_solve_alpha_residual_and_monotonicity():
 
 def test_dspacing_centering_forms():
     assert dspacing_gumbel_centering(10_000, 1) == pytest.approx(math.log(10_000))
-    raw = dspacing_gumbel_centering(10_000, 3, refined=False)
+    # the asymptotic form is the m-block centering with m = d
+    raw = gumbel_centering_m_blocks(10_000, 3)
     assert raw == pytest.approx(
         math.log(10_000) + 2 * math.log(math.log(10_000)) - math.log(2.0)
     )
-    b = dspacing_gumbel_centering(10_000, 3, refined=True)
+    b = dspacing_gumbel_centering(10_000, 3)
     # fixed point of b = log k + (d-1) log b - log((d-1)!)
     assert b == pytest.approx(math.log(10_000) + 2 * math.log(b) - math.log(2.0), abs=1e-10)
 
@@ -363,6 +366,25 @@ def test_predict_xor_values():
         assert p1.centering == pytest.approx(math.log(100), rel=1e-12)
     with pytest.raises(ValueError):
         predict_xor(100, 3, 1, REGIME_SMALL_D)
+
+
+def test_predict_xor_log_order_band():
+    n, d, c = 10_000, 14, 1.5
+    alpha = solve_alpha(c)
+    replica = predict_d_choice(n, d, REGIME_LOG_ORDER_D, c=c)
+    band_hi = []
+    for r in (2, 3, 4):
+        p = predict_xor(n, d, r, REGIME_LOG_ORDER_D, c=c)
+        x = (alpha + 1) * (3 * math.log(math.log(n)) / (2 * c * alpha * math.log(n)) + r)
+        assert p.band_hi == pytest.approx(x, rel=1e-12)
+        assert p.band_lo == p.band_hi / 2
+        assert (p.alpha, p.tau) == (replica.alpha, replica.tau)
+        band_hi.append(p.band_hi)
+    # the band grows additively by r: each unit of r adds alpha + 1
+    for lo, hi in zip(band_hi, band_hi[1:]):
+        assert hi - lo == pytest.approx(alpha + 1, rel=1e-12)
+    with pytest.raises(ValueError):
+        predict_xor(n, d, 2, REGIME_LOG_ORDER_D)
 
 
 def test_prediction_log_order_invariant_enforced():

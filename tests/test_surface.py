@@ -1,4 +1,5 @@
-"""Every public name of the library has a caller outside the test suite."""
+"""Every public name of the library has a caller outside the test suite, and
+every defaulted parameter is passed by one."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,16 @@ ALLOWED_UNUSED = {
     "asymptotic_band_check",  # the paper's asymptotic bands, checked by simulation
     "exact_p_sigma_k3",  # the paper's exact three-node robustness probability
     "save_allocation",  # writes the allocation format that ``inspect --file`` reads
+}
+
+#: Defaulted parameters, as ``function.parameter``, that no call outside the
+#: test suite passes.
+ALLOWED_UNPASSED = {
+    "sufficient_condition.r_gap",  # the paper's sufficient condition for generic r-gap designs
+    "necessary_condition.r_gap",  # the paper's necessary condition for generic r-gap designs
+    "predict_d_choice.c",  # the paper's replica band in the regime d = c log n
+    "predict_xor.c",  # the paper's XOR band in the regime d = c log n
+    "p_sigma_transition.c",  # the paper's transition thresholds in the regime d = c log n
 }
 
 
@@ -47,6 +58,47 @@ def test_every_public_name_has_a_non_test_caller():
             if name not in used | _references(s for s in tree.body if s is not stmt):
                 unused.append(f"{path.name}:{name}")
     assert unused == [], f"public names only tests call: {unused}"
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function, parameter, position or None if keyword-only) of each
+    defaulted parameter of a top-level public function."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            args = stmt.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for pos in range(first, len(positional)):
+                yield stmt.name, positional[pos].arg, pos
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield stmt.name, arg.arg, None
+
+
+def _passed_arguments(trees) -> set[tuple[str, object]]:
+    """(called name, keyword or position) of every argument of every call."""
+    passed = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            passed |= {(name, pos) for pos in range(len(node.args))}
+            passed |= {(name, kw.arg) for kw in node.keywords if kw.arg is not None}
+    return passed
+
+
+def test_every_optional_parameter_is_passed():
+    def parse(folder):
+        return [ast.parse(p.read_text()) for p in sorted((ROOT / folder).rglob("*.py"))]
+
+    src = parse("src")
+    passed = _passed_arguments(src + parse("scripts") + parse("perfbench"))
+    unpassed = [
+        f"{func}.{param}"
+        for tree in src
+        for func, param, pos in _defaulted_parameters(tree)
+        if not {(func, param), (func, pos)} & passed and f"{func}.{param}" not in ALLOWED_UNPASSED
+    ]
+    assert unpassed == [], f"defaulted parameters no call outside the tests passes: {unpassed}"
 
 
 def _unread_imports(tree: ast.Module) -> list[str]:

@@ -17,7 +17,7 @@ from storagebalance.spacings import (
     batch_rows,
     prefix_sums,
     spacing_matrix,
-    window_max,
+    window_max_pair,
 )
 
 
@@ -43,7 +43,7 @@ def window_maxima(a, d: int, circle: bool):
     on the line or (wrapping around) on the circle."""
     m = np.atleast_2d(np.asarray(a, dtype=np.float64))
     k = m.shape[1]
-    out = window_max(prefix_sums(m, d - 1 if circle else 0), k, d, circle)
+    out = window_max_pair(prefix_sums(m, d - 1), k, d)[1 if circle else 0]
     return out if np.ndim(a) > 1 else out[0]
 
 
