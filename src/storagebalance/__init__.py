@@ -5,6 +5,10 @@ samples demand vectors as uniform spacings, solves the optimal demand-split
 problem (minimize the maximum node load), and estimates the robustness
 probability and the load-imbalance factor, together with their closed-form
 asymptotic predictors and stability conditions.
+
+Importing the package loads numpy but no scipy.  Each function that calls
+scipy (or a process pool) imports it in its body, so a command pays only for
+the subpackages its code path reaches.
 """
 
 __version__ = "0.1.0"

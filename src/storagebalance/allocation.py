@@ -17,11 +17,12 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix, triu
-from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 KINDS = ("single_choice", "clustering", "cyclic", "block_design", "cyclic_xor", "custom")
 
@@ -74,6 +75,8 @@ class Allocation:
         """Object-node incidence B (k x n, 0/1 CSR): B[i, v] = 1 iff node v is
         in one of object i's recovery sets, however often it is named there.
         Built once and shared by every caller, which must not modify it."""
+        from scipy.sparse import csr_matrix
+
         rows, cols = _entries_in_range(self)
         B = csr_matrix((np.ones(cols.size, np.int32), (rows, cols)), shape=(self.k, self.n))
         B.sum_duplicates()
@@ -334,6 +337,8 @@ def _shared_pairs(alloc: Allocation):
 
     Row i of B @ B.T takes one product per object on each node of C_i; a block
     of rows holds at most ``_PAIR_BLOCK`` products unless it is a single row."""
+    from scipy.sparse import triu
+
     B = alloc.incidence
     Bt = B.T.tocsr()
     work = np.cumsum(B @ np.diff(Bt.indptr).astype(np.int64))
@@ -385,6 +390,9 @@ def hall_check(alloc: Allocation) -> tuple[bool, Optional[tuple[int, ...]]]:
     objects reached from the unmatched ones by alternating paths (Dulmage-
     Mendelsohn), so it does not depend on which maximum matching is found.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
+
     B, k = alloc.incidence, alloc.k
     node_of = maximum_bipartite_matching(B, perm_type="column")
     unmatched = np.flatnonzero(node_of < 0)

@@ -25,15 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize._highspy._core import (
-    HighsLp,
-    HighsModelStatus,
-    MatrixFormat,
-    _Highs,
-    kHighsInf,
-)
-from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .allocation import (
     Allocation,
@@ -117,6 +108,9 @@ class _EpigraphLP:
     """
 
     def __init__(self, matrices: AllocationMatrices):
+        from scipy.optimize._highspy._core import HighsLp, MatrixFormat, _Highs, kHighsInf
+        from scipy.sparse import csc_matrix
+
         self.M = matrices.M.astype(np.float64)
         self.T = matrices.T.astype(np.float64)
         (n, L), k = self.M.shape, self.T.shape[0]
@@ -147,6 +141,8 @@ class _EpigraphLP:
         NumericalFailureError whose ``row_index`` is the failing row's
         index in ``rows``.
         """
+        from scipy.optimize._highspy._core import HighsModelStatus
+
         if np.any(rows < 0):
             raise ValueError("demands must be non-negative")
         (b, k), (n, L) = rows.shape, self.M.shape
@@ -241,6 +237,9 @@ def _binding_set(alloc: Allocation, rho: np.ndarray) -> np.ndarray:
     so t* - t < sigma 2**-30 (n + k) / |N(S*)|.  Either way t is t* itself
     unless another set's ratio lies within that bound below t*.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
     B, k, n = alloc.incidence, alloc.k, alloc.n
     sigma = float(rho.sum())
     rho_int = np.round(rho / sigma * _FLOW_SCALE).astype(np.int64)

@@ -13,7 +13,6 @@ bit-identical for a given seed regardless of worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -137,6 +136,8 @@ def t_star_series(
     ]
     out = np.empty(trials)
     if workers > 1 and len(chunks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_t_star_chunk, chunks))
     else:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -160,6 +159,8 @@ def solve_alpha(c: float) -> float:
     unique; solved by bracketed root-finding to absolute tolerance well under
     1e-12.
     """
+    from scipy.optimize import brentq
+
     if c <= 0:
         raise ValueError("c must be positive")
     target = math.exp(-1.0 / c)

@@ -449,16 +449,19 @@ def test_pair_queries_do_not_depend_on_row_blocks(monkeypatch):
 
 def _pair_blocks(monkeypatch, alloc):
     """(first row, row count) of every block of B @ B.T that _shared_pairs forms."""
+    import scipy.sparse
+
     import storagebalance.allocation as allocation
 
     blocks = []
-    real = allocation.triu
+    real = scipy.sparse.triu
 
     def recording(m, k, format):
         blocks.append((k - 1, m.shape[0]))
         return real(m, k=k, format=format)
 
-    monkeypatch.setattr(allocation, "triu", recording)
+    # _shared_pairs imports triu when called, so it finds the patched name
+    monkeypatch.setattr(scipy.sparse, "triu", recording)
     list(allocation._shared_pairs(alloc))
     return blocks
 

@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line harness."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -618,3 +622,60 @@ def test_limit_checks_writes_config_outputs(tmp_path, capsys):
 
 def test_limit_checks_requires_k(capsys):
     assert main(["limit-checks"]) == EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# start-up: scipy is imported only by the code that calls it
+# ---------------------------------------------------------------------------
+
+#: Runs ``cli.main`` on its arguments (or only imports the package, given
+#: none) and prints the scipy modules loaded at exit.
+_LOADED_AT_EXIT = (
+    "import sys, storagebalance\n"
+    "if sys.argv[1:]:\n"
+    "    from storagebalance.cli import main\n"
+    "    assert main(sys.argv[1:]) == 0\n"
+    "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+)
+
+
+def _simulate(kind, n, d):
+    return {"kind": kind, "n": n, "d": d, "sigma": {"fraction_of_n": 0.8}, "trials": 20,
+            "master_seed": 3}
+
+
+@pytest.mark.parametrize(
+    "command, config, absent, present",
+    [
+        ([], None, ["scipy"], []),
+        (["limit-checks", "--k", "50", "--d", "2", "--trials", "2"], None,
+         ["scipy.optimize", "scipy.sparse"], []),
+        (["simulate"], _simulate("cyclic", 12, 3), ["scipy.optimize", "scipy.sparse"], []),
+        (["simulate"], _simulate("clustering", 12, 3), ["scipy.optimize", "scipy.sparse"], []),
+        (["simulate"], _simulate("single_choice", 12, 1), ["scipy.optimize", "scipy.sparse"], []),
+        (["inspect", "--kind", "cyclic", "--n", "20", "--d", "3"], None, ["scipy.optimize"], []),
+        (["simulate"], _simulate("block_design", 7, 3), [], ["scipy.optimize._highspy"]),
+    ],
+    ids=["import", "limit-checks", "cyclic", "clustering", "single_choice", "inspect", "lp"],
+)
+def test_commands_import_only_the_scipy_they_call(tmp_path, command, config, absent, present):
+    argv = list(command)
+    if config is not None:
+        argv += ["--config", write_config(tmp_path, config)]
+    if argv:
+        argv += ["--out", str(tmp_path / "out")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AT_EXIT, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    for name in absent:
+        assert not {m for m in loaded if m == name or m.startswith(name + ".")}, name
+    for name in present:
+        assert name in loaded

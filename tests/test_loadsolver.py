@@ -207,16 +207,17 @@ def test_block_lp_matches_row_lp(name, monkeypatch):
     # the flow oracle is independent of the LP; it covers replica designs only
     flows = np.array([min_max_load_flow(alloc, rho) for rho in demands]) if alloc.r == 1 else None
     full = t_star_batch(alloc, demands)
-    real, built = ls._Highs, []
+    built = []
 
-    def counting():
-        built.append(None)
-        return real()
+    class Counting(ls._EpigraphLP):
+        def __init__(self, matrices):
+            built.append(None)
+            super().__init__(matrices)
 
     def forbidden(*args):
         raise AssertionError("the LP route must not solve row by row")
 
-    monkeypatch.setattr(ls, "_Highs", counting)
+    monkeypatch.setattr(ls, "_EpigraphLP", Counting)
     monkeypatch.setattr(ls, "min_max_load", forbidden)
     for trials in (1, 15, 16, 17, 35):
         built.clear()
@@ -224,8 +225,8 @@ def test_block_lp_matches_row_lp(name, monkeypatch):
         assert np.max(np.abs(t - rows[:trials])) <= 1e-9 * max(1.0, rows.max())
         if flows is not None:
             assert np.max(np.abs(t - flows[:trials])) <= 1e-7
-        # one HiGHS model per call, re-solved row after row: a row's bits
-        # depend only on the rows before it
+        # one model (one HiGHS instance) per call, re-solved row after row:
+        # a row's bits depend only on the rows before it
         assert len(built) == 1
         assert t.tobytes() == full[:trials].tobytes()
 

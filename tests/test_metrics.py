@@ -168,12 +168,14 @@ def test_perturbed_dual_fails_the_certificate(monkeypatch, marginals, entry, shi
 
 
 def test_failed_row_solve_names_that_row(monkeypatch):
+    from scipy.optimize._highspy._core import HighsModelStatus
+
     alloc = build_block_design(3)
     demands = spacing_matrix(alloc.k, 4.0, SEED, 48)
     failing = 33
 
     def fail(status, x, y, z):
-        return ls.HighsModelStatus.kSolveError, x, y, z
+        return HighsModelStatus.kSolveError, x, y, z
 
     _perturbed_row(monkeypatch, demands[failing], fail)
     message = "LP solver failed on this row.*Solve error"
