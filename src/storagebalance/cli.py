@@ -1,10 +1,10 @@
 """Experiment harness: simulate metrics, run limit checks, inspect designs.
 
 Subcommands: ``simulate``, ``limit-checks``, ``inspect``, ``exact-k3``.
-Configuration comes from a JSON file validated against the bundled schema;
-command-line flags override config fields.  Exit codes: 0 success, 1
-internal error (an uncaught exception, reported with its traceback), 2
-configuration or input error, 3 numerical failure.
+Configuration comes from a JSON file; command-line flags override config
+fields.  Exit codes: 0 success, 1 internal error (an uncaught exception,
+reported with its traceback), 2 configuration or input error, 3 numerical
+failure.
 
 Reports embed a config echo, the seed, and the artifact version, so every
 row is reproducible from the file alone.  Timestamps live only in the JSON
@@ -19,9 +19,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from importlib import resources
-
-import jsonschema
 
 from . import __version__
 from .allocation import (
@@ -47,20 +44,106 @@ class ConfigError(Exception):
     """Invalid configuration; the message carries the offending field path."""
 
 
-def _schema() -> dict:
-    with resources.files("storagebalance").joinpath("config.schema.json").open() as fh:
-        return json.load(fh)
+def _bad(path: str, expected: str, value) -> ConfigError:
+    return ConfigError(f"config field {path}: expected {expected}, got {value!r}")
+
+
+def _integer(lo: int, hi: float = math.inf):
+    """Check for an integer (an ``int`` that is not a ``bool``) in [lo, hi]."""
+    expected = f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]"
+
+    def check(path: str, value) -> None:
+        if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+            raise _bad(path, expected, value)
+
+    return check
+
+
+def _kind(path: str, value) -> None:
+    if not isinstance(value, str) or value not in FAMILIES:
+        raise _bad(path, f"a design kind ({', '.join(FAMILIES)})", value)
+
+
+_SIGMA_RULES = ("absolute", "fraction_of_n", "b_n_over_log_n")
+
+
+def _sigma_spec(path: str, value) -> None:
+    """Check for an object holding one sigma rule with a finite value > 0."""
+    if not (isinstance(value, dict) and len(value) == 1 and set(value) <= set(_SIGMA_RULES)):
+        raise _bad(path, f"an object with one of {', '.join(_SIGMA_RULES)}", value)
+    ((rule, x),) = value.items()
+    # comparing with the largest float is exact for ints, and false for nan
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not 0 < x <= sys.float_info.max:
+        raise _bad(f"{path}/{rule}", "a finite number > 0", x)
+
+
+def _output_list(path: str, value) -> None:
+    if not isinstance(value, list):
+        raise _bad(path, "a list of outputs", value)
+    for i, out in enumerate(value):
+        if not (
+            isinstance(out, dict)
+            and set(out) == {"format", "path"}
+            and out["format"] in ("csv", "json")
+            and isinstance(out["path"], str)
+            and out["path"]
+        ):
+            raise _bad(f"{path}/{i}", 'an object {"format": "csv" or "json", "path": "..."}', out)
+
+
+def _one_or_more(check):
+    """Check for one value that passes ``check`` or a non-empty list of them."""
+
+    def check_each(path: str, value) -> None:
+        if not isinstance(value, list):
+            return check(path, value)
+        if not value:
+            raise _bad(path, "a value or a non-empty list", value)
+        for i, item in enumerate(value):
+            check(f"{path}/{i}", item)
+
+    return check_each
+
+
+_SEED = _integer(0, 2**64 - 1)
+
+#: Each config section's fields: {field: (required, check)}.
+_FIELDS = {
+    "simulate": {
+        "kind": (True, _one_or_more(_kind)),
+        "n": (True, _integer(1)),
+        "m": (False, _integer(1)),
+        "d": (False, _one_or_more(_integer(1))),
+        "r": (False, _integer(1)),
+        "sigma": (True, _one_or_more(_sigma_spec)),
+        "trials": (True, _integer(1)),
+        "master_seed": (True, _SEED),
+        "workers": (False, _integer(1)),
+        "outputs": (False, _output_list),
+    },
+    "limit_checks": {
+        "k": (True, _integer(3)),
+        "d": (True, _one_or_more(_integer(1))),
+        "trials": (True, _integer(2)),
+        "count_trials": (False, _integer(2)),
+        "master_seed": (True, _SEED),
+        "outputs": (False, _output_list),
+    },
+}
 
 
 def _validate_config(data: dict, section: str) -> None:
-    schema = _schema()
-    ref = {"$ref": f"#/$defs/{section}", "$defs": schema["$defs"]}
-    validator = jsonschema.Draft202012Validator(ref)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {err.message}")
+    """Raise ``ConfigError`` for the first unknown field of ``data``, else
+    for its first missing or bad field in ``_FIELDS[section]`` order."""
+    fields = _FIELDS[section]
+    for name in data:
+        if name not in fields:
+            raise ConfigError(f"config field {name}: unknown field")
+    for name, (required, check) in fields.items():
+        if name in data:
+            check(name, data[name])
+        elif required:
+            raise ConfigError(f"config field {name}: required field is missing")
 
 
 def build_allocation(kind: str, n: int, d: int = 1, r: int = 1, m: int = 1) -> Allocation:
@@ -78,15 +161,20 @@ def build_allocation(kind: str, n: int, d: int = 1, r: int = 1, m: int = 1) -> A
 
 
 def resolve_sigma(spec: dict, n: int) -> float:
+    """The sigma that ``spec``'s rule gives for n nodes; it must be finite."""
     if "absolute" in spec:
-        return float(spec["absolute"])
-    if "fraction_of_n" in spec:
-        return float(spec["fraction_of_n"]) * n
-    if "b_n_over_log_n" in spec:
+        sigma = float(spec["absolute"])
+    elif "fraction_of_n" in spec:
+        sigma = float(spec["fraction_of_n"]) * n
+    elif "b_n_over_log_n" in spec:
         if n < 2:
             raise ConfigError("sigma rule b_n_over_log_n needs n >= 2")
-        return float(spec["b_n_over_log_n"]) * n / math.log(n)
-    raise ConfigError(f"unresolvable sigma spec {spec!r}")
+        sigma = float(spec["b_n_over_log_n"]) * n / math.log(n)
+    else:
+        raise ConfigError(f"unresolvable sigma spec {spec!r}")
+    if not math.isfinite(sigma):
+        raise ConfigError(f"config field sigma: {spec!r} at n={n} resolves to {sigma}")
+    return sigma
 
 
 def _as_list(x) -> list:
@@ -115,7 +203,7 @@ class ExperimentConfig:
             kinds=_as_list(data["kind"]),
             n=data["n"],
             m=data.get("m", 1),
-            d_values=[int(x) for x in _as_list(data.get("d", 1))],
+            d_values=_as_list(data.get("d", 1)),
             r=data.get("r", 1),
             sigma_specs=_as_list(data["sigma"]),
             trials=data["trials"],
@@ -268,7 +356,7 @@ def _cmd_limit_checks(args) -> int:
     else:
         data = {"d": [1], "trials": 1000, "master_seed": 0}
     _validate_config(_apply_overrides(data, args), "limit_checks")
-    d_values = [int(x) for x in _as_list(data["d"])]
+    d_values = _as_list(data["d"])
     if max(d_values) > data["k"]:
         raise ConfigError(f"d={max(d_values)} out of range [1, {data['k']}]")
     report = run_limit_checks(

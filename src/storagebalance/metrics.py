@@ -138,7 +138,7 @@ def t_star_series(
     if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             results = list(pool.map(_t_star_chunk, chunks))
     else:
         results = [_t_star_chunk(c, memo) for c in chunks]

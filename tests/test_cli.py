@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line harness."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from storagebalance.cli import (
     EXIT_OK,
     ConfigError,
     ExperimentConfig,
-    _schema,
     build_allocation,
     main,
     resolve_sigma,
@@ -94,8 +94,7 @@ def test_build_allocation_dispatch():
 
 
 def test_family_table_covers_every_named_kind():
-    enum = _schema()["$defs"]["kind_name"]["enum"]
-    assert set(FAMILIES) == set(enum) == set(KINDS) - {"custom"}
+    assert set(FAMILIES) == set(KINDS) - {"custom"}
 
 
 # ---------------------------------------------------------------------------
@@ -193,24 +192,42 @@ def test_simulate_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+SIMULATE = ["simulate", "--config", "{config}"]
+LIMIT_CHECKS = ["limit-checks", "--config", "{config}"]
+
+
 @pytest.mark.parametrize(
-    "argv,config",
+    "argv,config,field",
     [
-        (["simulate", "--config", "{config}"], {**BASE_CONFIG, "kind": "clustering", "d": 5}),
-        (["simulate", "--config", "{config}"], {**BASE_CONFIG, "kind": "cyclic_xor", "r": 1}),
-        (["limit-checks", "--k", "5", "--d", "9"], None),
-        (["simulate", "--config", "{config}"], b"\xff\xfe not utf-8"),
-        (["inspect", "--kind", "cyclic", "--n", "7", "--out", "{missing}/x.json"], None),
+        (SIMULATE, {**BASE_CONFIG, "kind": "clustering", "d": 5}, None),
+        (SIMULATE, {**BASE_CONFIG, "kind": "cyclic_xor", "r": 1}, None),
+        (["limit-checks", "--k", "5", "--d", "9"], None, None),
+        (SIMULATE, b"\xff\xfe not utf-8", None),
+        (["inspect", "--kind", "cyclic", "--n", "7", "--out", "{missing}/x.json"], None, None),
         (
-            ["simulate", "--config", "{config}"],
+            SIMULATE,
             {**BASE_CONFIG, "outputs": [{"format": "csv", "path": "{missing}/x.csv"}]},
+            None,
         ),
-        (["limit-checks", "--k", "10", "--trials", "20", "--out", "{missing}/x.json"], None),
-        (["simulate", "--config", "{config}", "--seed", "3"], [1, 2]),
-        (["limit-checks", "--config", "{config}", "--seed", "3"], [1, 2]),
-        (["limit-checks", "--k", "50", "--d", "2", "--trials", "1"], None),
-        (["limit-checks", "--config", "{config}"], {**LIMIT_CONFIG, "trials": 1}),
-        (["limit-checks", "--config", "{config}"], {**LIMIT_CONFIG, "count_trials": 1}),
+        (["limit-checks", "--k", "10", "--trials", "20", "--out", "{missing}/x.json"], None, None),
+        ([*SIMULATE, "--seed", "3"], [1, 2], None),
+        ([*LIMIT_CHECKS, "--seed", "3"], [1, 2], None),
+        (["limit-checks", "--k", "50", "--d", "2", "--trials", "1"], None, None),
+        (LIMIT_CHECKS, {**LIMIT_CONFIG, "trials": 1}, "trials"),
+        (LIMIT_CHECKS, {**LIMIT_CONFIG, "count_trials": 1}, "count_trials"),
+        # integral floats and non-finite sigma values are bad input, not crashes
+        (SIMULATE, {**BASE_CONFIG, "trials": 20.0}, "trials"),
+        (SIMULATE, {**BASE_CONFIG, "n": 12.0}, "n"),
+        (SIMULATE, {**BASE_CONFIG, "master_seed": 3.0}, "master_seed"),
+        (SIMULATE, {**BASE_CONFIG, "workers": 1.0}, "workers"),
+        (SIMULATE, {**BASE_CONFIG, "d": [1.0, 2]}, "d/0"),
+        (SIMULATE, {**BASE_CONFIG, "kind": "cyclic_xor", "n": 7, "d": 3, "r": 2.0}, "r"),
+        (LIMIT_CHECKS, {**LIMIT_CONFIG, "k": 300.0}, "k"),
+        (LIMIT_CHECKS, {**LIMIT_CONFIG, "trials": 200.0}, "trials"),
+        (LIMIT_CHECKS, {**LIMIT_CONFIG, "count_trials": 50.0}, "count_trials"),
+        (SIMULATE, {**BASE_CONFIG, "sigma": {"absolute": math.inf}}, "sigma/absolute"),
+        (SIMULATE, {**BASE_CONFIG, "sigma": {"absolute": math.nan}}, "sigma/absolute"),
+        (SIMULATE, {**BASE_CONFIG, "sigma": {"fraction_of_n": 1e308}}, "sigma"),
     ],
     ids=[
         "clustering-d-not-dividing-n",
@@ -225,9 +242,21 @@ def test_simulate_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
         "limit-checks-one-trial-flag",
         "limit-checks-one-trial-field",
         "limit-checks-one-count-trial-field",
+        "simulate-float-trials",
+        "simulate-float-n",
+        "simulate-float-master-seed",
+        "simulate-float-workers",
+        "simulate-float-d-item",
+        "simulate-float-r",
+        "limit-checks-float-k",
+        "limit-checks-float-trials",
+        "limit-checks-float-count-trials",
+        "sigma-infinity",
+        "sigma-nan",
+        "sigma-overflows-to-infinity",
     ],
 )
-def test_config_errors_exit_2(tmp_path, capsys, argv, config):
+def test_config_errors_exit_2(tmp_path, capsys, argv, config, field):
     path = tmp_path / "config.json"
     missing = str(tmp_path / "missing")  # a directory that does not exist
     text = " ".join(argv)
@@ -240,6 +269,8 @@ def test_config_errors_exit_2(tmp_path, capsys, argv, config):
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err
+    if field is not None:
+        assert f"config field {field}:" in err
     if "{missing}" in text:
         assert missing in err  # the message names the unwritable path
 
@@ -625,17 +656,17 @@ def test_limit_checks_requires_k(capsys):
 
 
 # ---------------------------------------------------------------------------
-# start-up: scipy is imported only by the code that calls it
+# start-up: scipy is imported only by the code that calls it, jsonschema never
 # ---------------------------------------------------------------------------
 
 #: Runs ``cli.main`` on its arguments (or only imports the package, given
-#: none) and prints the scipy modules loaded at exit.
+#: none) and prints the scipy and jsonschema modules loaded at exit.
 _LOADED_AT_EXIT = (
     "import sys, storagebalance\n"
     "if sys.argv[1:]:\n"
     "    from storagebalance.cli import main\n"
     "    assert main(sys.argv[1:]) == 0\n"
-    "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    "print(' '.join(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))\n"
 )
 
 
@@ -647,14 +678,19 @@ def _simulate(kind, n, d):
 @pytest.mark.parametrize(
     "command, config, absent, present",
     [
-        ([], None, ["scipy"], []),
+        ([], None, ["scipy", "jsonschema"], []),
         (["limit-checks", "--k", "50", "--d", "2", "--trials", "2"], None,
-         ["scipy.optimize", "scipy.sparse"], []),
-        (["simulate"], _simulate("cyclic", 12, 3), ["scipy.optimize", "scipy.sparse"], []),
-        (["simulate"], _simulate("clustering", 12, 3), ["scipy.optimize", "scipy.sparse"], []),
-        (["simulate"], _simulate("single_choice", 12, 1), ["scipy.optimize", "scipy.sparse"], []),
-        (["inspect", "--kind", "cyclic", "--n", "20", "--d", "3"], None, ["scipy.optimize"], []),
-        (["simulate"], _simulate("block_design", 7, 3), [], ["scipy.optimize._highspy"]),
+         ["scipy.optimize", "scipy.sparse", "jsonschema"], []),
+        (["simulate"], _simulate("cyclic", 12, 3),
+         ["scipy.optimize", "scipy.sparse", "jsonschema"], []),
+        (["simulate"], _simulate("clustering", 12, 3),
+         ["scipy.optimize", "scipy.sparse", "jsonschema"], []),
+        (["simulate"], _simulate("single_choice", 12, 1),
+         ["scipy.optimize", "scipy.sparse", "jsonschema"], []),
+        (["inspect", "--kind", "cyclic", "--n", "20", "--d", "3"], None,
+         ["scipy.optimize", "jsonschema"], []),
+        (["simulate"], _simulate("block_design", 7, 3), ["jsonschema"],
+         ["scipy.optimize._highspy"]),
     ],
     ids=["import", "limit-checks", "cyclic", "clustering", "single_choice", "inspect", "lp"],
 )

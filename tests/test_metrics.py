@@ -109,6 +109,36 @@ def test_t_star_series_worker_invariance(monkeypatch):
         assert np.array_equal(t_star_series(alloc, 4.0, 100, SEED), seq[:100])
 
 
+def test_t_star_series_starts_no_more_workers_than_chunks(monkeypatch):
+    import concurrent.futures
+
+    import storagebalance.metrics as metrics_mod
+
+    pools = []
+
+    class InProcessPool:
+        """Records ``max_workers`` and maps in this process; starts nothing."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 70)  # 150 trials: 3 chunks
+    alloc = build_cyclic(12, 3)
+    par = t_star_series(alloc, 4.0, 150, SEED, workers=100_000)
+    assert pools == [3]
+    assert np.array_equal(par, t_star_series(alloc, 4.0, 150, SEED, workers=1))
+
+
 def _perturbed_row(monkeypatch, target, perturb):
     """Make the LP's per-row solve hand back ``perturb(status, x, y, z)``
     for the demand row equal to ``target``."""
