@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .spacings import (
-    batch_rows,
     dspacing_gumbel_centering,
     gumbel_cdf,
     prefix_sums,
@@ -35,8 +34,9 @@ KS_BIAS_DGT1 = 0.09
 #: KS sampling-noise quantile coefficient (~1% point of the Kolmogorov law).
 KS_NOISE = 1.63
 
-#: Rows per batch at k <= 10^4; above that, batches are capped by elements.
-_BATCH = 2000
+#: Numbers per block of demand rows in ``_one_pass``: 256 KB of float64, so
+#: a block, its prefix sums and its window sums stay in L2 cache.
+_BLOCK_ELEMENTS = 2**15
 
 
 def ks_threshold(d: int, trials: int) -> float:
@@ -97,13 +97,14 @@ class _Pass:
 
 
 def _one_pass(k: int, d_values, trials: int, count_trials: int, master_seed: int) -> _Pass:
-    """Draw each batch of unit-spacing rows once and reduce it to every statistic.
+    """Draw each block of unit-spacing rows once and reduce it to every statistic.
 
-    Row i is the substream (master_seed, i) whatever the batching, so the
-    maxima and counts equal those of separate passes.  At most one batch is
-    held at a time: its range counts are taken first, then the batch is
-    dropped once its prefix sums are built, and each d cuts both maxima
-    from one array of window sums.
+    A block holds ``max(1, _BLOCK_ELEMENTS // k)`` rows.  Row i is the
+    substream (master_seed, i) whatever the blocking, and every sum and
+    maximum is taken per row, so the maxima and counts equal those of
+    separate passes.  At most one block is held at a time: its range counts
+    are taken first, then the block is dropped once its prefix sums are
+    built, and each d cuts both maxima from one array of window sums.
     """
     ds = sorted({d for d in d_values if d < k})
     ranges = _count_ranges(k) if count_trials else []
@@ -111,9 +112,9 @@ def _one_pass(k: int, d_values, trials: int, count_trials: int, master_seed: int
     circle = {d: np.empty(trials) for d in ds}
     counts = {name: np.empty(count_trials) for name, *_ in ranges}
     rows = max(trials if ds else 0, count_trials)
-    batch = batch_rows(k, _BATCH)
-    for start in range(0, rows, batch):
-        s = spacing_matrix(k, 1.0, master_seed, min(batch, rows - start), start_index=start)
+    block = max(1, _BLOCK_ELEMENTS // k)
+    for start in range(0, rows, block):
+        s = spacing_matrix(k, 1.0, master_seed, min(block, rows - start), start_index=start)
         c = s[: max(0, count_trials - start)]
         for name, lo, hi, *_ in ranges:
             counts[name][start : start + len(c)] = np.count_nonzero((c >= lo) & (c <= hi), axis=1)
@@ -301,7 +302,7 @@ def run_limit_checks(
 ) -> dict:
     """Full limit-law battery; returns a report dict with per-check results.
 
-    One pass draws each batch of rows once and reduces it to the maxima of
+    One pass draws each block of rows once and reduces it to the maxima of
     every d and the three range counts; the checks are then built from those
     per-trial statistics.  Both trial counts must be at least 2, since the
     checks take sample variances.

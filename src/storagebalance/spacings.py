@@ -85,15 +85,17 @@ def spacing_matrix(
 # Batching and windowed maxima
 # ---------------------------------------------------------------------------
 
-#: Cap on demand-matrix elements per batch (keeps peak memory modest).
+#: Cap on demand-matrix elements per ``simulate`` chunk and in its run memo
+#: (keeps peak memory modest).
 BATCH_ELEMENTS = 20_000_000
 
 
 def batch_rows(k: int, max_rows: int) -> int:
-    """Rows per batch of k-element demand rows.
+    """Rows per ``simulate`` chunk of k-element demand rows.
 
     At most ``max_rows``, and at most ``BATCH_ELEMENTS // k`` unless that
-    falls below 64 rows.
+    falls below 64 rows.  ``limit-checks`` sizes its blocks itself (see
+    ``limitlaws._one_pass``).
     """
     return max(64, min(max_rows, BATCH_ELEMENTS // max(1, k)))
 

@@ -140,37 +140,45 @@ def test_one_pass_matches_separate_runs():
         assert joint["checks"] == per_d + count_part
 
 
-def test_one_pass_draws_each_batch_once(monkeypatch):
+@pytest.mark.parametrize("k, trials, count_trials", [(40, 150, 2500), (3000, 150, 250), (40_000, 3, 2)])
+def test_one_pass_draws_each_block_once(monkeypatch, k, trials, count_trials):
     import storagebalance.limitlaws as lim
 
     real = lim.spacing_matrix
     calls = []
 
     def counting(k, sigma, master_seed, trials, start_index=0):
-        calls.append((trials, start_index))
+        calls.append((start_index, trials))
         return real(k, sigma, master_seed, trials, start_index=start_index)
 
     monkeypatch.setattr(lim, "spacing_matrix", counting)
-    run_limit_checks(40, [1, 2, 40], 150, 3, count_trials=2500)
-    assert calls == [(2000, 0), (500, 2000)]
+    run_limit_checks(k, [1, 2, k], trials, 3, count_trials=count_trials)
+    block = max(1, lim._BLOCK_ELEMENTS // k)
+    sizes = [n for _, n in calls]
+    assert sizes[:-1] == [block] * (len(calls) - 1) and 0 < sizes[-1] <= block
+    assert [s for s, _ in calls] == [sum(sizes[:i]) for i in range(len(calls))]
+    assert sum(sizes) == max(trials, count_trials)
 
 
-@pytest.mark.parametrize("cap_rows", [100, 10])
-def test_batches_capped_by_elements(monkeypatch, cap_rows):
+@pytest.mark.parametrize("count_trials", [400, 250, 90])
+def test_report_independent_of_block_size(monkeypatch, count_trials):
     import storagebalance.limitlaws as lim
-    import storagebalance.spacings as sp
 
-    k = 50
-    want = run_limit_checks(k, [1, 2, k], 250, 3, count_trials=400)
-    real = lim.spacing_matrix
-    rows = []
+    k, trials = 50, 250
+    want = run_limit_checks(k, [1, 2, k], trials, 3, count_trials=count_trials)
+    for elements in (1, k - 1, k, 10 * k, 2**20):
+        monkeypatch.setattr(lim, "_BLOCK_ELEMENTS", elements)
+        assert run_limit_checks(k, [1, 2, k], trials, 3, count_trials=count_trials) == want
 
-    def counting(k, sigma, master_seed, trials, start_index=0):
-        rows.append(trials)
-        return real(k, sigma, master_seed, trials, start_index=start_index)
 
-    monkeypatch.setattr(lim, "spacing_matrix", counting)
-    monkeypatch.setattr(sp, "BATCH_ELEMENTS", cap_rows * k)
-    assert run_limit_checks(k, [1, 2, k], 250, 3, count_trials=400) == want
-    assert sum(rows) == 400
-    assert max(rows) == max(64, cap_rows)
+def test_limit_checks_hold_a_few_rows_at_large_k():
+    # 64 rows of k = 200 000 are 102 MB; one-row blocks hold a few 1.6 MB rows.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run_limit_checks(200_000, [1, 3], 64, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
