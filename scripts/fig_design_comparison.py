@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from storagebalance.allocation import build_block_design, build_clustering, build_cyclic
-from storagebalance.metrics import ExperimentRow, estimate_metrics, rows_to_csv
+from storagebalance.metrics import ExperimentRow, estimate_metrics, rows_to_csv, t_star_series
 
 
 def run() -> int:
@@ -28,21 +28,21 @@ def run() -> int:
     for d in args.d:
         nb = d * d - d + 1
         nc = d * (nb // d + 1)
-        allocs = [
-            build_block_design(d),
-            build_cyclic(nb, d),
-            build_cyclic(nc, d),
-            build_clustering(nc, d),
-        ]
-        for alloc in allocs:
-            sigma = 0.8 * alloc.n
-            p, imb = estimate_metrics(alloc, sigma, args.trials, args.seed)
-            rows.append(
-                ExperimentRow(
-                    kind=alloc.kind, n=alloc.n, k=alloc.k, d=alloc.d, r=alloc.r,
-                    sigma=sigma, trials=args.trials, seed=args.seed, p=p, imbalance=imb,
+        # each pair shares k and sigma, so one call solves both on one draw
+        for pair in (
+            [build_block_design(d), build_cyclic(nb, d)],
+            [build_cyclic(nc, d), build_clustering(nc, d)],
+        ):
+            sigma = 0.8 * pair[0].n
+            series = t_star_series(pair, sigma, args.trials, args.seed)
+            for alloc, t_stars in zip(pair, series):
+                p, imb = estimate_metrics(alloc, sigma, args.trials, args.seed, t_stars)
+                rows.append(
+                    ExperimentRow(
+                        kind=alloc.kind, n=alloc.n, k=alloc.k, d=alloc.d, r=alloc.r,
+                        sigma=sigma, trials=args.trials, seed=args.seed, p=p, imbalance=imb,
+                    )
                 )
-            )
     with open(args.out, "w") as fh:
         fh.write(rows_to_csv(rows))
     print(f"wrote {args.out}")

@@ -25,7 +25,7 @@ from .allocation import (
     to_matrices,
 )
 from .loadsolver import LoadSplit, min_max_load, min_max_load_flow
-from .metrics import MetricEstimate, estimate_metrics, exact_p_sigma_k3
+from .metrics import MetricEstimate, estimate_metrics, exact_p_sigma_k3, t_star_series
 
 __all__ = [
     "__version__",
@@ -44,4 +44,5 @@ __all__ = [
     "MetricEstimate",
     "estimate_metrics",
     "exact_p_sigma_k3",
+    "t_star_series",
 ]

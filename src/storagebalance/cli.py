@@ -33,6 +33,7 @@ from .allocation import (
 )
 from .limitlaws import run_limit_checks
 from .loadsolver import FAMILIES, NumericalFailureError
+from . import metrics
 from .metrics import ExperimentRow, estimate_metrics, exact_region_k3, rows_to_csv
 
 EXIT_OK = 0
@@ -230,41 +231,45 @@ def run_simulate(config: ExperimentConfig) -> list[ExperimentRow]:
     """One row per (kind, d, sigma) in deterministic sweep order.
 
     Every sweep point reuses the same master seed, so per-trial demand
-    vectors are paired across designs and redundancy levels.  Consecutive
-    sweep points with the same number of objects k and the same sigma share
-    one draw of each demand batch while those batches total at most
-    ``BATCH_ELEMENTS``; a larger run redraws its batches at each point.  The
-    memo lives for this call only.
+    vectors are paired across designs and redundancy levels.  The points
+    that share the number of objects k and sigma are solved in one
+    ``t_star_series`` call, which draws each demand chunk once for all of
+    them; each of those points is reduced before the next group is solved.
     """
-    memo: dict = {}
-    rows = []
+    points = []
     for kind in config.kinds:
         for d in config.d_values:
             alloc = build_allocation(kind, config.n, d=d, r=config.r, m=config.m)
-            for spec in config.sigma_specs:
-                sigma = resolve_sigma(spec, alloc.n)
-                p_est, i_est = estimate_metrics(
-                    alloc,
-                    sigma,
-                    config.trials,
-                    config.master_seed,
-                    workers=config.workers,
-                    memo=memo,
-                )
-                rows.append(
-                    ExperimentRow(
-                        kind=kind,
-                        n=alloc.n,
-                        k=alloc.k,
-                        d=alloc.d,
-                        r=alloc.r,
-                        sigma=sigma,
-                        trials=config.trials,
-                        seed=config.master_seed,
-                        p=p_est,
-                        imbalance=i_est,
-                    )
-                )
+            points += [(kind, alloc, resolve_sigma(spec, alloc.n)) for spec in config.sigma_specs]
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, alloc, sigma) in enumerate(points):
+        groups.setdefault((alloc.k, sigma), []).append(i)
+    rows = [None] * len(points)
+    for (_, sigma), members in groups.items():
+        # looked up on the module, so that a wrapper set on
+        # ``metrics.t_star_series`` (as perfbench's tracer sets) sees the call
+        series = metrics.t_star_series(
+            [points[i][1] for i in members],
+            sigma,
+            config.trials,
+            config.master_seed,
+            workers=config.workers,
+        )
+        for i, t_stars in zip(members, series):
+            kind, alloc, _ = points[i]
+            p_est, i_est = estimate_metrics(alloc, sigma, config.trials, config.master_seed, t_stars)
+            rows[i] = ExperimentRow(
+                kind=kind,
+                n=alloc.n,
+                k=alloc.k,
+                d=alloc.d,
+                r=alloc.r,
+                sigma=sigma,
+                trials=config.trials,
+                seed=config.master_seed,
+                p=p_est,
+                imbalance=i_est,
+            )
     return rows
 
 

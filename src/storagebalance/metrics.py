@@ -22,20 +22,16 @@ import numpy as np
 
 from .allocation import Allocation, UnsupportedDesignError, node_expansion
 from .loadsolver import FAMILIES, STABILITY_TOL, NumericalFailureError, t_star_batch
-from .spacings import (
-    BATCH_ELEMENTS,
-    EULER_GAMMA,
-    REGIME_SINGLE,
-    batch_rows,
-    p_sigma_transition,
-    spacing_matrix,
-)
+from .spacings import EULER_GAMMA, REGIME_SINGLE, p_sigma_transition, spacing_matrix
 
 _Z95 = 1.959963984540054
 
-#: Trials per batch (see ``batch_rows``); bounds peak memory and sizes the
+#: Trials per chunk (see ``batch_rows``); bounds peak memory and sizes the
 #: parallel work units.
 BATCH_TRIALS = 20000
+
+#: Cap on demand-matrix elements per chunk (keeps peak memory modest).
+BATCH_ELEMENTS = 20_000_000
 
 #: Finite-size slack for comparing observed means against asymptotic bands:
 #: the observed statistic divided by the predicted band edge must fall in
@@ -82,71 +78,60 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (min(p, max(0.0, center - half)), max(p, min(1.0, center + half)))
 
 
-def _t_star_chunk(args, memo: Optional[dict] = None) -> np.ndarray:
-    """t* of one chunk of trials.
+def batch_rows(k: int) -> int:
+    """Rows per chunk of k-element demand rows.
 
-    ``memo`` maps ``(k, sigma, master_seed, start, count)`` to the demand
-    batch drawn for that chunk, and a chunk with a held key reuses it.  It
-    holds the batches of one (k, sigma, master_seed) at a time, while their
-    elements total at most ``BATCH_ELEMENTS``: a chunk of another triple, or
-    one whose batch would pass that total, empties it before drawing.  So
-    the memo never holds more than one batch would alone.
+    At most ``BATCH_TRIALS``, and at most ``BATCH_ELEMENTS // k`` unless
+    that falls below 64 rows.
     """
-    alloc, sigma, master_seed, start, count = args
-    memo = {} if memo is None else memo
-    key = (alloc.k, sigma, master_seed, start, count)
-    demands = memo.get(key)
-    if demands is None:
-        held = sum(batch.size for batch in memo.values())
-        if any(other[:3] != key[:3] for other in memo) or held + alloc.k * count > BATCH_ELEMENTS:
-            memo.clear()
-        demands = memo[key] = spacing_matrix(
-            alloc.k, sigma, master_seed, count, start_index=start
-        )
+    return max(64, min(BATCH_TRIALS, BATCH_ELEMENTS // max(1, k)))
+
+
+def _t_star_chunk(args) -> np.ndarray:
+    """t* of one chunk of trials for each allocation: one demand draw, then
+    one ``t_star_batch`` call per allocation."""
+    allocs, sigma, master_seed, start, count = args
+    demands = spacing_matrix(allocs[0].k, sigma, master_seed, count, start_index=start)
     try:
-        return t_star_batch(alloc, demands)
+        return np.stack([t_star_batch(alloc, demands) for alloc in allocs])
     except NumericalFailureError as exc:
         trial = start + getattr(exc, "row_index", 0)
         raise NumericalFailureError(f"trial {trial}: {exc}") from exc
 
 
 def t_star_series(
-    alloc: Allocation,
+    allocs: list[Allocation],
     sigma: float,
     trials: int,
     master_seed: int,
     workers: int = 1,
-    memo: Optional[dict] = None,
 ) -> np.ndarray:
-    """Optimal max load for trials independent demand draws.
+    """Optimal max load of each allocation for trials independent demand draws.
 
-    Trial i draws from substream (master_seed, i); results are assembled in
-    trial order, so the series is independent of the worker count.  A
-    ``memo`` dict (see ``_t_star_chunk``) lets consecutive calls with the
-    same demand batches draw each once; the process pool never receives it.
+    The allocations share their number of objects k, and row j of the
+    ``(len(allocs), trials)`` result belongs to ``allocs[j]``.  Trial i draws
+    from substream (master_seed, i) once for all of them, so the designs are
+    compared on paired demands.  Chunks of ``batch_rows(k)`` trials are
+    solved in trial order, or mapped over a process pool when ``workers`` > 1;
+    either way the result is independent of the worker count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    batch = batch_rows(alloc.k, BATCH_TRIALS)
+    batch = batch_rows(allocs[0].k)
     chunks = [
-        (alloc, sigma, master_seed, start, min(batch, trials - start))
+        (allocs, sigma, master_seed, start, min(batch, trials - start))
         for start in range(0, trials, batch)
     ]
-    out = np.empty(trials)
     if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             results = list(pool.map(_t_star_chunk, chunks))
     else:
-        results = [_t_star_chunk(c, memo) for c in chunks]
-    pos = 0
-    for res in results:
-        out[pos : pos + len(res)] = res
-        pos += len(res)
-    return out
+        results = [_t_star_chunk(c) for c in chunks]
+    return np.concatenate(results, axis=1)
 
 
 def estimate_metrics(
@@ -154,16 +139,15 @@ def estimate_metrics(
     sigma: float,
     trials: int,
     master_seed: int,
-    workers: int = 1,
-    memo: Optional[dict] = None,
+    t_stars: np.ndarray,
 ) -> tuple[MetricEstimate, MetricEstimate]:
-    """Joint estimate of (robustness probability, imbalance factor).
+    """Joint estimate of (robustness probability, imbalance factor) from
+    ``t_stars``, the allocation's row of a ``t_star_series`` call with the
+    same sigma, trials and master_seed.
 
-    Both metrics are derived from one series of optimal max loads, so paired
-    comparisons across designs reuse identical demand draws; ``memo`` is
-    passed to ``t_star_series``.
+    Both metrics are derived from the one series, and designs solved in one
+    ``t_star_series`` call are compared on identical demand draws.
     """
-    t_stars = t_star_series(alloc, sigma, trials, master_seed, workers=workers, memo=memo)
     stable = int(np.count_nonzero(t_stars <= 1.0 + STABILITY_TOL))
     p_hat = stable / trials
     p_lo, p_hi = wilson_interval(stable, trials)
@@ -336,7 +320,10 @@ def asymptotic_band_check(alloc: Allocation, trials: int, master_seed: int) -> d
     if family is None:
         raise UnsupportedDesignError(f"no predictor for kind {alloc.kind!r}")
     pred = family.predict(alloc)
-    _, i_est = estimate_metrics(alloc, 0.8 * n, trials, master_seed)
+    sigma = 0.8 * n
+    _, i_est = estimate_metrics(
+        alloc, sigma, trials, master_seed, t_star_series([alloc], sigma, trials, master_seed)[0]
+    )
 
     if pred.regime == REGIME_SINGLE:
         # the limit law centres imbalance * m; Gumbel mean shift
@@ -350,7 +337,8 @@ def asymptotic_band_check(alloc: Allocation, trials: int, master_seed: int) -> d
     transition = {}
     for label, b in (("below", TRANSITION_PROBE[0] * b_lo), ("above", TRANSITION_PROBE[1] * b_hi)):
         sig = b * n / math.log(n)
-        p_est, _ = estimate_metrics(alloc, sig, TRANSITION_TRIALS, master_seed)
+        t_stars = t_star_series([alloc], sig, TRANSITION_TRIALS, master_seed)[0]
+        p_est, _ = estimate_metrics(alloc, sig, TRANSITION_TRIALS, master_seed, t_stars)
         transition[label] = {"b": b, "sigma": sig, "p_sigma": p_est.mean}
     checks.append(
         BandCheck(name="p_sigma_below_transition", observed=transition["below"]["p_sigma"], lo=0.9, hi=1.0)

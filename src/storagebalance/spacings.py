@@ -64,8 +64,7 @@ def spacing_matrix(
     One Philox bit generator is re-keyed for each row (counter 0, buffer
     empty: the state of a freshly keyed Philox), which reproduces each
     per-trial substream without building a generator per row.  Every
-    call draws afresh; callers that reuse a batch keep it themselves, and only
-    for the run that drew it.
+    call draws afresh.
     """
     key = RandomStream(master_seed, start_index).key()
     bitgen = np.random.Philox(key=key)
@@ -82,22 +81,8 @@ def spacing_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Batching and windowed maxima
+# Windowed maxima
 # ---------------------------------------------------------------------------
-
-#: Cap on demand-matrix elements per ``simulate`` chunk and in its run memo
-#: (keeps peak memory modest).
-BATCH_ELEMENTS = 20_000_000
-
-
-def batch_rows(k: int, max_rows: int) -> int:
-    """Rows per ``simulate`` chunk of k-element demand rows.
-
-    At most ``max_rows``, and at most ``BATCH_ELEMENTS // k`` unless that
-    falls below 64 rows.  ``limit-checks`` sizes its blocks itself (see
-    ``limitlaws._one_pass``).
-    """
-    return max(64, min(max_rows, BATCH_ELEMENTS // max(1, k)))
 
 
 def prefix_sums(a: np.ndarray, wrap: int = 0) -> np.ndarray:

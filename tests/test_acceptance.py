@@ -39,7 +39,7 @@ from storagebalance.metrics import (
     t_star_series,
 )
 from storagebalance.spacings import gumbel_cdf, spacing_matrix
-from util import is_fano_plane, replica_instance, spacing_batches, window_maxima
+from util import estimate_alone, is_fano_plane, replica_instance, spacing_batches, window_maxima
 
 pytestmark = pytest.mark.acceptance
 
@@ -83,7 +83,7 @@ def test_criterion_01_exact_three_node_geometry():
 
 def test_criterion_02_monte_carlo_agreement():
     t0 = time.perf_counter()
-    p, _ = estimate_metrics(build_cyclic(3, 2), 3.0, 100_000, SEED)
+    p, _ = estimate_alone(build_cyclic(3, 2), 3.0, 100_000, SEED)
     elapsed = time.perf_counter() - t0
     err = abs(p.mean - 2.0 / 3.0)
     ok = err <= 3.0 * p.stderr and elapsed < 60.0
@@ -191,7 +191,7 @@ def test_criterion_07_single_choice_limit_law():
     t0 = time.perf_counter()
     n, trials = 10_000, 10_000
     alloc = build_single_choice(n, 1)
-    imb = t_star_series(alloc, 1.0, trials, SEED) * n
+    imb = t_star_series([alloc], 1.0, trials, SEED)[0] * n
     ks = ks_distance(imb - math.log(n), gumbel_cdf)
     target = math.log(n) + 0.5772156649
     rel_err = abs(imb.mean() - target) / target
@@ -230,8 +230,8 @@ def test_criterion_09_phase_transition():
     t0 = time.perf_counter()
     n, d, trials = 500, 3, 4000
     alloc = build_cyclic(n, d)
-    p_lo, _ = estimate_metrics(alloc, 0.5 * d * n / math.log(n), trials, SEED)
-    p_hi, _ = estimate_metrics(alloc, 3.0 * d * n / math.log(n), trials, SEED)
+    p_lo, _ = estimate_alone(alloc, 0.5 * d * n / math.log(n), trials, SEED)
+    p_hi, _ = estimate_alone(alloc, 3.0 * d * n / math.log(n), trials, SEED)
     elapsed = time.perf_counter() - t0
     ok = p_lo.mean >= 0.9 and p_hi.mean <= 0.1 and elapsed < 600.0
     report(9, ok, f"P(b=0.5d) = {p_lo.mean:.4f} >= 0.9, P(b=3d) = {p_hi.mean:.4f} <= 0.1, "
@@ -241,8 +241,11 @@ def test_criterion_09_phase_transition():
 def test_criterion_10_xor_comparison():
     t0 = time.perf_counter()
     n, trials = 100, 2000
-    _, i_rep = estimate_metrics(build_cyclic(n, 3), 0.8 * n, trials, SEED)
-    _, i_xor = estimate_metrics(build_cyclic_xor(n, 3, 2), 0.8 * n, trials, SEED)
+    allocs = [build_cyclic(n, 3), build_cyclic_xor(n, 3, 2)]
+    series = t_star_series(allocs, 0.8 * n, trials, SEED)
+    (_, i_rep), (_, i_xor) = (
+        estimate_metrics(a, 0.8 * n, trials, SEED, t) for a, t in zip(allocs, series)
+    )
     margin = (i_xor.mean - i_rep.mean) / math.hypot(i_rep.stderr, i_xor.stderr)
     beta = 2 * 2 * (1 + math.log(math.log(n)) - math.log(5))
     ratio = i_xor.mean * 3 / (math.log(n) + beta)
@@ -287,15 +290,14 @@ def test_criterion_11_circular_spacing_facts():
 def test_criterion_12_figure_shapes():
     t0 = time.perf_counter()
     n, trials = 100, 100_000
-    memo = {}
     p_means = {}
     i_means = {}
-    # paired demand draws shared across the d sweep: the run memo holds all
-    # five batches, so each is drawn once
-    for d in range(1, 6):
-        p_est, i_est = estimate_metrics(build_cyclic(n, d), 80.0, trials, SEED, memo=memo)
-        p_means[d] = p_est.mean
-        i_means[d] = i_est.mean
+    # one call solves the d sweep on paired demand draws
+    allocs = [build_cyclic(n, d) for d in range(1, 6)]
+    for alloc, t_stars in zip(allocs, t_star_series(allocs, 80.0, trials, SEED)):
+        p_est, i_est = estimate_metrics(alloc, 80.0, trials, SEED, t_stars)
+        p_means[alloc.d] = p_est.mean
+        i_means[alloc.d] = i_est.mean
     i1 = i_means[1]
     shape_ok = 4.0 <= i1 <= 5.5
     ratio_ok = all(0.65 <= i_means[d] * d / i1 <= 1.35 for d in range(2, 6))
@@ -307,11 +309,14 @@ def test_criterion_12_figure_shapes():
     fig3_detail = []
     for d in (3, 5):
         nb = d * d - d + 1
-        _, ib = estimate_metrics(build_block_design(d), 0.8 * nb, 10_000, SEED)
-        _, icb = estimate_metrics(build_cyclic(nb, d), 0.8 * nb, 10_000, SEED)
         nc = d * (nb // d + 1)
-        _, icc = estimate_metrics(build_cyclic(nc, d), 0.8 * nc, 10_000, SEED)
-        _, icl = estimate_metrics(build_clustering(nc, d), 0.8 * nc, 10_000, SEED)
+        estimates = []
+        for pair in ([build_block_design(d), build_cyclic(nb, d)],
+                     [build_cyclic(nc, d), build_clustering(nc, d)]):
+            sigma = 0.8 * pair[0].n
+            for alloc, t_stars in zip(pair, t_star_series(pair, sigma, 10_000, SEED)):
+                estimates.append(estimate_metrics(alloc, sigma, 10_000, SEED, t_stars)[1])
+        ib, icb, icc, icl = estimates
         lhs_ok = ib.mean <= icb.mean + 3.0 * math.hypot(ib.stderr, icb.stderr)
         rhs_ok = icc.mean <= icl.mean + 3.0 * math.hypot(icc.stderr, icl.stderr)
         fig3_ok &= lhs_ok and rhs_ok
@@ -330,7 +335,7 @@ def test_criterion_12_figure_shapes():
     )
 
 
-def test_criterion_13_determinism():
+def test_criterion_13_determinism(monkeypatch):
     config = ExperimentConfig(
         kinds=["cyclic"],
         n=12,
@@ -345,13 +350,9 @@ def test_criterion_13_determinism():
     # worker count must not perturb the data section (LP path, forced chunks)
     import storagebalance.metrics as metrics_mod
 
-    old = metrics_mod.BATCH_TRIALS
-    metrics_mod.BATCH_TRIALS = 256
-    try:
-        seq = t_star_series(build_block_design(3), 4.0, 1000, SEED, workers=1)
-        par = t_star_series(build_block_design(3), 4.0, 1000, SEED, workers=4)
-    finally:
-        metrics_mod.BATCH_TRIALS = old
+    monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 256)
+    seq = t_star_series([build_block_design(3)], 4.0, 1000, SEED, workers=1)
+    par = t_star_series([build_block_design(3)], 4.0, 1000, SEED, workers=4)
     ok = runs[0] == runs[1] and np.array_equal(seq, par)
     report(13, ok, f"CSV bytes identical across runs: {runs[0] == runs[1]}; "
                    f"t* series identical across worker counts: {np.array_equal(seq, par)}")

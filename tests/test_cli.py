@@ -334,37 +334,57 @@ def test_sweep_with_several_batches_draws_each_batch_once(monkeypatch):
     assert [c[3:] for c in calls[1:]] == [(64, 0), (64, 64), (22, 128)]
 
 
-@pytest.mark.parametrize("cap_batches", [1, 0])
-def test_sweep_past_the_element_cap_holds_one_batch(monkeypatch, cap_batches):
+def test_two_sigma_sweep_draws_once_per_sigma(monkeypatch):
+    calls = _count_draws(monkeypatch)
+    sigmas = [{"fraction_of_n": 0.8}, {"absolute": 5.0}]
+    cfg = ExperimentConfig.from_dict({**BASE_CONFIG, "n": 20, "d": [1, 2, 3, 4, 5], "sigma": sigmas})
+    assert len(run_simulate(cfg)) == 10
+    seed = BASE_CONFIG["master_seed"]
+    assert calls == [(20, 16.0, seed, 400, 0), (20, 5.0, seed, 400, 0)]
+
+
+@pytest.mark.parametrize("cap_rows", [0, 64, 100, 10**6])
+def test_sweep_draws_each_chunk_once_at_any_element_cap(monkeypatch, cap_rows):
     import storagebalance.metrics as metrics_mod
 
-    calls = _count_draws(monkeypatch)
-    cfg = ExperimentConfig.from_dict({**BASE_CONFIG, "trials": 150})
+    sigmas = [{"fraction_of_n": 0.8}, {"absolute": 5.0}]
+    cfg = ExperimentConfig.from_dict({**BASE_CONFIG, "trials": 150, "sigma": sigmas})
     shared = rows_to_csv(run_simulate(cfg))
-    monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 64)
-    # room for one 64-row batch of k = 12, or for none: each point redraws
-    monkeypatch.setattr(metrics_mod, "BATCH_ELEMENTS", cap_batches * 64 * 12)
+    calls = _count_draws(monkeypatch)
+    monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 128)
+    # chunks of 64 rows (the floor), 100 rows, or BATCH_TRIALS rows
+    monkeypatch.setattr(metrics_mod, "BATCH_ELEMENTS", cap_rows * 12)
+    batch = max(64, min(128, cap_rows))
+    chunks = [(min(batch, 150 - start), start) for start in range(0, 150, batch)]
     assert rows_to_csv(run_simulate(cfg)) == shared
-    assert len(calls) == 1 + 3 * 3
+    sigma_values = [resolve_sigma(spec, 12) for spec in sigmas]
+    seed = BASE_CONFIG["master_seed"]
+    assert calls == [(12, sigma, seed, *chunk) for sigma in sigma_values for chunk in chunks]
 
 
 def test_sweep_csv_equals_points_run_alone():
-    sweep = {
-        **BASE_CONFIG,
-        "kind": ["cyclic", "clustering", "block_design"],
-        "d": [3],
-        "n": 6,
-        "sigma": [{"fraction_of_n": 0.8}, {"absolute": 5.0}],
-        "trials": 120,
-    }
-    rows = run_simulate(ExperimentConfig.from_dict(sweep))
-    alone = []
-    for kind in sweep["kind"]:
-        for spec in sweep["sigma"]:
-            point = {**sweep, "kind": kind, "sigma": spec}
-            alone += run_simulate(ExperimentConfig.from_dict(point))
-    assert len(rows) == 6
-    assert rows_to_csv(rows) == rows_to_csv(alone)
+    # the second sigma list resolves to 3.0 twice at n = 6 (not at the block
+    # design's n = 7), so a group holds the same design twice
+    for sigmas in (
+        [{"fraction_of_n": 0.8}, {"absolute": 5.0}],
+        [{"fraction_of_n": 0.5}, {"absolute": 3.0}],
+    ):
+        sweep = {
+            **BASE_CONFIG,
+            "kind": ["cyclic", "clustering", "block_design"],
+            "d": [3],
+            "n": 6,
+            "sigma": sigmas,
+            "trials": 120,
+        }
+        rows = run_simulate(ExperimentConfig.from_dict(sweep))
+        alone = []
+        for kind in sweep["kind"]:
+            for spec in sweep["sigma"]:
+                point = {**sweep, "kind": kind, "sigma": spec}
+                alone += run_simulate(ExperimentConfig.from_dict(point))
+        assert len(rows) == 6
+        assert rows_to_csv(rows) == rows_to_csv(alone)
 
 
 # ---------------------------------------------------------------------------

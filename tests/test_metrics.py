@@ -27,6 +27,7 @@ from storagebalance.metrics import (
     wilson_interval,
 )
 from storagebalance.spacings import EULER_GAMMA, predict_single_choice, spacing_matrix
+from util import estimate_alone
 
 SEED = 987654321
 
@@ -59,7 +60,7 @@ def test_metric_estimate_validates():
 
 
 def test_full_replication_imbalance_is_one():
-    est = estimate_metrics(build_cyclic(4, 4), sigma=2.0, trials=200, master_seed=SEED)[1]
+    est = estimate_alone(build_cyclic(4, 4), sigma=2.0, trials=200, master_seed=SEED)[1]
     assert est.mean == pytest.approx(1.0, abs=1e-12)
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
     assert est.quantiles == pytest.approx({"q05": 1.0, "q50": 1.0, "q95": 1.0}, abs=1e-12)
@@ -67,20 +68,21 @@ def test_full_replication_imbalance_is_one():
 
 def test_single_choice_mean_imbalance_near_gumbel_mean():
     alloc = build_single_choice(100, 1)
-    est = estimate_metrics(alloc, sigma=1.0, trials=10_000, master_seed=SEED)[1]
+    est = estimate_alone(alloc, sigma=1.0, trials=10_000, master_seed=SEED)[1]
     target = math.log(100) + 0.5772156649
     assert abs(est.mean - target) / target < 0.05
 
 
 def test_estimates_are_deterministic_and_paired():
-    a = estimate_metrics(build_cyclic(10, 2), 8.0, 500, SEED)
-    b = estimate_metrics(build_cyclic(10, 2), 8.0, 500, SEED)
+    a = estimate_alone(build_cyclic(10, 2), 8.0, 500, SEED)
+    b = estimate_alone(build_cyclic(10, 2), 8.0, 500, SEED)
     assert a[0] == b[0] and a[1] == b[1]
 
 
 def test_more_choices_improve_both_metrics_on_paired_seeds():
-    p1, i1 = estimate_metrics(build_cyclic(100, 1), 80.0, 400, SEED)
-    p2, i2 = estimate_metrics(build_cyclic(100, 2), 80.0, 400, SEED)
+    allocs = [build_cyclic(100, 1), build_cyclic(100, 2)]
+    series = t_star_series(allocs, 80.0, 400, SEED)
+    (p1, i1), (p2, i2) = (estimate_metrics(a, 80.0, 400, SEED, t) for a, t in zip(allocs, series))
     assert i2.mean < i1.mean
     assert p2.mean >= p1.mean
 
@@ -89,7 +91,7 @@ def test_p_sigma_monotone_in_sigma():
     alloc = build_cyclic(12, 2)
     means = []
     for sigma in (4.0, 6.0, 8.0, 10.0):
-        est, _ = estimate_metrics(alloc, sigma, 600, SEED)
+        est, _ = estimate_alone(alloc, sigma, 600, SEED)
         means.append(est.mean)
     for a, b in zip(means, means[1:]):
         assert b <= a + 3.0 * math.sqrt(0.25 / 600)
@@ -101,12 +103,13 @@ def test_t_star_series_worker_invariance(monkeypatch):
     # chunks of 70, 70 and 10 trials: each chunk starts a fresh LP model, so
     # the model restarts mid-run at the same trials at any worker count
     monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 70)
-    for alloc in (build_block_design(3), build_cyclic_xor(9, 3, 2)):
-        seq = t_star_series(alloc, 4.0, 150, SEED, workers=1)
-        par = t_star_series(alloc, 4.0, 150, SEED, workers=3)
+    for allocs in ([build_block_design(3), build_cyclic(7, 3)], [build_cyclic_xor(9, 3, 2)]):
+        seq = t_star_series(allocs, 4.0, 150, SEED, workers=1)
+        par = t_star_series(allocs, 4.0, 150, SEED, workers=3)
+        assert seq.shape == (len(allocs), 150)
         assert np.array_equal(seq, par)
         # a row depends only on the rows before it, so a shorter run is a prefix
-        assert np.array_equal(t_star_series(alloc, 4.0, 100, SEED), seq[:100])
+        assert np.array_equal(t_star_series(allocs, 4.0, 100, SEED), seq[:, :100])
 
 
 def test_t_star_series_starts_no_more_workers_than_chunks(monkeypatch):
@@ -133,10 +136,10 @@ def test_t_star_series_starts_no_more_workers_than_chunks(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 70)  # 150 trials: 3 chunks
-    alloc = build_cyclic(12, 3)
-    par = t_star_series(alloc, 4.0, 150, SEED, workers=100_000)
-    assert pools == [3]
-    assert np.array_equal(par, t_star_series(alloc, 4.0, 150, SEED, workers=1))
+    allocs = [build_cyclic(12, 3), build_cyclic(12, 2)]
+    par = t_star_series(allocs, 4.0, 150, SEED, workers=100_000)
+    assert pools == [3]  # one pool for both designs
+    assert np.array_equal(par, t_star_series(allocs, 4.0, 150, SEED, workers=1))
 
 
 def _perturbed_row(monkeypatch, target, perturb):
@@ -167,7 +170,7 @@ def test_solver_failure_carries_trial_index(monkeypatch):
 
     _perturbed_row(monkeypatch, target, break_conservation)
     with pytest.raises(ls.NumericalFailureError, match=f"trial {failing}: .*conservation") as info:
-        t_star_series(alloc, 4.0, 150, SEED)
+        t_star_series([build_cyclic(7, 3), alloc], 4.0, 150, SEED)
     assert info.value.__cause__.row_index == failing - 70
 
 
@@ -216,9 +219,9 @@ def test_failed_row_solve_names_that_row(monkeypatch):
 
 def test_estimate_requires_positive_inputs():
     with pytest.raises(ValueError):
-        estimate_metrics(build_cyclic(3, 2), 0.0, 10, SEED)
+        t_star_series([build_cyclic(3, 2)], 0.0, 10, SEED)
     with pytest.raises(ValueError):
-        estimate_metrics(build_cyclic(3, 2), 1.0, 0, SEED)
+        t_star_series([build_cyclic(3, 2)], 1.0, 0, SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +238,8 @@ def test_exact_p_sigma_three_node_values():
 def test_estimated_p_sigma_boundary_cases():
     # single-choice at the capacity boundary has measure zero; full
     # replication at sigma = n is stable with probability one
-    assert estimate_metrics(build_cyclic(3, 1), 3.0, 5000, SEED)[0].mean == 0.0
-    assert estimate_metrics(build_cyclic(3, 3), 3.0, 5000, SEED)[0].mean == 1.0
+    assert estimate_alone(build_cyclic(3, 1), 3.0, 5000, SEED)[0].mean == 0.0
+    assert estimate_alone(build_cyclic(3, 3), 3.0, 5000, SEED)[0].mean == 1.0
 
 
 def test_exact_region_vertices_d2():
@@ -262,7 +265,7 @@ def test_exact_region_d1_degenerate_point():
 def test_exact_small_sigma_fully_supported():
     assert exact_p_sigma_k3(build_cyclic(3, 2), 1.5) == 1.0
     # cross-check with Monte Carlo at moderate size
-    est = estimate_metrics(build_cyclic(3, 2), 1.5, 20_000, SEED)[0]
+    est = estimate_alone(build_cyclic(3, 2), 1.5, 20_000, SEED)[0]
     assert est.mean == 1.0
 
 
@@ -272,7 +275,7 @@ def test_exact_agrees_with_monte_carlo_grid():
         alloc = build_cyclic(3, d)
         for sigma in (1.5, 2.4, 3.0):
             exact = exact_p_sigma_k3(alloc, sigma)
-            est = estimate_metrics(alloc, sigma, trials, SEED)[0]
+            est = estimate_alone(alloc, sigma, trials, SEED)[0]
             slack = 3.0 * max(est.stderr, 1e-4)
             assert abs(est.mean - exact) <= slack, (d, sigma, exact, est.mean)
 
@@ -332,7 +335,7 @@ def test_band_check_dataclass():
 
 
 def test_experiment_row_csv_schema():
-    p, i = estimate_metrics(build_cyclic(5, 2), 3.0, 100, SEED)
+    p, i = estimate_alone(build_cyclic(5, 2), 3.0, 100, SEED)
     row = ExperimentRow(
         kind="cyclic", n=5, k=5, d=2, r=1, sigma=3.0, trials=100, seed=SEED, p=p, imbalance=i
     )

@@ -12,9 +12,9 @@ from storagebalance.allocation import (
     build_clustering,
     build_cyclic,
 )
+from storagebalance.metrics import estimate_metrics, t_star_series
 from storagebalance.spacings import (
     RandomStream,
-    batch_rows,
     prefix_sums,
     spacing_matrix,
     window_max_pair,
@@ -31,11 +31,17 @@ def per_trial_spacings(k: int, sigma: float, seed: int, index: int) -> np.ndarra
 
 def spacing_batches(k: int, trials: int, seed: int):
     """Yield ``(start, rows)`` over ``trials`` unit-sum demand rows, in blocks
-    of ``batch_rows(k, 20_000)``.  Row i is substream (seed, i) whatever the
-    blocks, so a test draws the same rows as one ``spacing_matrix`` call."""
-    batch = batch_rows(k, 20_000)
-    for start in range(0, trials, batch):
-        yield start, spacing_matrix(k, 1.0, seed, min(batch, trials - start), start_index=start)
+    of 4096 rows.  Row i is substream (seed, i) whatever the blocks, so a
+    test draws the same rows as one ``spacing_matrix`` call."""
+    for start in range(0, trials, 4096):
+        yield start, spacing_matrix(k, 1.0, seed, min(4096, trials - start), start_index=start)
+
+
+def estimate_alone(alloc: Allocation, sigma: float, trials: int, master_seed: int):
+    """``estimate_metrics`` of one allocation solved by its own
+    ``t_star_series`` call."""
+    t_stars = t_star_series([alloc], sigma, trials, master_seed)[0]
+    return estimate_metrics(alloc, sigma, trials, master_seed, t_stars)
 
 
 def window_maxima(a, d: int, circle: bool):
