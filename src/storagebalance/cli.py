@@ -345,9 +345,23 @@ def _outputs(args, configured: list[dict], default_format: str) -> list[dict]:
     return configured or [{"format": fmt, "path": None}]
 
 
+def _ignored_fields(config: ExperimentConfig) -> list[tuple[str, str]]:
+    """(kind, field) for each of d, r and m that the config sets to a value
+    other than 1 and that the kind's builder does not read (``FAMILIES``)."""
+    given = {"d": config.d_values, "r": [config.r], "m": [config.m]}
+    return [
+        (kind, name)
+        for kind in dict.fromkeys(config.kinds)
+        for name in FAMILIES[kind].ignores
+        if any(value != 1 for value in given[name])
+    ]
+
+
 def _cmd_simulate(args) -> int:
     data = _apply_overrides(_load_config_file(args.config), args)
     config = ExperimentConfig.from_dict(data)
+    for kind, name in _ignored_fields(config):
+        sys.stderr.write(f"note: {kind} designs ignore config field {name}\n")
     rows = run_simulate(config)
     _write_outputs(_outputs(args, config.outputs, "csv"), config.echo(), rows)
     return EXIT_OK

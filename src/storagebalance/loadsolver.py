@@ -22,7 +22,7 @@ verdicts use t* <= 1 + STABILITY_TOL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -272,25 +272,72 @@ def _binding_set(alloc: Allocation, rho: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def t_star_batch(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
+def t_star_batch(
+    alloc: Allocation, demands: np.ndarray, solved: Optional[SharedPass] = None
+) -> np.ndarray:
     """Optimal max load for each row of a (trials, k) demand matrix.
 
-    A family with a closed form in ``FAMILIES`` (single_choice, clustering,
-    cyclic) runs its window-maximum kernel; anything else solves the LP for
-    the rows in order on one HiGHS model built for this call, each
-    re-solve starting from the basis of the row before, with every row
-    certified (see ``_EpigraphLP``).  A row's t* can differ in its last
-    bits with the rows before it in ``demands``, so callers cut batches by
-    row index alone.  Closed forms agree with the LP to machine precision
-    (see the solver cross-check tests).  A failed row raises
-    NumericalFailureError with ``row_index`` set to its index in
-    ``demands``.
+    A family with a shared closed form in ``FAMILIES`` (cyclic) returns its
+    row of ``solved``, the ``shared_pass`` run on this same ``demands``
+    object, and raises ValueError if that pass did not cover the design; it
+    never solves the rows again.  Without a pass it runs the one-design case
+    of that kernel.  A family with a closed form of its own (single_choice,
+    clustering) runs its window-sum kernel.  Anything else solves the LP for
+    the rows in order on one HiGHS model built for this call, each re-solve
+    starting from the basis of the row before, with every row certified (see
+    ``_EpigraphLP``).  A row's t* can differ in its last bits with the rows
+    before it in ``demands``, so callers cut batches by row index alone.
+    Closed forms agree with the LP to machine precision (see the solver
+    cross-check tests).  A failed row raises NumericalFailureError with
+    ``row_index`` set to its index in ``demands``.
     """
+    family = FAMILIES.get(alloc.kind)
+    shared = getattr(family, "t_star_shared", None)
+    if shared is not None and solved is not None:
+        return solved.row(alloc, demands)
     demands = _demand_rows(alloc, demands)
-    kernel = getattr(FAMILIES.get(alloc.kind), "t_star", None)
+    if shared is not None:
+        return shared(alloc.n, [alloc.d], demands)[0]
+    kernel = getattr(family, "t_star", None)
     if kernel is not None:
         return kernel(alloc, demands)
     return _EpigraphLP(to_matrices(alloc)).solve(demands)[1].max(axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class SharedPass:
+    """The t* rows that ``shared_pass`` gave on one demand matrix, keyed by
+    each design's (kind, n, d)."""
+
+    demands: np.ndarray
+    rows: dict[tuple[str, int, int], np.ndarray]
+
+    def row(self, alloc: Allocation, demands) -> np.ndarray:
+        if demands is not self.demands:
+            raise ValueError("the shared pass was run on other demand rows")
+        row = self.rows.get((alloc.kind, alloc.n, alloc.d))
+        if row is None:
+            raise ValueError(f"the shared pass does not cover {alloc.kind} n={alloc.n} d={alloc.d}")
+        return row
+
+
+def shared_pass(allocs: list[Allocation], demands) -> SharedPass:
+    """Run each shared closed form in ``FAMILIES`` once over ``demands``.
+
+    The designs of ``allocs`` whose family has one (cyclic) share a pass
+    when they also share n, so a group of cyclic designs of one n is solved
+    in one pass for all its d.
+    """
+    groups: dict[tuple[str, int], list[Allocation]] = {}
+    for alloc in allocs:
+        if getattr(FAMILIES.get(alloc.kind), "t_star_shared", None) is not None:
+            groups.setdefault((alloc.kind, alloc.n), []).append(alloc)
+    rows = {}
+    for (kind, n), members in groups.items():
+        d_values = [alloc.d for alloc in members]
+        t_stars = FAMILIES[kind].t_star_shared(n, d_values, _demand_rows(members[0], demands))
+        rows.update(((kind, n, d), t_star) for d, t_star in zip(d_values, t_stars))
+    return SharedPass(demands, rows)
 
 
 def _demand_rows(alloc: Allocation, demands) -> np.ndarray:
@@ -318,13 +365,20 @@ def _t_star_clusters(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
 _COMPACT_SHARE = 0.25
 
 
-def _t_star_cyclic(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
-    """t* for cyclic designs: max over circular windows w of W_w / (w + d - 1).
+def _t_star_cyclic(n: int, d_values: Sequence[int], demands: np.ndarray) -> np.ndarray:
+    """t* of the cyclic designs (n, d) for each d of ``d_values``, one row each.
 
     A window of w consecutive objects expands to exactly min(w + d - 1, n)
     nodes, and by max-flow duality the binding demand subsets collapse to
     circular windows, so t* = max(sum/n, max_w W_w / (w + d - 1)) with w up
-    to n - d.
+    to n - d, and t* = sum/n at d >= n.
+
+    The circular window maximum W_w does not depend on d, so one pass over
+    w = 1 .. n - min d serves every d: it builds the prefix sums once, with
+    the wrap the smallest d needs, computes W_w once per w over the rows
+    still live, and updates each d with w <= n - d from it.  Every d sees
+    the same W_w and the same float operations as a pass of its own, so its
+    row is that pass's row bit for bit; a single design is the one-d case.
 
     Rows whose t* is already final are skipped.  Circular window maxima are
     subadditive, W_{a+b} <= W_a + W_b (for a + b < n), so if after step w a
@@ -333,6 +387,16 @@ def _t_star_cyclic(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
     can raise best.  At d = 1 no row is final at w = 1, where best equals
     W_1, and generic rows are final at w = 2; a larger d takes longer
     windows before W_w <= best * w.
+
+    A row leaves the pass once it is final for the largest d still running,
+    d_top, since at any w <= n - d_top that implies it is final for every
+    smaller d.  For each w' <= w and d < d_top, W_w' >= 0 and division
+    rounds monotonically, so fl(W_w' / (w' + d - 1)) >=
+    fl(W_w' / (w' + d_top - 1)); hence best_d >= best_d_top, and as the
+    product best * fl(w (1 - m)) also rounds monotonically, a row that
+    passes the test for d_top at some step passes it for d there too.  Once
+    w passes n - d_top, that d is done and the next smaller d takes its
+    place; rows already final for it leave at the next compaction.
 
     The test runs on rounded sums, so it asks for W_w <= best * w * (1 - m).
     With u = 2^-53, the sequential prefix sums of a row of sum sigma reach
@@ -347,27 +411,34 @@ def _t_star_cyclic(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
     taken at the n of the call.  Skipped rows therefore keep exactly the
     value the full loop would give them.
     """
-    n, d = alloc.n, alloc.d
-    out = demands.sum(axis=1) / n
-    if d >= n:
-        return out
-    shrink = 1.0 - 32.0 * n * n * 2.0**-53
-    p = prefix_sums(demands, wrap=n - d - 1)
-    rows = np.arange(len(out))
-    best = out.copy()
-    final = np.zeros(len(out), dtype=bool)
-    for w in range(1, n - d + 1):
-        wmax = window_max(p, n, w)
-        np.maximum(best, wmax / (w + d - 1), out=best)
-        final |= wmax <= best * (w * shrink)
-        if np.count_nonzero(final) >= _COMPACT_SHARE * len(final):
-            out[rows[final]] = best[final]
-            live = ~final
-            p, rows, best, final = p[live], rows[live], best[live], final[live]
-            if not len(rows):
-                return out
-    out[rows] = best
-    return out
+    total = demands.sum(axis=1) / n
+    ds = sorted({d for d in d_values if d < n}, reverse=True)
+    out = np.tile(total, (len(ds), 1))
+    if ds:
+        shrink = 1.0 - 32.0 * n * n * 2.0**-53
+        p = prefix_sums(demands, wrap=n - ds[-1] - 1)
+        rows = np.arange(len(total))
+        best = out.copy()
+        final = np.zeros(best.shape, dtype=bool)
+        d_minus_1 = np.array(ds, dtype=np.float64)[:, None] - 1.0
+        top = 0  # ds[top:] are the d still running; ds[top] is d_top
+        for w in range(1, n - ds[-1] + 1):
+            if w > n - ds[top]:
+                top += 1
+            wmax = window_max(p, n, w)
+            live_best = best[top:]
+            np.maximum(live_best, wmax / (w + d_minus_1[top:]), out=live_best)
+            final[top:] |= wmax <= live_best * (w * shrink)
+            done = final[top]
+            if np.count_nonzero(done) >= _COMPACT_SHARE * len(done):
+                out[:, rows[done]] = best[:, done]
+                live = ~done
+                p, rows, best, final = p[live], rows[live], best[:, live], final[:, live]
+                if not len(rows):
+                    break
+        out[:, rows] = best
+    index = {d: i for i, d in enumerate(ds)}
+    return np.stack([out[index[d]] if d in index else total for d in d_values])
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +499,22 @@ class Family:
 
     ``build(n, d, r, m)`` constructs it; ``predict(alloc)`` is the asymptotic
     band of its imbalance factor (small d for the d-choice families);
-    ``t_star(alloc, demands)`` is its closed form over (T, k) demand rows
-    (None: the LP); ``sufficient`` and ``necessary`` map (d, r) to (window,
-    bound), meaning W_window <= bound (None: no known condition).
+    ``t_star(alloc, demands)`` is its closed form over (T, k) demand rows,
+    and ``t_star_shared(n, d_values, demands)`` one that solves the designs
+    (n, d) for several d in one pass, one row per d, so that its designs of
+    one n share a ``shared_pass`` (None for both: the LP); ``sufficient``
+    and ``necessary`` map (d, r) to (window, bound), meaning W_window <=
+    bound (None: no known condition); ``ignores`` names the config fields
+    among d, r and m that ``build`` does not read.
     """
 
     build: Callable[[int, int, int, int], Allocation]
     predict: Callable[[Allocation], AsymptoticPrediction]
     t_star: Optional[Callable[[Allocation, np.ndarray], np.ndarray]] = None
+    t_star_shared: Optional[Callable[[int, Sequence[int], np.ndarray], np.ndarray]] = None
     sufficient: Optional[Callable[[int, int], tuple[int, float]]] = None
     necessary: Optional[Callable[[int, int], tuple[int, float]]] = None
+    ignores: tuple[str, ...] = ()
 
 
 #: The named design families.  A cyclic XOR window of D = 1 + r(d-1)
@@ -448,6 +525,7 @@ FAMILIES: dict[str, Family] = {
         build=lambda n, d, r, m: build_single_choice(n, m),
         predict=lambda a: predict_single_choice(a.n, a.k // a.n),
         t_star=_t_star_clusters,
+        ignores=("d", "r"),
     ),
     "clustering": Family(
         build=lambda n, d, r, m: build_clustering(n, d),
@@ -455,24 +533,28 @@ FAMILIES: dict[str, Family] = {
         t_star=_t_star_clusters,
         sufficient=lambda d, r: (d, d),
         necessary=lambda d, r: (d + 1, 2.0 * d),
+        ignores=("r", "m"),
     ),
     "cyclic": Family(
         build=lambda n, d, r, m: build_cyclic(n, d),
         predict=lambda a: predict_d_choice(a.n, a.d, REGIME_SMALL_D),
-        t_star=_t_star_cyclic,
+        t_star_shared=_t_star_cyclic,
         sufficient=lambda d, r: (d, d),
         necessary=lambda d, r: (d + 1, 2.0 * d),
+        ignores=("r", "m"),
     ),
     "block_design": Family(
         build=lambda n, d, r, m: build_block_design(d),
         predict=lambda a: predict_d_choice(a.n, a.d, REGIME_SMALL_D),
         sufficient=lambda d, r: (d, d / 2.0),
         necessary=lambda d, r: (d, d * d - 2.0 * d + 3.0),
+        ignores=("r", "m"),
     ),
     "cyclic_xor": Family(
         build=lambda n, d, r, m: build_cyclic_xor(n, d, r),
         predict=lambda a: predict_xor(a.n, a.d, a.r, REGIME_SMALL_D),
         sufficient=lambda d, r: (1 + r * (d - 1), d),
         necessary=lambda d, r: (1 + r * (d - 1), d + r * (d - 1)),
+        ignores=("m",),
     ),
 }

@@ -21,7 +21,13 @@ from typing import Optional
 import numpy as np
 
 from .allocation import Allocation, UnsupportedDesignError, node_expansion
-from .loadsolver import FAMILIES, STABILITY_TOL, NumericalFailureError, t_star_batch
+from .loadsolver import (
+    FAMILIES,
+    STABILITY_TOL,
+    NumericalFailureError,
+    shared_pass,
+    t_star_batch,
+)
 from .spacings import EULER_GAMMA, REGIME_SINGLE, p_sigma_transition, spacing_matrix
 
 _Z95 = 1.959963984540054
@@ -88,12 +94,20 @@ def batch_rows(k: int) -> int:
 
 
 def _t_star_chunk(args) -> np.ndarray:
-    """t* of one chunk of trials for each allocation: one demand draw, then
-    one ``t_star_batch`` call per allocation."""
+    """t* of one chunk of trials for each allocation, one row each.
+
+    The chunk is drawn once.  ``shared_pass`` then solves the allocations
+    whose closed forms share a pass (the cyclic designs) in one pass over
+    it, and each allocation still gets its own ``t_star_batch`` call, which
+    returns its row of that pass or solves it alone.  Every allocation's
+    row thus passes through ``t_star_batch`` with the chunk it belongs to,
+    where a wrapper set on ``metrics.t_star_batch`` sees it.
+    """
     allocs, sigma, master_seed, start, count = args
     demands = spacing_matrix(allocs[0].k, sigma, master_seed, count, start_index=start)
+    solved = shared_pass(allocs, demands)
     try:
-        return np.stack([t_star_batch(alloc, demands) for alloc in allocs])
+        return np.stack([t_star_batch(alloc, demands, solved) for alloc in allocs])
     except NumericalFailureError as exc:
         trial = start + getattr(exc, "row_index", 0)
         raise NumericalFailureError(f"trial {trial}: {exc}") from exc

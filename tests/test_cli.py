@@ -288,6 +288,25 @@ def test_internal_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatc
     assert "config error" not in capsys.readouterr().err
 
 
+def test_simulate_notes_each_ignored_config_field_once(tmp_path, capsys):
+    # single_choice reads neither d nor r, and cyclic and block_design not r;
+    # the notes go to stderr, and the rows are those of r = 1
+    notes = {1: [("single_choice", "d")],
+             2: [("single_choice", "d"), ("single_choice", "r"), ("cyclic", "r"),
+                 ("block_design", "r")]}
+    csv = {}
+    for r, want in notes.items():
+        path = tmp_path / f"r{r}.csv"
+        config = {**BASE_CONFIG, "kind": ["single_choice", "cyclic", "block_design", "cyclic"],
+                  "n": 7, "d": 3, "r": r, "outputs": [{"format": "csv", "path": str(path)}]}
+        assert main(["simulate", "--config", write_config(tmp_path, config)]) == EXIT_OK
+        assert capsys.readouterr().err == "".join(
+            f"note: {kind} designs ignore config field {name}\n" for kind, name in want
+        )
+        csv[r] = path.read_bytes()
+    assert csv[1] == csv[2]
+
+
 def test_simulate_unsupported_builder_surfaces(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -307,9 +307,8 @@ def test_cyclic_closed_form_matches_lp_at_larger_n(n, d):
     assert np.abs(t_star_batch(alloc, demands) - lp).max() <= 1e-8
 
 
-def _t_star_cyclic_unpruned(alloc, demands):
-    """The cyclic closed form with every window size run for every row."""
-    n, d = alloc.n, alloc.d
+def _t_star_cyclic_unpruned(n, d, demands):
+    """The cyclic closed form of one (n, d) with every window size run for every row."""
     best = demands.sum(axis=1) / n
     if d >= n:
         return best
@@ -343,24 +342,35 @@ def _adversarial_rows(rng, n, d, sigma):
     return rows * np.divide(sigma, total, out=np.zeros_like(total), where=total > 0)
 
 
+def _assert_pass_equals_unpruned(n, d_values, demands):
+    """Every d's row of one pass equals the unpruned loop byte for byte."""
+    want = {d: _t_star_cyclic_unpruned(n, d, demands).tobytes() for d in d_values}
+    got = ls._t_star_cyclic(n, d_values, demands)
+    assert [row.tobytes() for row in got] == [want[d] for d in d_values]
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_cyclic_kernel_equals_unpruned_loop(data):
     n = data.draw(st.integers(min_value=2, max_value=400), label="n")
-    d = data.draw(st.one_of(st.integers(1, n), st.sampled_from([n - 1, n])), label="d")
+    d_values = data.draw(
+        st.lists(
+            st.one_of(st.integers(1, n), st.sampled_from([n - 1, n, n + 1, 2 * n])),
+            min_size=1,
+            max_size=5,
+        ),
+        label="d values",
+    )
+    d_values.append(d_values[0])  # a duplicate d
     sigma = 10.0 ** data.draw(st.floats(min_value=-6.0, max_value=6.0), label="log10 sigma")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rows seed"))
-    alloc = build_cyclic(n, d)
-    demands = _adversarial_rows(rng, n, d, sigma)
-    want = _t_star_cyclic_unpruned(alloc, demands)
-    assert t_star_batch(alloc, demands).tobytes() == want.tobytes()
+    demands = _adversarial_rows(rng, n, min(d_values[0], n), sigma)
+    _assert_pass_equals_unpruned(n, d_values, demands)
 
 
 def test_cyclic_kernel_equals_unpruned_loop_at_n_3000():
-    alloc = build_cyclic(3000, 3)
     demands = _adversarial_rows(np.random.default_rng(30), 3000, 3, 2400.0)
-    want = _t_star_cyclic_unpruned(alloc, demands)
-    assert t_star_batch(alloc, demands).tobytes() == want.tobytes()
+    _assert_pass_equals_unpruned(3000, [3, 2, 3, 3001], demands)
 
 
 def test_cyclic_kernel_skips_final_rows(monkeypatch):
@@ -375,16 +385,40 @@ def test_cyclic_kernel_skips_final_rows(monkeypatch):
     monkeypatch.setattr(loadsolver_mod, "window_max", counting)
     n, trials = 100, 1000
     demands = spacing_matrix(n, 0.8 * n, 5, trials)
-    for d in (1, 3):
+    alone = {}
+    for d in range(1, 6):
         handed.clear()
         alloc = build_cyclic(n, d)
         got = t_star_batch(alloc, demands)
-        assert got.tobytes() == _t_star_cyclic_unpruned(alloc, demands).tobytes()
-        # the full loop hands trials * (n - d) rows to window_max
-        if d == 1:
-            assert sum(handed) <= 2 * trials  # every row live at w = 1, final at w = 2
-        else:
-            assert sum(handed) < trials * (n - d) / 5
+        assert got.tobytes() == _t_star_cyclic_unpruned(n, d, demands).tobytes()
+        alone[d] = sum(handed)
+    # the full loop hands trials * (n - d) rows to window_max
+    assert alone[1] <= 2 * trials  # every row live at w = 1, final at w = 2
+    assert alone[3] < trials * (n - 3) / 5
+    # one pass for d = 1..5 leaves a row once it is final for d = 5, so it
+    # hands window_max about what d = 5 alone does, not the sum over all d
+    handed.clear()
+    allocs = [build_cyclic(n, d) for d in range(1, 6)]
+    solved = ls.shared_pass(allocs, demands)
+    for alloc in allocs:
+        assert t_star_batch(alloc, demands, solved).tobytes() == (
+            _t_star_cyclic_unpruned(n, alloc.d, demands).tobytes()
+        )
+    assert sum(handed) <= 1.1 * alone[5] < 0.6 * sum(alone.values())
+
+
+def test_t_star_batch_reads_only_a_pass_that_covers_it():
+    demands = spacing_matrix(12, 9.0, 3, 40)
+    solved = ls.shared_pass([build_cyclic(12, 2), build_block_design(3)], demands)
+    assert np.array_equal(t_star_batch(build_cyclic(12, 2), demands, solved),
+                          t_star_batch(build_cyclic(12, 2), demands))
+    with pytest.raises(ValueError, match="does not cover cyclic n=12 d=3"):
+        t_star_batch(build_cyclic(12, 3), demands, solved)
+    with pytest.raises(ValueError, match="other demand rows"):
+        t_star_batch(build_cyclic(12, 2), demands.copy(), solved)
+    # a design without a shared closed form solves its rows itself
+    clusters = build_clustering(12, 3)
+    assert np.array_equal(t_star_batch(clusters, demands, solved), t_star_batch(clusters, demands))
 
 
 def test_t_star_batch_block_design_uses_lp():

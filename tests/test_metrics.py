@@ -142,6 +142,31 @@ def test_t_star_series_starts_no_more_workers_than_chunks(monkeypatch):
     assert np.array_equal(par, t_star_series(allocs, 4.0, 150, SEED, workers=1))
 
 
+def test_each_design_and_chunk_passes_through_t_star_batch(monkeypatch):
+    import storagebalance.metrics as metrics_mod
+
+    # a wrapper on ``metrics.t_star_batch`` (as perfbench's tracer sets) sees
+    # every design's rows of every chunk, cyclic ones of a shared pass too
+    calls = []
+    real = metrics_mod.t_star_batch
+
+    def recording(alloc, demands, *rest):
+        result = real(alloc, demands, *rest)
+        calls.append((alloc, len(demands), result))
+        return result
+
+    monkeypatch.setattr(metrics_mod, "t_star_batch", recording)
+    monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 70)  # 120 trials: chunks of 70 and 50
+    allocs = [build_cyclic(7, d) for d in (1, 2, 3)] + [build_block_design(3)]
+    series = t_star_series(allocs, 4.0, 120, SEED)
+    assert [(alloc, rows) for alloc, rows, _ in calls] == [(a, 70) for a in allocs] + [
+        (a, 50) for a in allocs
+    ]
+    for j, alloc in enumerate(allocs):
+        returned = [result for a, _, result in calls if a is alloc]
+        assert np.concatenate(returned).tobytes() == series[j].tobytes()
+
+
 def _perturbed_row(monkeypatch, target, perturb):
     """Make the LP's per-row solve hand back ``perturb(status, x, y, z)``
     for the demand row equal to ``target``."""
