@@ -298,7 +298,8 @@ def test_simulate_notes_each_ignored_config_field_once(tmp_path, capsys):
     for r, want in notes.items():
         path = tmp_path / f"r{r}.csv"
         config = {**BASE_CONFIG, "kind": ["single_choice", "cyclic", "block_design", "cyclic"],
-                  "n": 7, "d": 3, "r": r, "outputs": [{"format": "csv", "path": str(path)}]}
+                  "n": 7, "d": 3, "r": r, "trials": 50,
+                  "outputs": [{"format": "csv", "path": str(path)}]}
         assert main(["simulate", "--config", write_config(tmp_path, config)]) == EXIT_OK
         assert capsys.readouterr().err == "".join(
             f"note: {kind} designs ignore config field {name}\n" for kind, name in want

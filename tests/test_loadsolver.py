@@ -409,7 +409,8 @@ def test_cyclic_kernel_skips_final_rows(monkeypatch):
 
 def test_t_star_batch_reads_only_a_pass_that_covers_it():
     demands = spacing_matrix(12, 9.0, 3, 40)
-    solved = ls.shared_pass([build_cyclic(12, 2), build_block_design(3)], demands)
+    clusters = build_clustering(12, 3)
+    solved = ls.shared_pass([build_cyclic(12, 2), clusters], demands)
     assert np.array_equal(t_star_batch(build_cyclic(12, 2), demands, solved),
                           t_star_batch(build_cyclic(12, 2), demands))
     with pytest.raises(ValueError, match="does not cover cyclic n=12 d=3"):
@@ -417,7 +418,6 @@ def test_t_star_batch_reads_only_a_pass_that_covers_it():
     with pytest.raises(ValueError, match="other demand rows"):
         t_star_batch(build_cyclic(12, 2), demands.copy(), solved)
     # a design without a shared closed form solves its rows itself
-    clusters = build_clustering(12, 3)
     assert np.array_equal(t_star_batch(clusters, demands, solved), t_star_batch(clusters, demands))
 
 
