@@ -162,7 +162,8 @@ def build_allocation(kind: str, n: int, d: int = 1, r: int = 1, m: int = 1) -> A
 
 
 def resolve_sigma(spec: dict, n: int) -> float:
-    """The sigma that ``spec``'s rule gives for n nodes; it must be finite."""
+    """The sigma that ``spec``'s rule gives for n nodes; it and n/sigma, the
+    imbalance factor's scale, must be finite."""
     if "absolute" in spec:
         sigma = float(spec["absolute"])
     elif "fraction_of_n" in spec:
@@ -173,8 +174,9 @@ def resolve_sigma(spec: dict, n: int) -> float:
         sigma = float(spec["b_n_over_log_n"]) * n / math.log(n)
     else:
         raise ConfigError(f"unresolvable sigma spec {spec!r}")
-    if not math.isfinite(sigma):
-        raise ConfigError(f"config field sigma: {spec!r} at n={n} resolves to {sigma}")
+    if not (math.isfinite(sigma) and math.isfinite(n / sigma)):
+        raise ConfigError(f"config field sigma: {spec!r} at n={n} resolves to {sigma}, "
+                          "where sigma or n/sigma is not finite")
     return sigma
 
 
@@ -345,23 +347,22 @@ def _outputs(args, configured: list[dict], default_format: str) -> list[dict]:
     return configured or [{"format": fmt, "path": None}]
 
 
-def _ignored_fields(config: ExperimentConfig) -> list[tuple[str, str]]:
-    """(kind, field) for each of d, r and m that the config sets to a value
-    other than 1 and that the kind's builder does not read (``FAMILIES``)."""
-    given = {"d": config.d_values, "r": [config.r], "m": [config.m]}
-    return [
-        (kind, name)
-        for kind in dict.fromkeys(config.kinds)
-        for name in FAMILIES[kind].ignores
-        if any(value != 1 for value in given[name])
-    ]
+def _note_ignored(kinds: list[str], given: dict, what: str) -> None:
+    """Write one stderr note per (kind, field) for each of d, r and m that
+    ``given`` sets to a value other than 1 (or a list holding one) and that
+    the kind's builder does not read (``FAMILIES``); ``what`` formats the
+    field's name as the user set it."""
+    for kind in dict.fromkeys(kinds):
+        for name in FAMILIES[kind].ignores:
+            if any(value != 1 for value in _as_list(given[name])):
+                sys.stderr.write(f"note: {kind} designs ignore {what.format(name)}\n")
 
 
 def _cmd_simulate(args) -> int:
     data = _apply_overrides(_load_config_file(args.config), args)
     config = ExperimentConfig.from_dict(data)
-    for kind, name in _ignored_fields(config):
-        sys.stderr.write(f"note: {kind} designs ignore config field {name}\n")
+    _note_ignored(config.kinds, {"d": config.d_values, "r": config.r, "m": config.m},
+                  "config field {}")
     rows = run_simulate(config)
     _write_outputs(_outputs(args, config.outputs, "csv"), config.echo(), rows)
     return EXIT_OK
@@ -409,6 +410,7 @@ def _cmd_inspect(args) -> int:
         if not args.kind:
             raise ConfigError("inspect needs --file or --kind with --n/--d")
         alloc = build_allocation(args.kind, args.n, d=args.d, r=args.r, m=args.m)
+        _note_ignored([args.kind], {"d": args.d, "r": args.r, "m": args.m}, "flag --{}")
     violations = validate_regular_balanced(alloc)
     ok, witness = hall_check(alloc)
     info = {

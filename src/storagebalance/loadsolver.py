@@ -277,37 +277,29 @@ def t_star_batch(
 ) -> np.ndarray:
     """Optimal max load for each row of a (trials, k) demand matrix.
 
-    A family with a shared closed form in ``FAMILIES`` (cyclic) returns its
-    row of ``solved``, the ``shared_pass`` run on this same ``demands``
-    object, and raises ValueError if that pass did not cover the design; it
-    never solves the rows again.  Without a pass it runs the one-design case
-    of that kernel.  A family with a closed form of its own (single_choice,
-    clustering) runs its window-sum kernel.  Anything else solves the LP for
-    the rows in order on one HiGHS model built for this call, each re-solve
-    starting from the basis of the row before, with every row certified (see
-    ``_EpigraphLP``).  A row's t* can differ in its last bits with the rows
-    before it in ``demands``, so callers cut batches by row index alone.
-    Closed forms agree with the LP to machine precision (see the solver
-    cross-check tests).  A failed row raises NumericalFailureError with
-    ``row_index`` set to its index in ``demands``.
+    A design whose family has a closed form in ``FAMILIES`` returns its row
+    of ``solved``, a ``shared_pass`` run on this same ``demands`` object,
+    or of a pass over the design alone when none is given.  Anything else
+    solves the LP for the rows in order on one HiGHS model built for this
+    call, each re-solve starting from the basis of the row before, with
+    every row certified (see ``_EpigraphLP``); a row's t* can thus differ in
+    its last bits with the rows before it, so callers cut batches by row
+    index alone.  Closed forms agree with the LP to machine precision (see
+    the solver cross-check tests).  A failed row raises
+    NumericalFailureError with ``row_index`` set to its index in ``demands``.
     """
-    family = FAMILIES.get(alloc.kind)
-    shared = getattr(family, "t_star_shared", None)
-    if shared is not None and solved is not None:
-        return solved.row(alloc, demands)
-    demands = _demand_rows(alloc, demands)
-    if shared is not None:
-        return shared(alloc.n, [alloc.d], demands)[0]
-    kernel = getattr(family, "t_star", None)
-    if kernel is not None:
-        return kernel(alloc, demands)
-    return _EpigraphLP(to_matrices(alloc)).solve(demands)[1].max(axis=1)
+    if getattr(FAMILIES.get(alloc.kind), "t_star", None) is None:
+        return _EpigraphLP(to_matrices(alloc)).solve(_demand_rows(alloc, demands))[1].max(axis=1)
+    if solved is None:
+        solved = shared_pass([alloc], demands)
+    return solved.row(alloc, demands)
 
 
 @dataclass(frozen=True, eq=False)
 class SharedPass:
     """The t* rows that ``shared_pass`` gave on one demand matrix, keyed by
-    each design's (kind, n, d)."""
+    each design's (kind, n, d); ``row`` raises ValueError for a design it
+    does not cover or for other demand rows."""
 
     demands: np.ndarray
     rows: dict[tuple[str, int, int], np.ndarray]
@@ -315,29 +307,36 @@ class SharedPass:
     def row(self, alloc: Allocation, demands) -> np.ndarray:
         if demands is not self.demands:
             raise ValueError("the shared pass was run on other demand rows")
+        # the key leaves out k, which single_choice designs of one n vary by m
+        _demand_rows(alloc, demands)
         row = self.rows.get((alloc.kind, alloc.n, alloc.d))
         if row is None:
             raise ValueError(f"the shared pass does not cover {alloc.kind} n={alloc.n} d={alloc.d}")
         return row
 
 
-def shared_pass(allocs: list[Allocation], demands) -> SharedPass:
-    """Run each shared closed form in ``FAMILIES`` once over ``demands``.
-
-    The designs of ``allocs`` whose family has one (cyclic) share a pass
-    when they also share n, so a group of cyclic designs of one n is solved
-    in one pass for all its d.
-    """
-    groups: dict[tuple[str, int], list[Allocation]] = {}
+def shared_pass(allocs: Sequence[Allocation], demands) -> SharedPass:
+    """Solve the closed-form designs of ``allocs``, which share k (see
+    ``common_k``), over ``demands``: one ``FAMILIES`` kernel call for each
+    (kind, n), for all its d.  Designs without a closed form get no row."""
+    common_k(allocs)
+    rows = _demand_rows(allocs[0], demands)
+    groups: dict[tuple[str, int], list[int]] = {}
     for alloc in allocs:
-        if getattr(FAMILIES.get(alloc.kind), "t_star_shared", None) is not None:
-            groups.setdefault((alloc.kind, alloc.n), []).append(alloc)
-    rows = {}
-    for (kind, n), members in groups.items():
-        d_values = [alloc.d for alloc in members]
-        t_stars = FAMILIES[kind].t_star_shared(n, d_values, _demand_rows(members[0], demands))
-        rows.update(((kind, n, d), t_star) for d, t_star in zip(d_values, t_stars))
-    return SharedPass(demands, rows)
+        if getattr(FAMILIES.get(alloc.kind), "t_star", None) is not None:
+            groups.setdefault((alloc.kind, alloc.n), []).append(alloc.d)
+    solved = {}
+    for (kind, n), d_values in groups.items():
+        t_stars = FAMILIES[kind].t_star(n, d_values, rows)
+        solved.update(((kind, n, d), t_star) for d, t_star in zip(d_values, t_stars))
+    return SharedPass(demands, solved)
+
+
+def common_k(allocs: Sequence[Allocation]) -> int:
+    """The number of objects k that all of ``allocs`` share; ValueError if none."""
+    if len({alloc.k for alloc in allocs}) != 1:
+        raise ValueError("the allocations must share their number of objects k")
+    return allocs[0].k
 
 
 def _demand_rows(alloc: Allocation, demands) -> np.ndarray:
@@ -347,17 +346,19 @@ def _demand_rows(alloc: Allocation, demands) -> np.ndarray:
     return demands
 
 
-def _t_star_clusters(alloc: Allocation, demands: np.ndarray) -> np.ndarray:
-    """t* for disjoint clusters: max cluster sum / d.
+def _t_star_clusters(n: int, d_values: Sequence[int], demands: np.ndarray) -> np.ndarray:
+    """t* of the clustering designs (n, d) for each d, one row each: max cluster sum / d.
 
-    Single-choice and clustering designs split the objects into n/d clusters
-    of k*d/n consecutive objects, each served by its own d nodes only.
+    Each splits the k objects into n/d clusters of k*d/n consecutive objects,
+    each served by its own d nodes only; single choice is d = 1, k = n*m.
     """
-    n, d = alloc.n, alloc.d
-    clusters = demands.reshape(demands.shape[0], n // d, alloc.k * d // n)
-    # a one-object cluster is its own sum; summing would copy the whole batch
-    sums = clusters[:, :, 0] if clusters.shape[2] == 1 else clusters.sum(axis=2)
-    return sums.max(axis=1) / d
+    (t, k), rows = demands.shape, []
+    for d in d_values:
+        clusters = demands.reshape(t, n // d, k * d // n)
+        # a one-object cluster is its own sum; summing would copy the whole batch
+        sums = clusters[:, :, 0] if clusters.shape[2] == 1 else clusters.sum(axis=2)
+        rows.append(sums.max(axis=1) / d)
+    return np.stack(rows)
 
 
 #: The cyclic kernel compacts its live rows once at least this share of them
@@ -499,19 +500,17 @@ class Family:
 
     ``build(n, d, r, m)`` constructs it; ``predict(alloc)`` is the asymptotic
     band of its imbalance factor (small d for the d-choice families);
-    ``t_star(alloc, demands)`` is its closed form over (T, k) demand rows,
-    and ``t_star_shared(n, d_values, demands)`` one that solves the designs
-    (n, d) for several d in one pass, one row per d, so that its designs of
-    one n share a ``shared_pass`` (None for both: the LP); ``sufficient``
-    and ``necessary`` map (d, r) to (window, bound), meaning W_window <=
-    bound (None: no known condition); ``ignores`` names the config fields
-    among d, r and m that ``build`` does not read.
+    ``t_star(n, d_values, demands)`` is its closed form, the t* of the
+    designs (n, d) for each d over (T, k) demand rows, one row per d, so
+    that its designs of one n share a ``shared_pass`` (None: the LP);
+    ``sufficient`` and ``necessary`` map (d, r) to (window, bound), meaning
+    W_window <= bound (None: no known condition); ``ignores`` names the
+    config fields among d, r and m that ``build`` does not read.
     """
 
     build: Callable[[int, int, int, int], Allocation]
     predict: Callable[[Allocation], AsymptoticPrediction]
-    t_star: Optional[Callable[[Allocation, np.ndarray], np.ndarray]] = None
-    t_star_shared: Optional[Callable[[int, Sequence[int], np.ndarray], np.ndarray]] = None
+    t_star: Optional[Callable[[int, Sequence[int], np.ndarray], np.ndarray]] = None
     sufficient: Optional[Callable[[int, int], tuple[int, float]]] = None
     necessary: Optional[Callable[[int, int], tuple[int, float]]] = None
     ignores: tuple[str, ...] = ()
@@ -538,7 +537,7 @@ FAMILIES: dict[str, Family] = {
     "cyclic": Family(
         build=lambda n, d, r, m: build_cyclic(n, d),
         predict=lambda a: predict_d_choice(a.n, a.d, REGIME_SMALL_D),
-        t_star_shared=_t_star_cyclic,
+        t_star=_t_star_cyclic,
         sufficient=lambda d, r: (d, d),
         necessary=lambda d, r: (d + 1, 2.0 * d),
         ignores=("r", "m"),

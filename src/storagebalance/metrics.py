@@ -25,6 +25,7 @@ from .loadsolver import (
     FAMILIES,
     STABILITY_TOL,
     NumericalFailureError,
+    common_k,
     shared_pass,
     t_star_batch,
 )
@@ -96,12 +97,12 @@ def batch_rows(k: int) -> int:
 def _t_star_chunk(args) -> np.ndarray:
     """t* of one chunk of trials for each allocation, one row each.
 
-    The chunk is drawn once.  ``shared_pass`` then solves the allocations
-    whose closed forms share a pass (the cyclic designs) in one pass over
-    it, and each allocation still gets its own ``t_star_batch`` call, which
-    returns its row of that pass or solves it alone.  Every allocation's
-    row thus passes through ``t_star_batch`` with the chunk it belongs to,
-    where a wrapper set on ``metrics.t_star_batch`` sees it.
+    The chunk is drawn once.  ``shared_pass`` then solves every allocation
+    with a closed form over it, one kernel call per (kind, n), and each
+    allocation still gets its own ``t_star_batch`` call, which returns its
+    row of that pass or solves its LP.  Every allocation's row thus passes
+    through ``t_star_batch`` with the chunk it belongs to, where a wrapper
+    set on ``metrics.t_star_batch`` sees it.
     """
     allocs, sigma, master_seed, start, count = args
     demands = spacing_matrix(allocs[0].k, sigma, master_seed, count, start_index=start)
@@ -122,10 +123,11 @@ def t_star_series(
 ) -> np.ndarray:
     """Optimal max load of each allocation for trials independent demand draws.
 
-    The allocations share their number of objects k, and row j of the
-    ``(len(allocs), trials)`` result belongs to ``allocs[j]``.  Trial i draws
-    from substream (master_seed, i) once for all of them, so the designs are
-    compared on paired demands.  Chunks of ``batch_rows(k)`` trials are
+    The allocations must share their number of objects k (ValueError,
+    before any draw, if not), and row j of the ``(len(allocs), trials)``
+    result belongs to ``allocs[j]``.  Trial i draws from substream
+    (master_seed, i) once for all of them, so the designs are compared on
+    paired demands.  Chunks of ``batch_rows(k)`` trials are
     solved in trial order, or mapped over a process pool when ``workers`` > 1;
     either way the result is independent of the worker count.
     """
@@ -133,7 +135,7 @@ def t_star_series(
         raise ValueError("trials must be >= 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    batch = batch_rows(allocs[0].k)
+    batch = batch_rows(common_k(allocs))
     chunks = [
         (allocs, sigma, master_seed, start, min(batch, trials - start))
         for start in range(0, trials, batch)

@@ -228,6 +228,9 @@ LIMIT_CHECKS = ["limit-checks", "--config", "{config}"]
         (SIMULATE, {**BASE_CONFIG, "sigma": {"absolute": math.inf}}, "sigma/absolute"),
         (SIMULATE, {**BASE_CONFIG, "sigma": {"absolute": math.nan}}, "sigma/absolute"),
         (SIMULATE, {**BASE_CONFIG, "sigma": {"fraction_of_n": 1e308}}, "sigma"),
+        (SIMULATE, {**BASE_CONFIG, "sigma": {"absolute": 1e-320}}, "sigma"),
+        (SIMULATE, {**BASE_CONFIG, "sigma": {"fraction_of_n": 1e-309}}, "sigma"),
+        (SIMULATE, {**BASE_CONFIG, "sigma": {"b_n_over_log_n": 1e-308}}, "sigma"),
     ],
     ids=[
         "clustering-d-not-dividing-n",
@@ -254,6 +257,9 @@ LIMIT_CHECKS = ["limit-checks", "--config", "{config}"]
         "sigma-infinity",
         "sigma-nan",
         "sigma-overflows-to-infinity",
+        "n-over-tiny-absolute-sigma-overflows",
+        "n-over-tiny-fraction-of-n-sigma-overflows",
+        "n-over-tiny-b-n-over-log-n-sigma-overflows",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, argv, config, field):
@@ -420,6 +426,20 @@ def test_inspect_builder(tmp_path, capsys):
     assert info["hall_check"]["passed"] is True
     assert info["valid_regular_balanced"] is True
     assert info["matrix_shape_M"] == [7, 21]
+
+
+def test_inspect_notes_each_ignored_flag(capsys):
+    # single_choice reads neither --d nor --r; the report is that of d = r = 1
+    assert main(["inspect", "--kind", "single_choice", "--n", "5", "--d", "3", "--r", "4"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == (
+        "note: single_choice designs ignore flag --d\n"
+        "note: single_choice designs ignore flag --r\n"
+    )
+    assert main(["inspect", "--kind", "single_choice", "--n", "5"]) == EXIT_OK
+    assert capsys.readouterr() == (out, "")
+    assert main(["inspect", "--kind", "cyclic", "--n", "7", "--d", "3"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_inspect_reports_hall_witness_from_file(tmp_path, capsys):

@@ -417,8 +417,50 @@ def test_t_star_batch_reads_only_a_pass_that_covers_it():
         t_star_batch(build_cyclic(12, 3), demands, solved)
     with pytest.raises(ValueError, match="other demand rows"):
         t_star_batch(build_cyclic(12, 2), demands.copy(), solved)
-    # a design without a shared closed form solves its rows itself
+    # a clustering design reads its row of the same pass
     assert np.array_equal(t_star_batch(clusters, demands, solved), t_star_batch(clusters, demands))
+
+
+def _t_star_clusters_per_design(alloc, demands):
+    """The cluster closed form of one design, as it was solved before one
+    kernel served every d of a pass: max cluster sum / d."""
+    n, d = alloc.n, alloc.d
+    clusters = demands.reshape(demands.shape[0], n // d, alloc.k * d // n)
+    sums = clusters[:, :, 0] if clusters.shape[2] == 1 else clusters.sum(axis=2)
+    return sums.max(axis=1) / d
+
+
+def test_cluster_pass_equals_per_design_kernel():
+    # clustering n = 60 and single_choice n = 20, m = 3 both have k = 60
+    allocs = [build_clustering(60, d) for d in range(1, 7)] + [build_single_choice(20, 3)]
+    demands = spacing_matrix(60, 48.0, 11, 500)
+    solved = ls.shared_pass(allocs, demands)
+    for alloc in allocs:
+        assert t_star_batch(alloc, demands, solved).tobytes() == (
+            _t_star_clusters_per_design(alloc, demands).tobytes()
+        )
+
+
+def test_single_choice_lookup_checks_k():
+    # single_choice designs of one n share the key (kind, n, 1) whatever their m
+    demands = spacing_matrix(20, 8.0, 12, 30)
+    solved = ls.shared_pass([build_single_choice(10, 2)], demands)
+    with pytest.raises(ValueError, match="length k=30"):
+        t_star_batch(build_single_choice(10, 3), demands, solved)
+
+
+def test_allocations_of_different_k_raise_before_any_draw(monkeypatch):
+    import storagebalance.metrics as metrics_mod
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew demand rows")
+
+    monkeypatch.setattr(metrics_mod, "spacing_matrix", no_draw)
+    allocs = [build_single_choice(10, 2), build_single_choice(10, 3)]
+    with pytest.raises(ValueError, match="share their number of objects k"):
+        metrics_mod.t_star_series(allocs, 8.0, 100, 13)
+    with pytest.raises(ValueError, match="share their number of objects k"):
+        ls.shared_pass(allocs, np.ones((4, 20)))
 
 
 def test_t_star_batch_block_design_uses_lp():

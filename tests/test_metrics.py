@@ -10,6 +10,7 @@ import storagebalance.loadsolver as ls
 from storagebalance.allocation import (
     UnsupportedDesignError,
     build_block_design,
+    build_clustering,
     build_cyclic,
     build_cyclic_xor,
     build_single_choice,
@@ -146,7 +147,7 @@ def test_each_design_and_chunk_passes_through_t_star_batch(monkeypatch):
     import storagebalance.metrics as metrics_mod
 
     # a wrapper on ``metrics.t_star_batch`` (as perfbench's tracer sets) sees
-    # every design's rows of every chunk, cyclic ones of a shared pass too
+    # every design's rows of every chunk, those of a shared pass too
     calls = []
     real = metrics_mod.t_star_batch
 
@@ -157,7 +158,10 @@ def test_each_design_and_chunk_passes_through_t_star_batch(monkeypatch):
 
     monkeypatch.setattr(metrics_mod, "t_star_batch", recording)
     monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 70)  # 120 trials: chunks of 70 and 50
-    allocs = [build_cyclic(7, d) for d in (1, 2, 3)] + [build_block_design(3)]
+    allocs = [build_cyclic(7, d) for d in (1, 2, 3)] + [
+        build_block_design(3),
+        build_clustering(7, 7),
+    ]
     series = t_star_series(allocs, 4.0, 120, SEED)
     assert [(alloc, rows) for alloc, rows, _ in calls] == [(a, 70) for a in allocs] + [
         (a, 50) for a in allocs
