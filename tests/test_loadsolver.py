@@ -422,8 +422,7 @@ def test_t_star_batch_reads_only_a_pass_that_covers_it():
 
 
 def _t_star_clusters_per_design(alloc, demands):
-    """The cluster closed form of one design, as it was solved before one
-    kernel served every d of a pass: max cluster sum / d."""
+    """The cluster closed form of one design, solved on its own: max cluster sum / d."""
     n, d = alloc.n, alloc.d
     clusters = demands.reshape(demands.shape[0], n // d, alloc.k * d // n)
     sums = clusters[:, :, 0] if clusters.shape[2] == 1 else clusters.sum(axis=2)
