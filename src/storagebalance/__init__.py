@@ -8,7 +8,9 @@ asymptotic predictors and stability conditions.
 
 Importing the package loads numpy but no scipy.  Each function that calls
 scipy (or a process pool) imports it in its body, so a command pays only for
-the subpackages its code path reaches.
+the subpackages its code path reaches.  The LP route loads only HiGHS's
+extension module, ``scipy.optimize._highspy._core``, from its file, and no
+code imports ``scipy.optimize`` itself.
 """
 
 __version__ = "0.1.0"

@@ -5,8 +5,8 @@ service choices over n nodes.  A choice is a single node (replica) or a set
 of r nodes that jointly recover the object (XOR).  Builders cover the
 single-choice, clustering, cyclic, symmetric block-design, and cyclic-XOR
 families; ``to_matrices`` emits the binary routing matrix M (nodes x demand
-portions) and aggregation matrix T (objects x portions) consumed by the
-solver.
+portions) and aggregation matrix T (objects x portions), the dense form of
+the portion table that the LP solver is built from.
 
 Objects and nodes are 0-based; all cyclic index arithmetic is modulo n.
 """
@@ -93,7 +93,7 @@ class Allocation:
 def _entries_in_range(alloc: Allocation) -> tuple[np.ndarray, np.ndarray]:
     """Object and node of each portion-table entry, once every node id is
     checked to lie in [0, n): the one range check behind the incidence, the
-    routing matrices and a loaded allocation."""
+    routing matrices, the LP's portion table and a loaded allocation."""
     owner, indptr, nodes = alloc.portions
     rows = np.repeat(owner, np.diff(indptr))
     bad = np.flatnonzero((nodes < 0) | (nodes >= alloc.n))

@@ -21,8 +21,12 @@ verdicts use t* <= 1 + STABILITY_TOL.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,13 +34,13 @@ from .allocation import (
     Allocation,
     AllocationMatrices,
     UnsupportedDesignError,
+    _entries_in_range,
     build_block_design,
     build_clustering,
     build_cyclic,
     build_cyclic_xor,
     build_single_choice,
     node_expansion,
-    to_matrices,
 )
 from .spacings import (
     REGIME_SMALL_D,
@@ -80,22 +84,97 @@ def min_max_load(matrices: AllocationMatrices, rho) -> LoadSplit:
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != (matrices.k,):
         raise ValueError(f"rho must have length k={matrices.k}, got shape {rho.shape}")
-    x, loads = _EpigraphLP(matrices).solve(rho[None, :])
+    owner = np.nonzero(matrices.T.T)[1]
+    entries = np.nonzero(matrices.M.T)  # by portion, then by node
+    portions = _Portions.of_entries(matrices.M.shape[0], matrices.k, owner, *entries)
+    x, loads = _EpigraphLP(portions).solve(rho[None, :])
     return LoadSplit(portions=x[0], max_load=float(loads[0].max()), node_loads=loads[0])
 
 
-class _EpigraphLP:
-    """The epigraph LP of one allocation, one HiGHS model re-solved per demand row.
+class _Portions(NamedTuple):
+    """The portion table an LP is built from: portion c serves object
+    owner[c] and loads nodes[indptr[c]:indptr[c + 1]], ascending and each
+    node once, out of n nodes and k objects."""
 
-    The model
+    n: int
+    k: int
+    owner: np.ndarray
+    indptr: np.ndarray
+    nodes: np.ndarray
+
+    @classmethod
+    def of_entries(cls, n: int, k: int, owner, cols, nodes) -> _Portions:
+        """The table of (portion, node) entries ``cols``, ``nodes``, sorted
+        by portion, then by node, each once."""
+        return cls(n, k, owner, np.searchsorted(cols, np.arange(owner.size + 1)), nodes)
+
+
+def _lp_portions(alloc: Allocation) -> _Portions:
+    """The LP portion table of an allocation: its node ids checked to lie in
+    [0, n), and each portion's nodes sorted with repeats collapsed, as in
+    the routing matrix M of ``to_matrices``."""
+    _entries_in_range(alloc)
+    owner, indptr, nodes = alloc.portions
+    cols = np.repeat(np.arange(owner.size), np.diff(indptr))
+    entries = np.divmod(np.unique(cols * alloc.n + nodes), alloc.n)
+    return _Portions.of_entries(alloc.n, alloc.k, owner, *entries)
+
+
+#: The module name of scipy's HiGHS bindings.
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """scipy's HiGHS extension module, ``scipy.optimize._highspy._core``.
+
+    Importing it by name first runs ``scipy/optimize/__init__.py``, which
+    loads some 300 scipy modules the LP never calls.  So the module is
+    loaded from its file in scipy's install directory, for each suffix in
+    ``importlib.machinery.EXTENSION_SUFFIXES``, and registered under its
+    own name in ``sys.modules``, where a later import of it finds it.  An
+    already imported module is reused; if no file is found, it is imported
+    by name.
+    """
+    core = sys.modules.get(_HIGHS_CORE)
+    if core is not None:
+        return core
+    scipy = importlib.util.find_spec("scipy")
+    for folder in scipy.submodule_search_locations if scipy is not None else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "optimize", "_highspy", "_core" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+                core = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(core)
+                sys.modules[_HIGHS_CORE] = core
+                return core
+    return importlib.import_module(_HIGHS_CORE)
+
+
+def _bin_sums(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """Sums of the columns of (b, m) ``values`` into ``size`` bins per row,
+    column j going to bin index[j]; each bin adds its columns in order."""
+    b = values.shape[0]
+    bins = (np.arange(b)[:, None] * size + index).ravel()
+    return np.bincount(bins, weights=values.ravel(), minlength=b * size).reshape(b, size)
+
+
+class _EpigraphLP:
+    """The epigraph LP of one portion table, one HiGHS model re-solved per demand row.
+
+    With M the nodes x portions routing matrix and T the objects x
+    portions aggregation matrix of the table, the model
 
         min t  s.t.  M x - t <= 0,  T x = rho,  x, t >= 0
 
-    is built once, with presolve off.  Each row sets the k equality bounds
-    to its rho and runs the simplex from the basis the row before it left,
-    so a row's x (and the last bits of its t*) can depend on the rows
-    solved before it on the same model.  Row j's t* is max(M x_j).  Every
-    row must pass two checks, each at LP_TOL (absolute on the dual,
+    is built once, with presolve off, straight from the table: portion c's
+    column holds 1 at its nodes' rows (ascending) and at row n + owner[c],
+    and the t column, last, holds -1 at every node row.  Each row sets the
+    k equality bounds to its rho and runs the simplex from the basis the
+    row before it left, so a row's x (and the last bits of its t*) can
+    depend on the rows solved before it on the same model.  Row j's t* is
+    max(M x_j), each node's load summed over its portions in portion order.
+    Every row must pass two checks, each at LP_TOL (absolute on the dual,
     relative to max(1, max rho_j) on demands and loads):
 
     - conservation: |T x_j - rho_j| <= LP_TOL * scale;
@@ -107,24 +186,33 @@ class _EpigraphLP:
       dual whose value meets the primal value proves the split optimal.
     """
 
-    def __init__(self, matrices: AllocationMatrices):
-        from scipy.optimize._highspy._core import HighsLp, MatrixFormat, _Highs, kHighsInf
-        from scipy.sparse import csc_matrix
-
-        self.M = matrices.M.astype(np.float64)
-        self.T = matrices.T.astype(np.float64)
-        (n, L), k = self.M.shape, self.T.shape[0]
-        a = csc_matrix(np.block([[self.M, -np.ones((n, 1))], [self.T, np.zeros((k, 1))]]))
-        lp = HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = L + 1
+    def __init__(self, portions: _Portions):
+        core = _highs_core()
+        self.portions = portions
+        n, k, owner, indptr, nodes = portions
+        num_portions = owner.size
+        self._entry_portion = np.repeat(np.arange(num_portions), np.diff(indptr))
+        # each portion's entries, then its owner's row; the t column last
+        start = indptr + np.arange(num_portions + 1)
+        index = np.empty(start[-1] + n, dtype=np.int32)
+        index[np.arange(nodes.size) + self._entry_portion] = nodes
+        index[start[1:] - 1] = n + owner
+        index[start[-1]:] = np.arange(n)
+        value = np.ones(index.size)
+        value[start[-1]:] = -1.0
+        lp = core.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = num_portions + 1
         lp.num_row_ = lp.a_matrix_.num_row_ = n + k
-        lp.col_cost_ = np.append(np.zeros(L), 1.0)
-        lp.col_lower_, lp.col_upper_ = np.zeros(L + 1), np.full(L + 1, kHighsInf)
-        lp.row_lower_ = np.append(np.full(n, -kHighsInf), np.zeros(k))
+        lp.col_cost_ = np.append(np.zeros(num_portions), 1.0)
+        lp.col_lower_ = np.zeros(num_portions + 1)
+        lp.col_upper_ = np.full(num_portions + 1, core.kHighsInf)
+        lp.row_lower_ = np.append(np.full(n, -core.kHighsInf), np.zeros(k))
         lp.row_upper_ = np.zeros(n + k)
-        lp.a_matrix_.format_ = MatrixFormat.kColwise
-        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
-        self._highs = _Highs()
+        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = np.append(start, index.size).astype(np.int32)
+        lp.a_matrix_.index_, lp.a_matrix_.value_ = index, value
+        self._optimal = core.HighsModelStatus.kOptimal
+        self._highs = core._Highs()
         for option, value in (
             ("output_flag", False),
             ("presolve", "off"),
@@ -141,24 +229,24 @@ class _EpigraphLP:
         NumericalFailureError whose ``row_index`` is the failing row's
         index in ``rows``.
         """
-        from scipy.optimize._highspy._core import HighsModelStatus
-
         if np.any(rows < 0):
             raise ValueError("demands must be non-negative")
-        (b, k), (n, L) = rows.shape, self.M.shape
-        x, y, z = np.empty((b, L)), np.empty((b, k)), np.empty((b, n))
+        n, k, owner, _, nodes = self.portions
+        b, num_portions = rows.shape[0], owner.size
+        x, y, z = np.empty((b, num_portions)), np.empty((b, k)), np.empty((b, n))
         for i, rho in enumerate(rows):
             status, xi, yi, zi = self._solve_row(rho)
-            if status != HighsModelStatus.kOptimal:
+            if status != self._optimal:
                 what = self._highs.modelStatusToString(status)
                 raise _row_failure(i, f"LP solver failed on this row (model status: {what})")
             x[i], y[i], z[i] = xi, yi, zi
-        loads = x @ self.M.T
+        loads = _bin_sums(x[:, self._entry_portion], nodes, n)
         scale = LP_TOL * np.maximum(1.0, rows.max(axis=1))
-        conserved = np.abs(x @ self.T.T - rows).max(axis=1) <= scale
+        conserved = np.abs(_bin_sums(x, owner, k) - rows).max(axis=1) <= scale
+        reduced_costs = -_bin_sums(z[:, nodes], self._entry_portion, num_portions) - y[:, owner]
         dual_feasible = (
             (z.max(axis=1) <= LP_TOL)
-            & ((-(z @ self.M) - y @ self.T).min(axis=1) >= -LP_TOL)
+            & (reduced_costs.min(axis=1) >= -LP_TOL)
             & (1.0 + z.sum(axis=1) >= -LP_TOL)
         )
         gap_closed = np.abs(np.einsum("ij,ij->i", rows, y) - loads.max(axis=1)) <= scale
@@ -176,7 +264,7 @@ class _EpigraphLP:
 
         y and z are the duals of T x = rho and of M x - t <= 0.
         """
-        n = self.M.shape[0]
+        n = self.portions.n
         for j, value in enumerate(rho.tolist()):
             self._highs.changeRowBounds(n + j, value, value)
         self._highs.run()
@@ -289,7 +377,7 @@ def t_star_batch(
     NumericalFailureError with ``row_index`` set to its index in ``demands``.
     """
     if getattr(FAMILIES.get(alloc.kind), "t_star", None) is None:
-        return _EpigraphLP(to_matrices(alloc)).solve(_demand_rows(alloc, demands))[1].max(axis=1)
+        return _EpigraphLP(_lp_portions(alloc)).solve(_demand_rows(alloc, demands))[1].max(axis=1)
     if solved is None:
         solved = shared_pass([alloc], demands)
     return solved.row(alloc, demands)
@@ -318,13 +406,16 @@ class SharedPass:
 def shared_pass(allocs: Sequence[Allocation], demands) -> SharedPass:
     """Solve the closed-form designs of ``allocs``, which share k (see
     ``common_k``), over ``demands``: one ``FAMILIES`` kernel call for each
-    (kind, n), for all its d.  Designs without a closed form get no row."""
+    (kind, n), for each of its distinct d once.  Designs without a closed
+    form get no row."""
     common_k(allocs)
     rows = _demand_rows(allocs[0], demands)
     groups: dict[tuple[str, int], list[int]] = {}
     for alloc in allocs:
         if getattr(FAMILIES.get(alloc.kind), "t_star", None) is not None:
-            groups.setdefault((alloc.kind, alloc.n), []).append(alloc.d)
+            d_values = groups.setdefault((alloc.kind, alloc.n), [])
+            if alloc.d not in d_values:
+                d_values.append(alloc.d)
     solved = {}
     for (kind, n), d_values in groups.items():
         t_stars = FAMILIES[kind].t_star(n, d_values, rows)

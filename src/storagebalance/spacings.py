@@ -143,22 +143,28 @@ def solve_alpha(c: float) -> float:
     """Unique positive root of (1 + a) * exp(-a) = exp(-1/c) for c > 0.
 
     The left side decreases strictly from 1 to 0 on a > 0, so the root is
-    unique; solved by bracketed root-finding to absolute tolerance well under
-    1e-12.
+    unique.  Its log, log1p(a) - a + 1/c = 0, is solved by bisection of a
+    bracket until the midpoint stops moving, that is, to adjacent floats;
+    the log form has no cancellation against exp(-1/c) near 1, so the root
+    is within a few ulps of the exact one.
     """
-    from scipy.optimize import brentq
-
     if c <= 0:
         raise ValueError("c must be positive")
-    target = math.exp(-1.0 / c)
 
     def f(a):
-        return (1.0 + a) * math.exp(-a) - target
+        return math.log1p(a) - a + 1.0 / c
 
-    hi = 1.0
+    lo, hi = 1e-16, 1.0
     while f(hi) > 0:
-        hi *= 2.0
-    return float(brentq(f, 1e-16, hi, xtol=1e-15, rtol=8.9e-16))
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _log_order_d_constants(c: Optional[float]) -> tuple[float, float]:

@@ -749,8 +749,9 @@ def _simulate(kind, n, d):
          ["scipy.optimize", "scipy.sparse", "jsonschema"], []),
         (["inspect", "--kind", "cyclic", "--n", "20", "--d", "3"], None,
          ["scipy.optimize", "jsonschema"], []),
-        (["simulate"], _simulate("block_design", 7, 3), ["jsonschema"],
-         ["scipy.optimize._highspy"]),
+        (["simulate"], _simulate("block_design", 7, 3),
+         ["scipy.sparse", "scipy.linalg", "scipy.special", "jsonschema"],
+         ["scipy.optimize._highspy._core"]),
     ],
     ids=["import", "limit-checks", "cyclic", "clustering", "single_choice", "inspect", "lp"],
 )

@@ -1,5 +1,12 @@
 """Tests for the min-max load solvers and stability conditions."""
 
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +14,7 @@ from hypothesis import strategies as st
 
 import storagebalance.loadsolver as ls
 from storagebalance.allocation import (
+    Allocation,
     UnsupportedDesignError,
     build_block_design,
     build_clustering,
@@ -262,6 +270,66 @@ def test_hot_started_rows_match_cold_solves(name):
         flows = np.array([min_max_load_flow(alloc, rho) for rho in demands])
         assert np.max(np.abs(hot - flows)) <= 1e-7
         assert all(_certifies(alloc, rho, t) for rho, t in zip(demands, cold))
+
+
+def test_lp_counts_a_node_named_twice_once():
+    # object 0's second choice names node 2 twice and lists its nodes out of
+    # order; the routing matrix M collapses the pair to one entry
+    sets = (((0,), (2, 1, 2)), ((1,), (2, 0)), ((2,), (0, 1)))
+    alloc = Allocation(n=3, k=3, d=2, r=2, kind="custom", recovery_sets=sets)
+    demands = np.array([[2.4, 0.3, 0.1], [1.8, 0.0, 0.9], *spacing_matrix(3, 2.4, 44, 10)])
+    m = to_matrices(alloc)
+    for rho in demands:
+        assert t_star_batch(alloc, rho)[0] == min_max_load(m, rho).max_load
+
+
+def test_lp_memory_grows_with_the_portions():
+    # dense routing matrices would take n * (portions + objects) entries: 8e6 here
+    alloc = build_cyclic_xor(1000, 3, 2)
+    demands = spacing_matrix(alloc.k, 800.0, 45, 2)
+    tracemalloc.start()
+    try:
+        t_star_batch(alloc, demands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+#: Loads HiGHS's core module through ``_highs_core`` in a fresh process, its
+#: file lookup made to miss if asked, and prints what the solver needs of it.
+_LOAD_HIGHS_CORE = (
+    "import importlib.machinery, json, sys\n"
+    "if sys.argv[1] == 'miss':\n"
+    "    importlib.machinery.EXTENSION_SUFFIXES = ['.no-such-suffix']\n"
+    "from storagebalance.loadsolver import _highs_core\n"
+    "core = _highs_core()\n"
+    "print(json.dumps({\n"
+    "    'names': [name for name in ('HighsLp', 'MatrixFormat', '_Highs', 'kHighsInf',\n"
+    "                                'HighsModelStatus') if hasattr(core, name)],\n"
+    "    'registered': sys.modules['scipy.optimize._highspy._core'] is core,\n"
+    "    'optimize': 'scipy.optimize' in sys.modules,\n"
+    "}))\n"
+)
+
+
+@pytest.mark.parametrize("lookup", ["file", "miss"])
+def test_highs_core_loads_by_file_or_by_import(lookup):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD_HIGHS_CORE, lookup],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["names"] == ["HighsLp", "MatrixFormat", "_Highs", "kHighsInf", "HighsModelStatus"]
+    assert loaded["registered"]
+    # only the plain import runs scipy/optimize/__init__.py
+    assert loaded["optimize"] == (lookup == "miss")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from storagebalance.allocation import (
     build_cyclic,
     build_cyclic_xor,
     build_single_choice,
+    to_matrices,
 )
 from storagebalance.metrics import (
     BandCheck,
@@ -171,6 +172,28 @@ def test_each_design_and_chunk_passes_through_t_star_batch(monkeypatch):
         assert np.concatenate(returned).tobytes() == series[j].tobytes()
 
 
+
+def test_a_repeated_design_is_solved_once_per_chunk(monkeypatch):
+    import dataclasses
+
+    import storagebalance.metrics as metrics_mod
+
+    # a single_choice sweep over d = 1, 2, 5 builds one design three times
+    handed = []
+    family = ls.FAMILIES["single_choice"]
+
+    def recording(n, d_values, demands):
+        handed.append(list(d_values))
+        return family.t_star(n, d_values, demands)
+
+    monkeypatch.setitem(ls.FAMILIES, "single_choice", dataclasses.replace(family, t_star=recording))
+    monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 70)  # 120 trials: chunks of 70 and 50
+    allocs = [build_single_choice(10, 2) for _ in range(3)]
+    series = t_star_series(allocs, 4.0, 120, SEED)
+    assert handed == [[1], [1]]
+    alone = t_star_series(allocs[:1], 4.0, 120, SEED)[0]
+    assert all(row.tobytes() == alone.tobytes() for row in series)
+
 def _perturbed_row(monkeypatch, target, perturb):
     """Make the LP's per-row solve hand back ``perturb(status, x, y, z)``
     for the demand row equal to ``target``."""
@@ -226,7 +249,7 @@ def test_perturbed_dual_fails_the_certificate(monkeypatch, marginals, entry, shi
         ls.t_star_batch(alloc, demands)
     assert info.value.row_index == failing
     with pytest.raises(ls.NumericalFailureError, match=message):
-        ls.min_max_load(ls.to_matrices(alloc), demands[failing])
+        ls.min_max_load(to_matrices(alloc), demands[failing])
 
 
 def test_failed_row_solve_names_that_row(monkeypatch):

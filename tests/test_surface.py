@@ -130,3 +130,27 @@ def test_every_imported_name_is_read():
             if names:
                 unread[str(path.relative_to(ROOT))] = names
     assert unread == {}, f"imported names never read: {unread}"
+
+
+def _imported_modules(tree: ast.Module):
+    """(module, line) of every module an import statement names, with each
+    ``from package import name`` also as ``package.name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module, node.lineno
+            yield from ((f"{node.module}.{alias.name}", node.lineno) for alias in node.names)
+
+
+def test_no_source_module_imports_scipy_optimize():
+    # HiGHS's core module is loaded alone by loadsolver._highs_core; importing
+    # it, or anything else in scipy.optimize, by name runs all of
+    # scipy/optimize/__init__.py
+    found = [
+        f"{path.relative_to(ROOT)}:{line} {module}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for module, line in _imported_modules(ast.parse(path.read_text()))
+        if module == "scipy.optimize" or module.startswith("scipy.optimize.")
+    ]
+    assert found == [], f"imports of scipy.optimize: {found}"
