@@ -239,6 +239,14 @@ def test_block_lp_matches_row_lp(name, monkeypatch):
         assert t.tobytes() == full[:trials].tobytes()
 
 
+
+def test_lp_row_bits_do_not_depend_on_the_batch_size():
+    # the first 25 rows of both batches start from the same bases, and each
+    # row's node loads are summed on their own, in portion order
+    alloc = build_cyclic_xor(21, 5, 2)
+    demands = spacing_matrix(alloc.k, 16.8, 1, 200)
+    assert t_star_batch(alloc, demands[:25]).tobytes() == t_star_batch(alloc, demands)[:25].tobytes()
+
 def _hot_start_hazards(k, sigma, seed):
     """Spacing rows, each followed by a degenerate row, then the degenerate
     rows back to back in both orders.
