@@ -239,13 +239,13 @@ def test_block_lp_matches_row_lp(name, monkeypatch):
         assert t.tobytes() == full[:trials].tobytes()
 
 
-
 def test_lp_row_bits_do_not_depend_on_the_batch_size():
     # the first 25 rows of both batches start from the same bases, and each
     # row's node loads are summed on their own, in portion order
     alloc = build_cyclic_xor(21, 5, 2)
     demands = spacing_matrix(alloc.k, 16.8, 1, 200)
     assert t_star_batch(alloc, demands[:25]).tobytes() == t_star_batch(alloc, demands)[:25].tobytes()
+
 
 def _hot_start_hazards(k, sigma, seed):
     """Spacing rows, each followed by a degenerate row, then the degenerate
@@ -292,7 +292,7 @@ def test_lp_counts_a_node_named_twice_once():
 
 
 def test_lp_memory_grows_with_the_portions():
-    # dense routing matrices would take n * (portions + objects) entries: 8e6 here
+    # dense M and T would hold (n + k) * portions = 6e6 entries here, 48 MB as float64
     alloc = build_cyclic_xor(1000, 3, 2)
     demands = spacing_matrix(alloc.k, 800.0, 45, 2)
     tracemalloc.start()

@@ -172,7 +172,6 @@ def test_each_design_and_chunk_passes_through_t_star_batch(monkeypatch):
         assert np.concatenate(returned).tobytes() == series[j].tobytes()
 
 
-
 def test_a_repeated_design_is_solved_once_per_chunk(monkeypatch):
     import dataclasses
 
@@ -193,6 +192,7 @@ def test_a_repeated_design_is_solved_once_per_chunk(monkeypatch):
     assert handed == [[1], [1]]
     alone = t_star_series(allocs[:1], 4.0, 120, SEED)[0]
     assert all(row.tobytes() == alone.tobytes() for row in series)
+
 
 def _perturbed_row(monkeypatch, target, perturb):
     """Make the LP's per-row solve hand back ``perturb(status, x, y, z)``
