@@ -63,14 +63,17 @@ def spacing_matrix(
     representation of uniform spacings, so sigma is a pure scale factor).
     One Philox bit generator is re-keyed for each row (counter 0, buffer
     empty: the state of a freshly keyed Philox), which reproduces each
-    per-trial substream without building a generator per row.  Every
-    call draws afresh.
+    per-trial substream without building a generator per row.  The state
+    holds its counter, key and buffer words as plain Python ints in lists:
+    the ``state`` setter reads them by index, which costs about half of
+    what reading uint64 array items does.  Every call draws afresh.
     """
-    key = RandomStream(master_seed, start_index).key()
-    bitgen = np.random.Philox(key=key)
+    bitgen = np.random.Philox(key=RandomStream(master_seed, start_index).key())
     gen = np.random.Generator(bitgen)
+    key = [0, master_seed]
     fresh = bitgen.state
-    fresh["state"]["key"] = key
+    fresh["state"] = {"counter": [0, 0, 0, 0], "key": key}
+    fresh["buffer"] = [0, 0, 0, 0]
     out = np.empty((trials, k))
     for i, row in enumerate(out):
         key[0] = (start_index + i) & _UINT64_MASK
@@ -85,37 +88,48 @@ def spacing_matrix(
 # ---------------------------------------------------------------------------
 
 
-def prefix_sums(a: np.ndarray, wrap: int = 0) -> np.ndarray:
-    """Row prefix sums of a (T, k) matrix, continued ``wrap`` entries cyclically.
+def prefix_sums(a: np.ndarray, wrap: int = 0, axis: int = 1) -> np.ndarray:
+    """Prefix sums of a 2-D array along its positions axis ``axis``,
+    continued ``wrap`` entries cyclically.
 
-    ``p[:, j]`` is the sum of the first j entries of the cyclically extended
-    row, for j in [0, k + wrap], so the window of d entries starting at i
-    sums to ``p[:, i + d] - p[:, i]``.  The cumulative sum runs left to right,
-    so an entry does not depend on ``wrap``: windows cut from one prefix equal
-    those cut from prefixes built for each window size.
+    With ``axis=1`` (the default) ``a`` holds one (T, k) demand row per
+    trial, and ``p[:, j]`` is the sum of the first j entries of the
+    cyclically extended row, for j in [0, k + wrap], so the window of d
+    entries starting at i sums to ``p[:, i + d] - p[:, i]``.  With
+    ``axis=0`` both ``a`` (k, T) and ``p`` (k + wrap + 1, T) are
+    position-major, one column per trial: ``p[j]`` is the row ``p[:, j]``
+    of the default layout, bit for bit, since each entry is the same
+    sequential sum.  The cumulative sum runs left to right, so an entry does
+    not depend on ``wrap``: windows cut from one prefix equal those cut from
+    prefixes built for each window size.
     """
-    t, k = a.shape
+    rows = np.moveaxis(a, axis, 1)  # a view, one trial per row in either layout
+    t, k = rows.shape
     if not 0 <= wrap < k:
         raise ValueError(f"wrap must be in [0, {k}), got {wrap}")
-    p = np.empty((t, k + wrap + 1))
-    p[:, 0] = 0.0
-    p[:, 1 : k + 1] = a
-    p[:, k + 1 :] = a[:, :wrap]
-    np.cumsum(p[:, 1:], axis=1, out=p[:, 1:])
+    p = np.empty((t, k + wrap + 1) if axis == 1 else (k + wrap + 1, t))
+    q = np.moveaxis(p, axis, 1)
+    q[:, 0] = 0.0
+    q[:, 1 : k + 1] = rows
+    q[:, k + 1 :] = rows[:, :wrap]
+    np.cumsum(q[:, 1:], axis=1, out=q[:, 1:])
     return p
 
 
-def _window_sums(p: np.ndarray, k: int, d: int) -> np.ndarray:
+def _window_sums(p: np.ndarray, k: int, d: int, axis: int = 1) -> np.ndarray:
+    if axis == 0:
+        return p[d : d + k] - p[:k]
     return p[:, d : d + k] - p[:, :k]
 
 
-def window_max(p: np.ndarray, k: int, d: int) -> np.ndarray:
-    """Per-row maximum sum of d entries on the circle, cut from ``prefix_sums``.
+def window_max(p: np.ndarray, k: int, d: int, axis: int = 1) -> np.ndarray:
+    """Per-trial maximum sum of d entries on the circle, cut from a
+    ``prefix_sums`` of the same ``axis``.
 
     The windows start at 0..k-1, which needs a prefix continued at least
     d - 1 entries; line maxima come from ``window_max_pair``.
     """
-    return _window_sums(p, k, d).max(axis=1)
+    return _window_sums(p, k, d, axis).max(axis=axis)
 
 
 def window_max_pair(p: np.ndarray, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:

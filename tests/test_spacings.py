@@ -71,13 +71,15 @@ def test_coordinate_means_match_exchangeability():
 
 def test_spacing_matrix_rows_match_per_trial_streams():
     # the re-keyed batch sampler and its row-sum normalisation are bit-exact
-    # against one generator per trial, across k and the full seed range
+    # against one generator per trial, across k, the full seed range and
+    # stream indices that wrap past 2^64
     for k, rows in ((1, 8), (5, 8), (100, 8), (10_000, 3)):
-        for seed in (0, 1, 77, 2**63 - 1, 2**63 + 1):
-            mat = spacing_matrix(k, 2.0, seed, rows, start_index=3)
-            for i in range(rows):
-                row = per_trial_spacings(k, 2.0, seed, 3 + i)
-                assert mat[i].tobytes() == row.tobytes(), (k, seed, i)
+        for seed in (0, 1, 77, 2**63 - 1, 2**63 + 1, 2**64 - 1):
+            for start in (3, 2**64 - 2):
+                mat = spacing_matrix(k, 2.0, seed, rows, start_index=start)
+                for i in range(rows):
+                    row = per_trial_spacings(k, 2.0, seed, start + i)
+                    assert mat[i].tobytes() == row.tobytes(), (k, seed, start, i)
 
 
 def test_seeds_beyond_2_63_draw_distinct_streams():
@@ -173,10 +175,14 @@ def test_shared_prefix_matches_direct_window_sums(data):
     if data.draw(st.booleans(), label="with d = k"):
         ds.add(k)
     p = prefix_sums(a, wrap=max(ds) - 1)
+    # the position-major layout holds the same sums, one column per row of a
+    columns = prefix_sums(a.T, wrap=max(ds) - 1, axis=0)
+    assert columns.T.tobytes() == p.tobytes()
     ext = np.concatenate([a, a[:, : k - 1]], axis=1)
     for d in sorted(ds):
         line, circ = window_max_pair(p, k, d)
         assert window_max(p, k, d).tobytes() == circ.tobytes()
+        assert window_max(columns, k, d, axis=0).tobytes() == circ.tobytes()
         line_ref = sum(a[:, j : k - d + 1 + j] for j in range(d)).max(axis=1)
         circ_ref = sum(ext[:, j : k + j] for j in range(d)).max(axis=1)
         np.testing.assert_allclose(line, line_ref, rtol=1e-12, atol=0)
@@ -187,9 +193,11 @@ def test_shared_prefix_matches_direct_window_sums(data):
 def test_prefix_sums_rejects_wrap_outside_row():
     a = np.ones((2, 4))
     assert prefix_sums(a, wrap=3).tolist() == [[0, 1, 2, 3, 4, 5, 6, 7]] * 2
+    assert prefix_sums(a.T, wrap=3, axis=0).T.tolist() == [[0, 1, 2, 3, 4, 5, 6, 7]] * 2
     for wrap in (-1, 4):
-        with pytest.raises(ValueError, match="wrap"):
-            prefix_sums(a, wrap=wrap)
+        for rows, axis in ((a, 1), (a.T, 0)):
+            with pytest.raises(ValueError, match="wrap"):
+                prefix_sums(rows, wrap=wrap, axis=axis)
 
 
 def test_circle_equals_line_when_max_does_not_wrap():
