@@ -4,7 +4,7 @@ Demand vectors with a fixed cumulative load sigma are distributed like k
 uniform spacings scaled to [0, sigma].  The windowed maxima of those spacings
 (on the line and on the circle) drive both the exact stability conditions and
 the Gumbel-type limit laws, so they are implemented here once, over (T, k)
-batches of demand rows.
+batches of demand rows or their position-major (k, T) transposes.
 """
 
 from __future__ import annotations
