@@ -456,10 +456,6 @@ def _t_star_clusters(n: int, d_values: Sequence[int], demands: np.ndarray) -> np
 #: is proven final; compacting on every drop copies the prefix sums too often.
 _COMPACT_SHARE = 0.25
 
-#: Largest n at which the cyclic kernel runs position-major, one column of
-#: prefix sums per trial; larger n keeps one row per trial.
-_POSITION_MAJOR_MAX_N = 400
-
 
 def _t_star_cyclic(n: int, d_values: Sequence[int], demands: np.ndarray) -> np.ndarray:
     """t* of the cyclic designs (n, d) for each d of ``d_values``, one row each.
@@ -476,13 +472,11 @@ def _t_star_cyclic(n: int, d_values: Sequence[int], demands: np.ndarray) -> np.n
     the same W_w and the same float operations as a pass of its own, so its
     row is that pass's row bit for bit; a single design is the one-d case.
 
-    At n <= ``_POSITION_MAJOR_MAX_N`` the prefix sums are position-major,
-    one column per trial, so each window's subtraction and maximum run
-    long inner loops across the trials instead of one short loop per row.
-    Above it they stay one row per trial: there the transposed copy and
-    the column gathers of each compaction cost more than the windows save.
-    Both layouts add each prefix in the same order and the maximum is
-    exact, so every t* has the same bits in either.
+    The prefix sums are position-major, one column per trial, so each
+    window's subtraction and maximum run long inner loops across the trials
+    instead of one short loop per row (100 entries at n = 100).  They hold
+    the same sums as one row per trial and the maximum is exact, so every
+    t* has the bits a row-major pass would give it.
 
     Rows whose t* is already final are skipped.  Circular window maxima are
     subadditive, W_{a+b} <= W_a + W_b (for a + b < n), so if after step w a
@@ -520,8 +514,7 @@ def _t_star_cyclic(n: int, d_values: Sequence[int], demands: np.ndarray) -> np.n
     out = np.tile(total, (len(ds), 1))
     if ds:
         shrink = 1.0 - 32.0 * n * n * 2.0**-53
-        axis = 0 if n <= _POSITION_MAJOR_MAX_N else 1  # the positions axis of p
-        p = prefix_sums(demands.T if axis == 0 else demands, wrap=n - ds[-1] - 1, axis=axis)
+        p = prefix_sums(demands, wrap=n - ds[-1] - 1, axis=0)  # one column per trial
         rows = np.arange(len(total))
         best = out.copy()
         final = np.zeros(best.shape, dtype=bool)
@@ -530,7 +523,7 @@ def _t_star_cyclic(n: int, d_values: Sequence[int], demands: np.ndarray) -> np.n
         for w in range(1, n - ds[-1] + 1):
             if w > n - ds[top]:
                 top += 1
-            wmax = window_max(p, n, w, axis)
+            wmax = window_max(p, n, w, 0)
             live_best = best[top:]
             np.maximum(live_best, wmax / (w + d_minus_1[top:]), out=live_best)
             final[top:] |= wmax <= live_best * (w * shrink)
@@ -538,7 +531,7 @@ def _t_star_cyclic(n: int, d_values: Sequence[int], demands: np.ndarray) -> np.n
             if np.count_nonzero(done) >= _COMPACT_SHARE * len(done):
                 out[:, rows[done]] = best[:, done]
                 live = ~done
-                p = np.compress(live, p, axis=1 - axis)
+                p = np.compress(live, p, axis=1)
                 rows, best, final = rows[live], best[:, live], final[:, live]
                 if not len(rows):
                     break

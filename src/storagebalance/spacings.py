@@ -4,7 +4,7 @@ Demand vectors with a fixed cumulative load sigma are distributed like k
 uniform spacings scaled to [0, sigma].  The windowed maxima of those spacings
 (on the line and on the circle) drive both the exact stability conditions and
 the Gumbel-type limit laws, so they are implemented here once, over (T, k)
-batches of demand rows or their position-major (k, T) transposes.
+batches of demand rows, with prefix sums one row per trial or position-major.
 """
 
 from __future__ import annotations
@@ -89,30 +89,33 @@ def spacing_matrix(
 
 
 def prefix_sums(a: np.ndarray, wrap: int = 0, axis: int = 1) -> np.ndarray:
-    """Prefix sums of a 2-D array along its positions axis ``axis``,
-    continued ``wrap`` entries cyclically.
+    """Prefix sums of each (T, k) row of ``a``, continued ``wrap`` entries
+    cyclically, with the positions along axis ``axis`` of the result.
 
-    With ``axis=1`` (the default) ``a`` holds one (T, k) demand row per
-    trial, and ``p[:, j]`` is the sum of the first j entries of the
-    cyclically extended row, for j in [0, k + wrap], so the window of d
-    entries starting at i sums to ``p[:, i + d] - p[:, i]``.  With
-    ``axis=0`` both ``a`` (k, T) and ``p`` (k + wrap + 1, T) are
-    position-major, one column per trial: ``p[j]`` is the row ``p[:, j]``
-    of the default layout, bit for bit, since each entry is the same
-    sequential sum.  The cumulative sum runs left to right, so an entry does
-    not depend on ``wrap``: windows cut from one prefix equal those cut from
-    prefixes built for each window size.
+    With ``axis=1`` (the default) ``p[:, j]`` is the sum of the first j
+    entries of the cyclically extended row, for j in [0, k + wrap], so the
+    window of d entries starting at i sums to ``p[:, i + d] - p[:, i]``.
+    With ``axis=0`` the (k + wrap + 1, T) result is position-major, one
+    column per trial, and ``p[j]`` is the default layout's ``p[:, j]``.
+    Either way each entry is the same sequential sum, so both layouts have
+    the same bits; the position-major sums add one position at a time
+    across the trials, since ``np.cumsum`` down a column strides through
+    memory.  An entry does not depend on ``wrap``: windows cut from one
+    prefix equal those cut from prefixes built for each window size.
     """
-    rows = np.moveaxis(a, axis, 1)  # a view, one trial per row in either layout
-    t, k = rows.shape
+    t, k = a.shape
     if not 0 <= wrap < k:
         raise ValueError(f"wrap must be in [0, {k}), got {wrap}")
     p = np.empty((t, k + wrap + 1) if axis == 1 else (k + wrap + 1, t))
-    q = np.moveaxis(p, axis, 1)
+    q = p if axis == 1 else p.T  # one row per trial in either layout
     q[:, 0] = 0.0
-    q[:, 1 : k + 1] = rows
-    q[:, k + 1 :] = rows[:, :wrap]
-    np.cumsum(q[:, 1:], axis=1, out=q[:, 1:])
+    q[:, 1 : k + 1] = a
+    q[:, k + 1 :] = a[:, :wrap]
+    if axis == 1:
+        np.cumsum(q[:, 1:], axis=1, out=q[:, 1:])
+    else:
+        for j in range(1, len(p)):
+            np.add(p[j - 1], p[j], out=p[j])
     return p
 
 

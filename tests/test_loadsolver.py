@@ -449,29 +449,6 @@ def test_cyclic_kernel_equals_unpruned_loop_at_n_3000():
     _assert_pass_equals_unpruned(3000, [3, 2, 3, 3001], demands)
 
 
-@pytest.mark.parametrize("above", [False, True])
-def test_cyclic_kernel_layouts_meet_at_the_switch(monkeypatch, above):
-    # the last position-major n and the first row-major n both give the
-    # unpruned loop's bytes
-    import storagebalance.loadsolver as loadsolver_mod
-
-    axes = set()
-
-    def recording(p, k, w, axis=1):
-        axes.add(axis)
-        return window_max(p, k, w, axis)
-
-    n = ls._POSITION_MAJOR_MAX_N + above
-    demands = _adversarial_rows(np.random.default_rng(n), n, 2, 0.8 * n)
-    monkeypatch.setattr(loadsolver_mod, "window_max", recording)
-    got = ls._t_star_cyclic(n, [2, 5, 1], demands)
-    monkeypatch.undo()
-    assert axes == {1 if above else 0}
-    assert [row.tobytes() for row in got] == [
-        _t_star_cyclic_unpruned(n, d, demands).tobytes() for d in (2, 5, 1)
-    ]
-
-
 def test_cyclic_kernel_skips_final_rows(monkeypatch):
     import storagebalance.loadsolver as loadsolver_mod
 
