@@ -28,13 +28,13 @@ def run() -> int:
     for d in args.d:
         nb = d * d - d + 1
         nc = d * (nb // d + 1)
-        # each pair shares k and sigma, so one call solves both on one draw
+        # each pair shares k, so one call solves both on one draw
         for pair in (
             [build_block_design(d), build_cyclic(nb, d)],
             [build_cyclic(nc, d), build_clustering(nc, d)],
         ):
             sigma = 0.8 * pair[0].n
-            series = t_star_series(pair, sigma, args.trials, args.seed)
+            series = t_star_series(pair, args.trials, args.seed)
             for alloc, t_stars in zip(pair, series):
                 p, imb = estimate_metrics(alloc, sigma, args.trials, args.seed, t_stars)
                 rows.append(

@@ -163,7 +163,7 @@ def build_allocation(kind: str, n: int, d: int = 1, r: int = 1, m: int = 1) -> A
 
 def resolve_sigma(spec: dict, n: int) -> float:
     """The sigma that ``spec``'s rule gives for n nodes; it and n/sigma, the
-    imbalance factor's scale, must be finite."""
+    inverse of the perfectly balanced node load, must be finite."""
     if "absolute" in spec:
         sigma = float(spec["absolute"])
     elif "fraction_of_n" in spec:
@@ -233,46 +233,37 @@ def run_simulate(config: ExperimentConfig) -> list[ExperimentRow]:
     """One row per (kind, d, sigma) in deterministic sweep order.
 
     Every sweep point reuses the same master seed, so per-trial demand
-    vectors are paired across designs and redundancy levels.  The points
-    that share the number of objects k and sigma are solved in one
-    ``t_star_series`` call, which draws each demand chunk once for all of
-    them; each of those points is reduced before the next group is solved.
+    vectors are paired across designs and redundancy levels.  The designs
+    that share the number of objects k are solved in one ``t_star_series``
+    call, which draws each demand chunk once for all of them, whatever the
+    sigma list: sigma only scales the series, and ``estimate_metrics``
+    reduces it at each sigma.  Each of those designs is reduced before the
+    next group is solved.
     """
-    points = []
+    trials, seed = config.trials, config.master_seed
+    designs = []
     for kind in config.kinds:
         for d in config.d_values:
             alloc = build_allocation(kind, config.n, d=d, r=config.r, m=config.m)
-            points += [(kind, alloc, resolve_sigma(spec, alloc.n)) for spec in config.sigma_specs]
-    groups: dict[tuple, list[int]] = {}
-    for i, (_, alloc, sigma) in enumerate(points):
-        groups.setdefault((alloc.k, sigma), []).append(i)
-    rows = [None] * len(points)
-    for (_, sigma), members in groups.items():
+            designs.append((kind, alloc, [resolve_sigma(s, alloc.n) for s in config.sigma_specs]))
+    groups: dict[int, list[int]] = {}
+    for i, (_, alloc, _) in enumerate(designs):
+        groups.setdefault(alloc.k, []).append(i)
+    rows: list[list[ExperimentRow]] = [[] for _ in designs]
+    for members in groups.values():
         # looked up on the module, so that a wrapper set on
         # ``metrics.t_star_series`` (as perfbench's tracer sets) sees the call
-        series = metrics.t_star_series(
-            [points[i][1] for i in members],
-            sigma,
-            config.trials,
-            config.master_seed,
-            workers=config.workers,
-        )
+        allocs = [designs[i][1] for i in members]
+        series = metrics.t_star_series(allocs, trials, seed, workers=config.workers)
         for i, t_stars in zip(members, series):
-            kind, alloc, _ = points[i]
-            p_est, i_est = estimate_metrics(alloc, sigma, config.trials, config.master_seed, t_stars)
-            rows[i] = ExperimentRow(
-                kind=kind,
-                n=alloc.n,
-                k=alloc.k,
-                d=alloc.d,
-                r=alloc.r,
-                sigma=sigma,
-                trials=config.trials,
-                seed=config.master_seed,
-                p=p_est,
-                imbalance=i_est,
-            )
-    return rows
+            kind, alloc, sigmas = designs[i]
+            for sigma in sigmas:
+                p_est, i_est = estimate_metrics(alloc, sigma, trials, seed, t_stars)
+                rows[i].append(ExperimentRow(
+                    kind=kind, n=alloc.n, k=alloc.k, d=alloc.d, r=alloc.r, sigma=sigma,
+                    trials=trials, seed=seed, p=p_est, imbalance=i_est,
+                ))
+    return [row for design_rows in rows for row in design_rows]
 
 
 def report_json(config_echo: dict, data) -> str:

@@ -52,6 +52,15 @@ TRANSITION_PROBE = (0.5, 1.5)
 #: Trials of each robustness estimate on either side of the transition.
 TRANSITION_TRIALS = 2000
 
+#: Cumulative load per object at which every demand row is drawn and solved.
+#: Demand is uniform over the load vectors of one cumulative value sigma, so
+#: sigma only scales a row and, t* being homogeneous of degree one, its t*;
+#: ``estimate_metrics`` applies that scale.  At 0.8 per object a design with
+#: k = n is solved on exactly the rows a sweep at sigma = 0.8 n draws, and
+#: the scale sigma / (0.8 k) is exactly 1, so those reports keep the bits
+#: they had when each sigma was drawn and solved on its own.
+SOLVE_LOAD = 0.8
+
 
 @dataclass(frozen=True)
 class MetricEstimate:
@@ -97,15 +106,17 @@ def batch_rows(k: int) -> int:
 def _t_star_chunk(args) -> np.ndarray:
     """t* of one chunk of trials for each allocation, one row each.
 
-    The chunk is drawn once.  ``shared_pass`` then solves every allocation
-    with a closed form over it, one kernel call per (kind, n), and each
-    allocation still gets its own ``t_star_batch`` call, which returns its
-    row of that pass or solves its LP.  Every allocation's row thus passes
-    through ``t_star_batch`` with the chunk it belongs to, where a wrapper
-    set on ``metrics.t_star_batch`` sees it.
+    The chunk is drawn once, at cumulative load ``SOLVE_LOAD * k``.
+    ``shared_pass`` then solves every allocation with a closed form over it,
+    one kernel call per (kind, n), and each allocation still gets its own
+    ``t_star_batch`` call, which returns its row of that pass or solves its
+    LP.  Every allocation's row thus passes through ``t_star_batch`` with the
+    chunk it belongs to, where a wrapper set on ``metrics.t_star_batch`` sees
+    it.
     """
-    allocs, sigma, master_seed, start, count = args
-    demands = spacing_matrix(allocs[0].k, sigma, master_seed, count, start_index=start)
+    allocs, master_seed, start, count = args
+    k = allocs[0].k
+    demands = spacing_matrix(k, SOLVE_LOAD * k, master_seed, count, start_index=start)
     solved = shared_pass(allocs, demands)
     try:
         return np.stack([t_star_batch(alloc, demands, solved) for alloc in allocs])
@@ -116,28 +127,28 @@ def _t_star_chunk(args) -> np.ndarray:
 
 def t_star_series(
     allocs: list[Allocation],
-    sigma: float,
     trials: int,
     master_seed: int,
     workers: int = 1,
 ) -> np.ndarray:
-    """Optimal max load of each allocation for trials independent demand draws.
+    """Optimal max load of each allocation for trials independent demand
+    draws at cumulative load ``SOLVE_LOAD * k``.
 
     The allocations must share their number of objects k (ValueError,
     before any draw, if not), and row j of the ``(len(allocs), trials)``
     result belongs to ``allocs[j]``.  Trial i draws from substream
     (master_seed, i) once for all of them, so the designs are compared on
-    paired demands.  Chunks of ``batch_rows(k)`` trials are
-    solved in trial order, or mapped over a process pool when ``workers`` > 1;
-    either way the result is independent of the worker count.
+    paired demands, and ``estimate_metrics`` reduces the one series at any
+    sigma.  Chunks of ``batch_rows(k)`` trials are solved in trial order,
+    or mapped over a process pool when ``workers`` > 1; either way the
+    result is independent of the worker count, and the first trials of a
+    longer series are a shorter series.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     batch = batch_rows(common_k(allocs))
     chunks = [
-        (allocs, sigma, master_seed, start, min(batch, trials - start))
+        (allocs, master_seed, start, min(batch, trials - start))
         for start in range(0, trials, batch)
     ]
     if workers > 1 and len(chunks) > 1:
@@ -157,14 +168,23 @@ def estimate_metrics(
     master_seed: int,
     t_stars: np.ndarray,
 ) -> tuple[MetricEstimate, MetricEstimate]:
-    """Joint estimate of (robustness probability, imbalance factor) from
-    ``t_stars``, the allocation's row of a ``t_star_series`` call with the
-    same sigma, trials and master_seed.
+    """Joint estimate of (robustness probability, imbalance factor) at
+    cumulative load sigma from ``t_stars``, the allocation's row of a
+    ``t_star_series`` call with the same trials and master_seed.
 
-    Both metrics are derived from the one series, and designs solved in one
-    ``t_star_series`` call are compared on identical demand draws.
+    The series was solved at ``SOLVE_LOAD * k``; sigma only scales it.  A
+    trial is stable when its t* scaled to sigma is at most
+    ``1 + STABILITY_TOL``, and its imbalance factor is t* * n over the load
+    it was solved at, which does not depend on sigma.  Designs solved in one
+    ``t_star_series`` call are compared on identical demand draws, and every
+    sigma of a design reduces the same series.
     """
-    stable = int(np.count_nonzero(t_stars <= 1.0 + STABILITY_TOL))
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if len(t_stars) != trials:
+        raise ValueError(f"t_stars holds {len(t_stars)} trials, not {trials}")
+    solved_at = SOLVE_LOAD * alloc.k
+    stable = int(np.count_nonzero(t_stars * (sigma / solved_at) <= 1.0 + STABILITY_TOL))
     p_hat = stable / trials
     p_lo, p_hi = wilson_interval(stable, trials)
     p_stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
@@ -172,7 +192,7 @@ def estimate_metrics(
         mean=p_hat, stderr=p_stderr, ci95_lo=p_lo, ci95_hi=p_hi, trials=trials, seed=master_seed
     )
 
-    imb = t_stars * (alloc.n / sigma)
+    imb = t_stars * (alloc.n / solved_at)
     mean = float(imb.mean())
     stderr = float(imb.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     q05, q50, q95 = (float(q) for q in np.quantile(imb, [0.05, 0.5, 0.95]))
@@ -321,14 +341,16 @@ class BandCheck:
 def asymptotic_band_check(alloc: Allocation, trials: int, master_seed: int) -> dict:
     """Compare simulated metrics against the closed-form predictor bands.
 
-    Runs the imbalance estimate at cumulative load 0.8 n (the imbalance
-    factor does not depend on the cumulative load, which only scales the
-    optimum) and checks the observed mean against the family's band with
-    the finite-size slack ``BAND_SLACK``; for single-choice storage with m
-    objects per node the observed statistic is imbalance * m, the coordinate
-    of its limit law.  The robustness probability is also estimated, from
-    ``TRANSITION_TRIALS`` trials each, at cumulative loads b * n / log n for
-    b on both sides of the predicted 0/1 transition.
+    Solves one ``t_star_series`` of max(trials, ``TRANSITION_TRIALS``)
+    trials and reduces its prefixes.  The imbalance estimate takes the first
+    ``trials`` at cumulative load 0.8 n (the imbalance factor does not
+    depend on the cumulative load, which only scales the optimum) and checks
+    its mean against the family's band with the finite-size slack
+    ``BAND_SLACK``; for single-choice storage with m objects per node the
+    observed statistic is imbalance * m, the coordinate of its limit law.
+    The robustness probability is also estimated, from the first
+    ``TRANSITION_TRIALS`` trials, at cumulative loads b * n / log n
+    for b on both sides of the predicted 0/1 transition.
     """
     n, d, r = alloc.n, alloc.d, alloc.r
     m = max(1, alloc.k // n)
@@ -336,10 +358,8 @@ def asymptotic_band_check(alloc: Allocation, trials: int, master_seed: int) -> d
     if family is None:
         raise UnsupportedDesignError(f"no predictor for kind {alloc.kind!r}")
     pred = family.predict(alloc)
-    sigma = 0.8 * n
-    _, i_est = estimate_metrics(
-        alloc, sigma, trials, master_seed, t_star_series([alloc], sigma, trials, master_seed)[0]
-    )
+    series = t_star_series([alloc], max(trials, TRANSITION_TRIALS), master_seed)[0]
+    _, i_est = estimate_metrics(alloc, 0.8 * n, trials, master_seed, series[:trials])
 
     if pred.regime == REGIME_SINGLE:
         # the limit law centres imbalance * m; Gumbel mean shift
@@ -353,8 +373,9 @@ def asymptotic_band_check(alloc: Allocation, trials: int, master_seed: int) -> d
     transition = {}
     for label, b in (("below", TRANSITION_PROBE[0] * b_lo), ("above", TRANSITION_PROBE[1] * b_hi)):
         sig = b * n / math.log(n)
-        t_stars = t_star_series([alloc], sig, TRANSITION_TRIALS, master_seed)[0]
-        p_est, _ = estimate_metrics(alloc, sig, TRANSITION_TRIALS, master_seed, t_stars)
+        p_est, _ = estimate_metrics(
+            alloc, sig, TRANSITION_TRIALS, master_seed, series[:TRANSITION_TRIALS]
+        )
         transition[label] = {"b": b, "sigma": sig, "p_sigma": p_est.mean}
     checks.append(
         BandCheck(name="p_sigma_below_transition", observed=transition["below"]["p_sigma"], lo=0.9, hi=1.0)

@@ -33,6 +33,7 @@ from storagebalance.loadsolver import (
     t_star_batch,
 )
 from storagebalance.metrics import (
+    SOLVE_LOAD,
     estimate_metrics,
     exact_region_k3,
     rows_to_csv,
@@ -191,7 +192,7 @@ def test_criterion_07_single_choice_limit_law():
     t0 = time.perf_counter()
     n, trials = 10_000, 10_000
     alloc = build_single_choice(n, 1)
-    imb = t_star_series([alloc], 1.0, trials, SEED)[0] * n
+    imb = t_star_series([alloc], trials, SEED)[0] * (n / (SOLVE_LOAD * alloc.k))
     ks = ks_distance(imb - math.log(n), gumbel_cdf)
     target = math.log(n) + 0.5772156649
     rel_err = abs(imb.mean() - target) / target
@@ -242,7 +243,7 @@ def test_criterion_10_xor_comparison():
     t0 = time.perf_counter()
     n, trials = 100, 2000
     allocs = [build_cyclic(n, 3), build_cyclic_xor(n, 3, 2)]
-    series = t_star_series(allocs, 0.8 * n, trials, SEED)
+    series = t_star_series(allocs, trials, SEED)
     (_, i_rep), (_, i_xor) = (
         estimate_metrics(a, 0.8 * n, trials, SEED, t) for a, t in zip(allocs, series)
     )
@@ -294,7 +295,7 @@ def test_criterion_12_figure_shapes():
     i_means = {}
     # one call solves the d sweep on paired demand draws
     allocs = [build_cyclic(n, d) for d in range(1, 6)]
-    for alloc, t_stars in zip(allocs, t_star_series(allocs, 80.0, trials, SEED)):
+    for alloc, t_stars in zip(allocs, t_star_series(allocs, trials, SEED)):
         p_est, i_est = estimate_metrics(alloc, 80.0, trials, SEED, t_stars)
         p_means[alloc.d] = p_est.mean
         i_means[alloc.d] = i_est.mean
@@ -314,7 +315,7 @@ def test_criterion_12_figure_shapes():
         for pair in ([build_block_design(d), build_cyclic(nb, d)],
                      [build_cyclic(nc, d), build_clustering(nc, d)]):
             sigma = 0.8 * pair[0].n
-            for alloc, t_stars in zip(pair, t_star_series(pair, sigma, 10_000, SEED)):
+            for alloc, t_stars in zip(pair, t_star_series(pair, 10_000, SEED)):
                 estimates.append(estimate_metrics(alloc, sigma, 10_000, SEED, t_stars)[1])
         ib, icb, icc, icl = estimates
         lhs_ok = ib.mean <= icb.mean + 3.0 * math.hypot(ib.stderr, icb.stderr)
@@ -351,8 +352,8 @@ def test_criterion_13_determinism(monkeypatch):
     import storagebalance.metrics as metrics_mod
 
     monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 256)
-    seq = t_star_series([build_block_design(3)], 4.0, 1000, SEED, workers=1)
-    par = t_star_series([build_block_design(3)], 4.0, 1000, SEED, workers=4)
+    seq = t_star_series([build_block_design(3)], 1000, SEED, workers=1)
+    par = t_star_series([build_block_design(3)], 1000, SEED, workers=4)
     ok = runs[0] == runs[1] and np.array_equal(seq, par)
     report(13, ok, f"CSV bytes identical across runs: {runs[0] == runs[1]}; "
                    f"t* series identical across worker counts: {np.array_equal(seq, par)}")

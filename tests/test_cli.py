@@ -22,7 +22,7 @@ from storagebalance.cli import (
     run_simulate,
 )
 from storagebalance.loadsolver import FAMILIES
-from storagebalance.metrics import CSV_COLUMNS, rows_to_csv
+from storagebalance.metrics import CSV_COLUMNS, SOLVE_LOAD, rows_to_csv
 from util import crowded_allocation
 
 
@@ -360,13 +360,21 @@ def test_sweep_with_several_batches_draws_each_batch_once(monkeypatch):
     assert [c[3:] for c in calls[1:]] == [(64, 0), (64, 64), (22, 128)]
 
 
-def test_two_sigma_sweep_draws_once_per_sigma(monkeypatch):
+def test_multi_sigma_sweep_draws_each_chunk_once(monkeypatch):
+    import storagebalance.metrics as metrics_mod
+
+    # every sigma reduces the one series, drawn at SOLVE_LOAD * k
     calls = _count_draws(monkeypatch)
-    sigmas = [{"fraction_of_n": 0.8}, {"absolute": 5.0}]
-    cfg = ExperimentConfig.from_dict({**BASE_CONFIG, "n": 20, "d": [1, 2, 3, 4, 5], "sigma": sigmas})
-    assert len(run_simulate(cfg)) == 10
+    monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 64)  # 150 trials: 3 chunks
+    sigmas = [{"fraction_of_n": 0.8}, {"absolute": 5.0}, {"b_n_over_log_n": 2.0}]
+    cfg = ExperimentConfig.from_dict(
+        {**BASE_CONFIG, "n": 20, "d": [1, 2, 3, 4, 5], "sigma": sigmas, "trials": 150}
+    )
+    rows = run_simulate(cfg)
+    resolved = [resolve_sigma(spec, 20) for spec in sigmas]
+    assert [(r.d, r.sigma) for r in rows] == [(d, s) for d in range(1, 6) for s in resolved]
     seed = BASE_CONFIG["master_seed"]
-    assert calls == [(20, 16.0, seed, 400, 0), (20, 5.0, seed, 400, 0)]
+    assert calls == [(20, 16.0, seed, 64, 0), (20, 16.0, seed, 64, 64), (20, 16.0, seed, 22, 128)]
 
 
 @pytest.mark.parametrize("cap_rows", [0, 64, 100, 10**6])
@@ -383,14 +391,14 @@ def test_sweep_draws_each_chunk_once_at_any_element_cap(monkeypatch, cap_rows):
     batch = max(64, min(128, cap_rows))
     chunks = [(min(batch, 150 - start), start) for start in range(0, 150, batch)]
     assert rows_to_csv(run_simulate(cfg)) == shared
-    sigma_values = [resolve_sigma(spec, 12) for spec in sigmas]
     seed = BASE_CONFIG["master_seed"]
-    assert calls == [(12, sigma, seed, *chunk) for sigma in sigma_values for chunk in chunks]
+    assert calls == [(12, SOLVE_LOAD * 12, seed, *chunk) for chunk in chunks]
 
 
 def test_sweep_csv_equals_points_run_alone():
-    # the second sigma list resolves to 3.0 twice at n = 6 (not at the block
-    # design's n = 7), so a group holds the same design twice
+    # cyclic and clustering share k = 6 and one series, the block design has
+    # k = 7; the second sigma list resolves to 3.0 twice at n = 6 (not at the
+    # block design's n = 7), so a design reduces its series at one sigma twice
     for sigmas in (
         [{"fraction_of_n": 0.8}, {"absolute": 5.0}],
         [{"fraction_of_n": 0.5}, {"absolute": 3.0}],
@@ -411,6 +419,29 @@ def test_sweep_csv_equals_points_run_alone():
                 alone += run_simulate(ExperimentConfig.from_dict(point))
         assert len(rows) == 6
         assert rows_to_csv(rows) == rows_to_csv(alone)
+
+
+@pytest.mark.parametrize(
+    "sigma, p_sigma", [(1e30, "0.0"), (1e300, "0.0"), (1e-300, "1.0")], ids=["1e30", "1e300", "1e-300"]
+)
+@pytest.mark.parametrize(
+    "design, points",
+    [
+        ({"kind": ["block_design", "cyclic_xor"], "n": 21, "d": 5, "r": 2}, 2),
+        ({"kind": "cyclic", "n": 12, "d": [1, 2, 3]}, 3),
+    ],
+    ids=["lp", "cyclic"],
+)
+def test_simulate_at_extreme_sigma(tmp_path, design, points, sigma, p_sigma):
+    # rows are solved at SOLVE_LOAD * k whatever sigma, so the LP's absolute
+    # tolerances never meet a row scaled to 1e30; sigma enters only the
+    # stability product, here at both ends of what resolve_sigma admits
+    out = tmp_path / "out.csv"
+    config = {**BASE_CONFIG, **design, "sigma": {"absolute": sigma}, "trials": 40,
+              "outputs": [{"format": "csv", "path": str(out)}]}
+    assert main(["simulate", "--config", write_config(tmp_path, config)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[CSV_COLUMNS.index("p_sigma")] for row in rows] == [p_sigma] * points
 
 
 # ---------------------------------------------------------------------------

@@ -533,7 +533,7 @@ def test_allocations_of_different_k_raise_before_any_draw(monkeypatch):
     monkeypatch.setattr(metrics_mod, "spacing_matrix", no_draw)
     allocs = [build_single_choice(10, 2), build_single_choice(10, 3)]
     with pytest.raises(ValueError, match="share their number of objects k"):
-        metrics_mod.t_star_series(allocs, 8.0, 100, 13)
+        metrics_mod.t_star_series(allocs, 100, 13)
     with pytest.raises(ValueError, match="share their number of objects k"):
         ls.shared_pass(allocs, np.ones((4, 20)))
 

@@ -17,6 +17,7 @@ from storagebalance.allocation import (
     to_matrices,
 )
 from storagebalance.metrics import (
+    SOLVE_LOAD,
     BandCheck,
     ExperimentRow,
     MetricEstimate,
@@ -83,20 +84,46 @@ def test_estimates_are_deterministic_and_paired():
 
 def test_more_choices_improve_both_metrics_on_paired_seeds():
     allocs = [build_cyclic(100, 1), build_cyclic(100, 2)]
-    series = t_star_series(allocs, 80.0, 400, SEED)
+    series = t_star_series(allocs, 400, SEED)
     (p1, i1), (p2, i2) = (estimate_metrics(a, 80.0, 400, SEED, t) for a, t in zip(allocs, series))
     assert i2.mean < i1.mean
     assert p2.mean >= p1.mean
 
 
 def test_p_sigma_monotone_in_sigma():
+    # every sigma reduces the one series, so a larger sigma can only lose
+    # stable trials
     alloc = build_cyclic(12, 2)
-    means = []
-    for sigma in (4.0, 6.0, 8.0, 10.0):
-        est, _ = estimate_alone(alloc, sigma, 600, SEED)
-        means.append(est.mean)
-    for a, b in zip(means, means[1:]):
-        assert b <= a + 3.0 * math.sqrt(0.25 / 600)
+    series = t_star_series([alloc], 600, SEED)[0]
+    means = [estimate_metrics(alloc, s, 600, SEED, series)[0].mean for s in (4.0, 6.0, 8.0, 10.0)]
+    assert means == sorted(means, reverse=True) and means[0] > means[-1]
+
+
+def _solved_at(alloc, sigma, trials):
+    """The reduction of a series drawn and solved at sigma itself: its
+    stable count and its imbalance factors."""
+    t_stars = ls.t_star_batch(alloc, spacing_matrix(alloc.k, sigma, SEED, trials))
+    return int(np.count_nonzero(t_stars <= 1.0 + ls.STABILITY_TOL)), t_stars * (alloc.n / sigma)
+
+
+@pytest.mark.parametrize("alloc", [build_cyclic(12, 3), build_cyclic_xor(9, 3, 2)], ids=["cyclic", "lp"])
+def test_scaled_series_matches_solving_at_sigma(alloc):
+    trials = 300
+    series = t_star_series([alloc], trials, SEED)[0]
+    for factor in (0.8, 0.3, 0.6, 1.7):
+        sigma = factor * alloc.k
+        p_est, i_est = estimate_metrics(alloc, sigma, trials, SEED, series)
+        stable, imb = _solved_at(alloc, sigma, trials)
+        assert p_est.mean == stable / trials, factor
+        direct = [float(imb.mean()), *(float(q) for q in np.quantile(imb, [0.05, 0.5, 0.95]))]
+        scaled = [i_est.mean, *i_est.quantiles.values()]
+        if factor == 0.8:  # the scale is exactly 1: the very bits
+            assert scaled == direct
+            assert i_est.stderr == float(imb.std(ddof=1) / math.sqrt(trials))
+        else:
+            assert scaled == pytest.approx(direct, rel=1e-13, abs=0), factor
+    # the check has teeth: some trials are stable at one sigma and not another
+    assert 0 < estimate_metrics(alloc, 0.6 * alloc.k, trials, SEED, series)[0].mean < 1
 
 
 def test_t_star_series_worker_invariance(monkeypatch):
@@ -106,12 +133,12 @@ def test_t_star_series_worker_invariance(monkeypatch):
     # the model restarts mid-run at the same trials at any worker count
     monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 70)
     for allocs in ([build_block_design(3), build_cyclic(7, 3)], [build_cyclic_xor(9, 3, 2)]):
-        seq = t_star_series(allocs, 4.0, 150, SEED, workers=1)
-        par = t_star_series(allocs, 4.0, 150, SEED, workers=3)
+        seq = t_star_series(allocs, 150, SEED, workers=1)
+        par = t_star_series(allocs, 150, SEED, workers=3)
         assert seq.shape == (len(allocs), 150)
         assert np.array_equal(seq, par)
         # a row depends only on the rows before it, so a shorter run is a prefix
-        assert np.array_equal(t_star_series(allocs, 4.0, 100, SEED), seq[:, :100])
+        assert np.array_equal(t_star_series(allocs, 100, SEED), seq[:, :100])
 
 
 def test_t_star_series_starts_no_more_workers_than_chunks(monkeypatch):
@@ -139,9 +166,9 @@ def test_t_star_series_starts_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 70)  # 150 trials: 3 chunks
     allocs = [build_cyclic(12, 3), build_cyclic(12, 2)]
-    par = t_star_series(allocs, 4.0, 150, SEED, workers=100_000)
+    par = t_star_series(allocs, 150, SEED, workers=100_000)
     assert pools == [3]  # one pool for both designs
-    assert np.array_equal(par, t_star_series(allocs, 4.0, 150, SEED, workers=1))
+    assert np.array_equal(par, t_star_series(allocs, 150, SEED, workers=1))
 
 
 def test_each_design_and_chunk_passes_through_t_star_batch(monkeypatch):
@@ -163,7 +190,7 @@ def test_each_design_and_chunk_passes_through_t_star_batch(monkeypatch):
         build_block_design(3),
         build_clustering(7, 7),
     ]
-    series = t_star_series(allocs, 4.0, 120, SEED)
+    series = t_star_series(allocs, 120, SEED)
     assert [(alloc, rows) for alloc, rows, _ in calls] == [(a, 70) for a in allocs] + [
         (a, 50) for a in allocs
     ]
@@ -188,9 +215,9 @@ def test_a_repeated_design_is_solved_once_per_chunk(monkeypatch):
     monkeypatch.setitem(ls.FAMILIES, "single_choice", dataclasses.replace(family, t_star=recording))
     monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 70)  # 120 trials: chunks of 70 and 50
     allocs = [build_single_choice(10, 2) for _ in range(3)]
-    series = t_star_series(allocs, 4.0, 120, SEED)
+    series = t_star_series(allocs, 120, SEED)
     assert handed == [[1], [1]]
-    alone = t_star_series(allocs[:1], 4.0, 120, SEED)[0]
+    alone = t_star_series(allocs[:1], 120, SEED)[0]
     assert all(row.tobytes() == alone.tobytes() for row in series)
 
 
@@ -214,7 +241,7 @@ def test_solver_failure_carries_trial_index(monkeypatch):
     monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 70)  # chunks start at 0, 70, 140
     alloc = build_block_design(3)
     failing = 91  # second chunk, 22nd row
-    target = spacing_matrix(alloc.k, 4.0, SEED, 1, start_index=failing)[0]
+    target = spacing_matrix(alloc.k, SOLVE_LOAD * alloc.k, SEED, 1, start_index=failing)[0]
 
     def break_conservation(status, x, y, z):
         x[0] += 1e-6
@@ -222,7 +249,7 @@ def test_solver_failure_carries_trial_index(monkeypatch):
 
     _perturbed_row(monkeypatch, target, break_conservation)
     with pytest.raises(ls.NumericalFailureError, match=f"trial {failing}: .*conservation") as info:
-        t_star_series([build_cyclic(7, 3), alloc], 4.0, 150, SEED)
+        t_star_series([build_cyclic(7, 3), alloc], 150, SEED)
     assert info.value.__cause__.row_index == failing - 70
 
 
@@ -270,10 +297,17 @@ def test_failed_row_solve_names_that_row(monkeypatch):
 
 
 def test_estimate_requires_positive_inputs():
-    with pytest.raises(ValueError):
-        t_star_series([build_cyclic(3, 2)], 0.0, 10, SEED)
-    with pytest.raises(ValueError):
-        t_star_series([build_cyclic(3, 2)], 1.0, 0, SEED)
+    alloc = build_cyclic(3, 2)
+    with pytest.raises(ValueError, match="trials must be"):
+        t_star_series([alloc], 0, SEED)
+    series = t_star_series([alloc], 10, SEED)[0]
+    for sigma in (0.0, -1.0):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            estimate_metrics(alloc, sigma, 10, SEED, series)
+    # a series of other trials would give a silently wrong p_sigma
+    for t_stars in (series[:9], t_star_series([alloc], 11, SEED)[0]):
+        with pytest.raises(ValueError, match="not 10"):
+            estimate_metrics(alloc, 1.0, 10, SEED, t_stars)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Every public name of the library has a caller outside the test suite, and
-every defaulted parameter is passed by one."""
+every defaulted parameter is passed by one; the benchmark's tracer finds the
+names it wraps."""
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -154,3 +157,40 @@ def test_no_source_module_imports_scipy_optimize():
         if module == "scipy.optimize" or module.startswith("scipy.optimize.")
     ]
     assert found == [], f"imports of scipy.optimize: {found}"
+
+
+#: Package names that the benchmark's cross-check call wraps, with the
+#: parameters that its span notes bind by name.
+TRACED_NAMES = {
+    ("cli", "estimate_metrics"): {"alloc", "trials"},
+    ("metrics", "t_star_batch"): set(),
+    ("metrics", "spacing_matrix"): {"k", "master_seed", "trials", "start_index"},
+}
+
+
+def test_benchmark_tracer_finds_the_names_it_notes():
+    # perfbench skips a patch whose attribute is missing, and then every
+    # benchmark operation fails while the suite passes
+    from storagebalance import cli, limitlaws, loadsolver, metrics
+
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench/spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer(capture_rows=2)
+    table = {(module.__name__.rsplit(".", 1)[1], attr): span
+             for module, attr, span, _ in tracer.patches(cli, metrics, loadsolver, limitlaws)}
+    for (module, attr), params in TRACED_NAMES.items():
+        fn = getattr({"cli": cli, "metrics": metrics}[module], attr, None)
+        assert callable(fn) and (module, attr) in table, f"{module}.{attr}"
+        assert params <= set(inspect.signature(fn).parameters), f"{module}.{attr}"
+
+    # the notes bind on a real sweep, one design through the LP
+    config = cli.ExperimentConfig.from_dict({
+        "kind": ["cyclic", "block_design"], "n": 7, "d": 3,
+        "sigma": [{"fraction_of_n": 0.8}, {"absolute": 2.0}], "trials": 5, "master_seed": 1,
+    })
+    with tracer.patched(cli, metrics, loadsolver, limitlaws):
+        cli.run_simulate(config)
+    noted = {s[spans.NAME] for s in tracer.spans if s[spans.NOTE]}
+    assert {table[name] for name in TRACED_NAMES} <= noted
+    assert [c["alloc"].kind for c in tracer.captured] == ["cyclic", "block_design"]

@@ -40,7 +40,7 @@ def spacing_batches(k: int, trials: int, seed: int):
 def estimate_alone(alloc: Allocation, sigma: float, trials: int, master_seed: int):
     """``estimate_metrics`` of one allocation solved by its own
     ``t_star_series`` call."""
-    t_stars = t_star_series([alloc], sigma, trials, master_seed)[0]
+    t_stars = t_star_series([alloc], trials, master_seed)[0]
     return estimate_metrics(alloc, sigma, trials, master_seed, t_stars)
 
 
