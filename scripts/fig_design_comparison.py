@@ -12,8 +12,8 @@ Usage: python scripts/fig_design_comparison.py [--d 3 5] [--trials 20000]
 import argparse
 import sys
 
-from storagebalance.allocation import build_block_design, build_clustering, build_cyclic
-from storagebalance.metrics import ExperimentRow, estimate_metrics, rows_to_csv, t_star_series
+from storagebalance.cli import ExperimentConfig, run_simulate
+from storagebalance.metrics import rows_to_csv
 
 
 def run() -> int:
@@ -28,21 +28,12 @@ def run() -> int:
     for d in args.d:
         nb = d * d - d + 1
         nc = d * (nb // d + 1)
-        # each pair shares k, so one call solves both on one draw
-        for pair in (
-            [build_block_design(d), build_cyclic(nb, d)],
-            [build_cyclic(nc, d), build_clustering(nc, d)],
-        ):
-            sigma = 0.8 * pair[0].n
-            series = t_star_series(pair, args.trials, args.seed)
-            for alloc, t_stars in zip(pair, series):
-                p, imb = estimate_metrics(alloc, sigma, args.trials, args.seed, t_stars)
-                rows.append(
-                    ExperimentRow(
-                        kind=alloc.kind, n=alloc.n, k=alloc.k, d=alloc.d, r=alloc.r,
-                        sigma=sigma, trials=args.trials, seed=args.seed, p=p, imbalance=imb,
-                    )
-                )
+        # each pair shares k, so run_simulate solves both designs on one draw
+        for kinds, n in ((["block_design", "cyclic"], nb), (["cyclic", "clustering"], nc)):
+            rows += run_simulate(ExperimentConfig(
+                kinds=kinds, n=n, m=1, d_values=[d], r=1, sigma_specs=[{"fraction_of_n": 0.8}],
+                trials=args.trials, master_seed=args.seed,
+            ))
     with open(args.out, "w") as fh:
         fh.write(rows_to_csv(rows))
     print(f"wrote {args.out}")

@@ -15,7 +15,6 @@ code imports ``scipy.optimize`` itself.
 
 __version__ = "0.1.0"
 
-from .spacings import RandomStream
 from .allocation import (
     Allocation,
     AllocationMatrices,
@@ -31,7 +30,6 @@ from .metrics import MetricEstimate, estimate_metrics, exact_p_sigma_k3, t_star_
 
 __all__ = [
     "__version__",
-    "RandomStream",
     "Allocation",
     "AllocationMatrices",
     "build_single_choice",

@@ -14,7 +14,7 @@ Objects and nodes are 0-based; all cyclic index arithmetic is modulo n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -459,6 +459,10 @@ def _json_int(value) -> int:
 
 
 def allocation_from_dict(data: dict) -> Allocation:
+    """The allocation a JSON dict describes.  A family kind is kept only if
+    its builder, run on the dict's n, d, r and k // n, gives these very
+    recovery sets; anything else is ``custom``, so no solver routes a file
+    by its label alone."""
     try:
         sets = tuple(
             tuple(tuple(_json_int(v) for v in s) for s in obj) for obj in data["recovery_sets"]
@@ -478,7 +482,21 @@ def allocation_from_dict(data: dict) -> Allocation:
             f"recovery_sets has {len(alloc.recovery_sets)} objects, expected k={alloc.k}"
         )
     _entries_in_range(alloc)
+    if alloc.kind != "custom" and not _built_by_family(alloc):
+        alloc = replace(alloc, kind="custom")
     return alloc
+
+
+def _built_by_family(alloc: Allocation) -> bool:
+    from .loadsolver import FAMILIES  # loadsolver imports this module
+
+    if alloc.kind == "block_design" and alloc.n != alloc.d * alloc.d - alloc.d + 1:
+        return False  # no other n matches, and the builder's search grows fast with d
+    try:
+        built = FAMILIES[alloc.kind].build(alloc.n, alloc.d, alloc.r, alloc.k // alloc.n)
+    except (UnsupportedDesignError, ValueError):
+        return False
+    return built == alloc
 
 
 def save_allocation(alloc: Allocation, path: str) -> None:

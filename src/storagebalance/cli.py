@@ -34,7 +34,7 @@ from .allocation import (
 from .limitlaws import run_limit_checks
 from .loadsolver import FAMILIES, NumericalFailureError
 from . import metrics
-from .metrics import ExperimentRow, estimate_metrics, exact_region_k3, rows_to_csv
+from .metrics import ExperimentRow, csv_text, estimate_metrics, exact_region_k3, rows_to_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -384,10 +384,7 @@ def _cmd_limit_checks(args) -> int:
 
 def _render_limit_report(report: dict, fmt: str, config_echo: dict) -> str:
     if fmt == "csv":
-        lines = ["name,statistic,threshold,passed"]
-        for c in report["checks"]:
-            lines.append(f"{c['name']},{c['statistic']!r},{c['threshold']!r},{c['passed']}")
-        return "\n".join(lines) + "\n"
+        return csv_text(("name", "statistic", "threshold", "passed"), report["checks"])
     return report_json(config_echo, report)
 
 

@@ -99,8 +99,8 @@ class _Pass:
 def _one_pass(k: int, d_values, trials: int, count_trials: int, master_seed: int) -> _Pass:
     """Draw each block of unit-spacing rows once and reduce it to every statistic.
 
-    A block holds ``max(1, _BLOCK_ELEMENTS // k)`` rows.  Row i is the
-    substream (master_seed, i) whatever the blocking, and every sum and
+    A block holds ``max(1, _BLOCK_ELEMENTS // k)`` rows.  Row i is
+    ``spacing_matrix``'s row i whatever the blocking, and every sum and
     maximum is taken per row, so the maxima and counts equal those of
     separate passes.  At most one block is held at a time: its range counts
     are taken first, then the block is dropped once its prefix sums are

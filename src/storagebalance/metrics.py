@@ -5,7 +5,7 @@ drawn demand vectors the system can serve stably) and the mean imbalance
 factor, plus an exact polygon-slicing computation of the robustness
 probability for three-object replica systems.
 
-Determinism: trial i always draws from the substream (master_seed, i), and
+Determinism: trial i always draws row i of ``spacing_matrix``'s stream, and
 per-trial results are reduced in trial-index order, so reports are
 bit-identical for a given seed regardless of worker count.
 """
@@ -136,8 +136,8 @@ def t_star_series(
 
     The allocations must share their number of objects k (ValueError,
     before any draw, if not), and row j of the ``(len(allocs), trials)``
-    result belongs to ``allocs[j]``.  Trial i draws from substream
-    (master_seed, i) once for all of them, so the designs are compared on
+    result belongs to ``allocs[j]``.  Trial i draws its ``spacing_matrix``
+    row once for all of them, so the designs are compared on
     paired demands, and ``estimate_metrics`` reduces the one series at any
     sigma.  Chunks of ``batch_rows(k)`` trials are solved in trial order,
     or mapped over a process pool when ``workers`` > 1; either way the
@@ -465,10 +465,6 @@ class ExperimentRow:
             "seed": self.seed,
         }
 
-    def csv_line(self) -> str:
-        vals = self.as_dict()
-        return ",".join(_csv_field(vals[c]) for c in CSV_COLUMNS)
-
 
 def _csv_field(x) -> str:
     if isinstance(x, float):
@@ -476,8 +472,14 @@ def _csv_field(x) -> str:
     return str(x)
 
 
+def csv_text(columns, rows) -> str:
+    """Deterministic CSV: a header of ``columns``, then one line per row,
+    each a mapping from column to value."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_csv_field(row[c]) for c in columns) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def rows_to_csv(rows: list[ExperimentRow]) -> str:
     """Deterministic CSV: header plus one row per configuration."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(row.csv_line() for row in rows)
-    return "\n".join(lines) + "\n"
+    return csv_text(CSV_COLUMNS, [row.as_dict() for row in rows])

@@ -15,8 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-_UINT64_MASK = (1 << 64) - 1
-
 #: Euler-Mascheroni constant (mean of the standard Gumbel distribution).
 EULER_GAMMA = 0.57721566490153286
 
@@ -25,58 +23,34 @@ REGIME_SMALL_D = "small_d"
 REGIME_LOG_ORDER_D = "log_order_d"
 
 
-@dataclass(frozen=True)
-class RandomStream:
-    """A reproducible, splittable random stream.
-
-    Streams are keyed by ``(master_seed, stream_index)`` through a Philox
-    counter-based generator: identical keys reproduce identical draw
-    sequences, distinct stream indices give statistically independent
-    streams.  ``master_seed`` must lie in [0, 2^64); it is one 64-bit word of
-    the Philox key.  Trial i draws from the stream
-    ``RandomStream(master_seed, i)``, a Philox generator keyed
-    ``(i, master_seed)``; ``spacing_matrix`` re-keys one bit generator to
-    each trial's key instead of building one per trial.
-    """
-
-    master_seed: int
-    stream_index: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.master_seed <= _UINT64_MASK:
-            raise ValueError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be non-negative")
-
-    def key(self) -> np.ndarray:
-        """The Philox key ``(stream_index, master_seed)`` as exact uint64 words."""
-        return np.array([self.stream_index & _UINT64_MASK, self.master_seed], dtype=np.uint64)
-
-
 def spacing_matrix(
     k: int, sigma: float, master_seed: int, trials: int, start_index: int = 0
 ) -> np.ndarray:
     """Stack ``trials`` independent samples into a (trials, k) matrix.
 
-    Row i is k unit-rate exponentials drawn from a Philox generator keyed
-    ``(start_index + i, master_seed)``, scaled to sum to sigma (the Gamma
-    representation of uniform spacings, so sigma is a pure scale factor).
-    One Philox bit generator is re-keyed for each row (counter 0, buffer
-    empty: the state of a freshly keyed Philox), which reproduces each
-    per-trial substream without building a generator per row.  The state
-    holds its counter, key and buffer words as plain Python ints in lists:
-    the ``state`` setter reads them by index, which costs about half of
-    what reading uint64 array items does.  Every call draws afresh.
+    This is the one definition of the demand stream.  Row i is k unit-rate
+    exponentials drawn from a Philox generator keyed
+    ``((start_index + i) mod 2^64, master_seed)``, scaled to sum to sigma
+    (the Gamma representation of uniform spacings, so sigma is a pure scale
+    factor).  ``master_seed`` must lie in [0, 2^64), one 64-bit word of the
+    key.  One Philox bit generator is re-keyed for each row (counter 0,
+    buffer empty: the state of a freshly keyed Philox), which reproduces
+    each per-trial substream without building a generator per row.  The
+    state holds its counter, key and buffer words as plain Python ints in
+    lists: the ``state`` setter reads them by index, which costs about half
+    of what reading uint64 array items does.  Every call draws afresh.
     """
-    bitgen = np.random.Philox(key=RandomStream(master_seed, start_index).key())
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"master_seed must be in [0, 2^64), got {master_seed}")
+    if start_index < 0:
+        raise ValueError("start_index must be non-negative")
+    bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     key = [0, master_seed]
-    fresh = bitgen.state
-    fresh["state"] = {"counter": [0, 0, 0, 0], "key": key}
-    fresh["buffer"] = [0, 0, 0, 0]
+    fresh = {**bitgen.state, "state": {"counter": [0] * 4, "key": key}, "buffer": [0] * 4}
     out = np.empty((trials, k))
-    for i, row in enumerate(out):
-        key[0] = (start_index + i) & _UINT64_MASK
+    for i, row in enumerate(out, start_index):
+        key[0] = i % 2**64
         bitgen.state = fresh
         gen.standard_exponential(out=row)
     out *= (sigma / out.sum(axis=1))[:, None]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from storagebalance import allocation
 from storagebalance.allocation import (
     Allocation,
     UnsupportedDesignError,
@@ -29,6 +30,8 @@ from storagebalance.allocation import (
     to_matrices,
     validate_regular_balanced,
 )
+from storagebalance.loadsolver import min_max_load, t_star_batch
+from storagebalance.spacings import spacing_matrix
 from util import (
     crowded_allocation,
     is_fano_plane,
@@ -638,3 +641,32 @@ def test_allocation_from_dict_rejects_bad_nodes():
 def test_allocation_from_dict_rejects_missing_field():
     with pytest.raises(ValueError):
         allocation_from_dict({"n": 3, "k": 3})
+
+
+def test_loaded_family_kind_must_match_its_builder():
+    # the Fano plane labelled cyclic is not the cyclic design (7, 3): at the
+    # label's kind the cyclic closed form would solve it
+    data = allocation_to_dict(build_block_design(3))
+    data["kind"] = "cyclic"
+    alloc = allocation_from_dict(data)
+    assert alloc.kind == "custom"
+    rows = spacing_matrix(7, 5.6, 1, 3)
+    lp = [min_max_load(to_matrices(alloc), row).max_load for row in rows]
+    assert t_star_batch(alloc, rows).tolist() == pytest.approx(lp, abs=1e-12)
+
+
+def test_loaded_kind_whose_builder_raises_becomes_custom():
+    # n = 3 = d^2 - d + 1 at d = 2, where no block design is built
+    data = dict(allocation_to_dict(build_cyclic(3, 2)), kind="block_design")
+    assert allocation_from_dict(data).kind == "custom"
+
+
+def test_loaded_block_design_of_another_n_is_not_searched(monkeypatch):
+    # the difference-set search takes over 20 s at d = 12; a file whose n
+    # is not d^2 - d + 1 is no block design, whatever its d
+    def search(d):
+        raise AssertionError(f"searched for a difference set of size {d}")
+
+    monkeypatch.setattr(allocation, "perfect_difference_set", search)
+    data = dict(allocation_to_dict(build_cyclic(5, 2)), kind="block_design", d=12)
+    assert allocation_from_dict(data).kind == "custom"

@@ -541,6 +541,7 @@ def test_inspect_tampered_file(tmp_path, capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["valid_regular_balanced"] is False
     assert any("object 1" in v for v in info["violations"])
+    assert info["kind"] == "custom"  # its sets are not the cyclic design's
 
 
 def _assert_unreadable_allocation(capsys, path):

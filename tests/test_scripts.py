@@ -7,7 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from storagebalance.metrics import CSV_COLUMNS
+from storagebalance.cli import ExperimentConfig, run_simulate
+from storagebalance.metrics import CSV_COLUMNS, rows_to_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,6 +56,17 @@ def test_fig_design_comparison(tmp_path):
     assert [(r["kind"], r["n"]) for r in rows] == [
         ("block_design", "7"), ("cyclic", "7"), ("cyclic", "9"), ("clustering", "9")
     ]
+    # the same rows as simulate's sweeps of the two pairs
+    pairs = ((["block_design", "cyclic"], 7), (["cyclic", "clustering"], 9))
+    expected = [
+        row
+        for kinds, n in pairs
+        for row in run_simulate(ExperimentConfig.from_dict({
+            "kind": kinds, "n": n, "d": 3, "sigma": {"fraction_of_n": 0.8},
+            "trials": 20, "master_seed": 2,
+        }))
+    ]
+    assert out.read_text() == rows_to_csv(expected)
 
 
 def test_run_limit_laws(tmp_path):

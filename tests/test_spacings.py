@@ -13,7 +13,6 @@ from storagebalance.spacings import (
     REGIME_LOG_ORDER_D,
     REGIME_SMALL_D,
     AsymptoticPrediction,
-    RandomStream,
     dspacing_gumbel_centering,
     gumbel_cdf,
     gumbel_centering_m_blocks,
@@ -94,9 +93,12 @@ def test_seeds_beyond_2_63_draw_distinct_streams():
 def test_seed_outside_64_bits_rejected():
     for seed in (-1, -1000, 2**64, 2**64 + 1):
         with pytest.raises(ValueError, match="master_seed"):
-            RandomStream(seed, 0)
-        with pytest.raises(ValueError, match="master_seed"):
             spacing_matrix(3, 1.0, seed, 2)
+
+
+def test_negative_start_index_rejected():
+    with pytest.raises(ValueError, match="start_index"):
+        spacing_matrix(3, 1.0, 0, 2, start_index=-1)
 
 
 # ---------------------------------------------------------------------------

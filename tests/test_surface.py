@@ -135,6 +135,15 @@ def test_every_imported_name_is_read():
     assert unread == {}, f"imported names never read: {unread}"
 
 
+def test_every_exported_name_resolves():
+    # a name deleted from its module but left in ``__all__`` breaks
+    # ``from storagebalance import *`` and nothing else
+    import storagebalance
+
+    missing = [name for name in storagebalance.__all__ if not hasattr(storagebalance, name)]
+    assert missing == [], f"names in __all__ that the package lacks: {missing}"
+
+
 def _imported_modules(tree: ast.Module):
     """(module, line) of every module an import statement names, with each
     ``from package import name`` also as ``package.name``."""

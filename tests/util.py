@@ -13,18 +13,15 @@ from storagebalance.allocation import (
     build_cyclic,
 )
 from storagebalance.metrics import estimate_metrics, t_star_series
-from storagebalance.spacings import (
-    RandomStream,
-    prefix_sums,
-    spacing_matrix,
-    window_max_pair,
-)
+from storagebalance.spacings import prefix_sums, spacing_matrix, window_max_pair
 
 
 def per_trial_spacings(k: int, sigma: float, seed: int, index: int) -> np.ndarray:
     """Reference sampler: k spacings summing to sigma from trial ``index``'s
-    own Philox generator, which ``spacing_matrix`` row ``index`` must equal."""
-    gen = np.random.Generator(np.random.Philox(key=RandomStream(seed, index).key()))
+    own Philox generator, keyed ``(index mod 2^64, seed)`` and built afresh,
+    which ``spacing_matrix`` row ``index`` must equal."""
+    key = np.array([index % 2**64, seed], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
     e = gen.standard_exponential(k)
     return e * (sigma / e.sum())
 
