@@ -14,9 +14,10 @@ Objects and nodes are 0-based; all cyclic index arithmetic is modulo n.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain, product
 from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
@@ -167,79 +168,88 @@ def build_cyclic(n: int, d: int) -> Allocation:
     return Allocation(n=n, k=n, d=d, r=1, kind="cyclic", recovery_sets=sets)
 
 
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-        p += 1
-    return True  # q itself prime
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m, ascending, by about m trial divisions."""
+    return [f for f in range(2, m + 1) if m % f == 0 and all(f % g for g in range(2, f))]
 
 
 def perfect_difference_set(d: int) -> tuple[int, ...]:
-    """First-lexicographic perfect difference set of size d modulo d*d - d + 1.
+    """First-lexicographic perfect difference set of size d modulo v = d*d - d + 1.
 
     A set D with every nonzero residue arising exactly once as a difference
-    of two elements.  Any such set can be translated to contain {0, 1}, so
-    the search fixes those and backtracks over the remaining elements with a
-    used-difference table.  Sizes with d - 1 a prime power always admit one.
+    of two elements; one exists when q = d - 1 = p**e is a prime power.  It
+    is built by Singer's construction (J. Singer, Trans. AMS 43, 1938): take
+    a primitive polynomial of degree 3e over GF(p), so that x is a primitive
+    element of GF(q**3) in the basis 1, x, ..., x**(3e - 1); the i in [0, v)
+    for which the trace x**i + x**(iq) + x**(iq*q) is zero form D.  Only
+    GF(p) arithmetic is needed.  The affine images (b - a)**-1 * (D - a)
+    mod v, over the pairs a != b of D whose difference is a unit mod v, are
+    the images of D that hold 0 and 1, and the smallest of them is returned.
+    So the result does not depend on the polynomial found, and the tests pin
+    it, for every d <= 10, to the first set in lexicographic order that a
+    backtracking search over sets starting 0, 1 finds.
+
+    The cost is polynomial in d: a walk over v powers of x, about q**3
+    trial divisions to factor the group order, and about d**2 sorted images.
+    It took 0.1 ms at d = 3, 0.5 ms at d = 5 and under 0.11 s for every d up
+    to 48 on a 2-vCPU host.  d = 2 gives (0, 1); any other d raises
+    ``UnsupportedDesignError`` at once unless d - 1 is a prime power.
     """
-    v = d * d - d + 1
-    used = [False] * v
-    chosen = [0, 1]
-    used[1] = used[v - 1] = True
-
-    def try_add(x: int) -> bool:
-        diffs = []
-        for y in chosen:
-            a = (x - y) % v
-            if used[a] or used[v - a]:
-                for b in diffs:
-                    used[b] = used[v - b] = False
-                return False
-            used[a] = used[v - a] = True
-            diffs.append(a)
-        chosen.append(x)
-        return True
-
-    def remove_last():
-        x = chosen.pop()
-        for y in chosen:
-            a = (x - y) % v
-            used[a] = used[v - a] = False
-
-    def search(start: int) -> bool:
-        if len(chosen) == d:
-            return True
-        for x in range(start, v):
-            if try_add(x):
-                if search(x + 1):
-                    return True
-                remove_last()
-        return False
-
     if d == 2:
         return (0, 1)
-    if not search(3):
-        raise UnsupportedDesignError(f"no perfect difference set found for d={d}")
-    return tuple(chosen)
+    q = d - 1
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise UnsupportedDesignError(f"d-1={q} is not a prime power")
+    p, n, rest = primes[0], 0, q
+    while rest > 1:  # n = 3e, the degree of GF(q**3) over GF(p)
+        rest, n = rest // p, n + 3
+    v, order = q * q + q + 1, q**3 - 1
+    cofactors = [order // prime for prime in _prime_factors(order)]
+
+    def times_x(a):  # a * x, reduced by x**n = -(f[0] + f[1] x + .. + f[n-1] x**(n-1))
+        return tuple((b - a[-1] * fj) % p for b, fj in zip((0,) + a[:-1], f))
+
+    def mul(a, b):
+        c = np.convolve(a, b).tolist()
+        for t in range(2 * n - 2, n - 1, -1):
+            for j, fj in enumerate(f):
+                c[t - n + j] -= c[t] * fj
+        return tuple(ci % p for ci in c[:n])
+
+    def x_to(k):  # squaring from the top bit down
+        out = one
+        for bit in bin(k)[2:]:
+            out = times_x(mul(out, out)) if bit == "1" else mul(out, out)
+        return out
+
+    one = (1,) + (0,) * (n - 1)
+    for high in product(range(p), repeat=n):  # the constant term f[0] turns fastest
+        f = high[::-1]
+        if f[0] and x_to(order) == one and all(x_to(c) != one for c in cofactors):
+            break  # x has order p**n - 1: f is primitive
+    powers = list(accumulate(range(v - 1), lambda a, _: times_x(a), initial=one))  # x**i, i < v
+    frobenius = np.array(powers[::q][:n]).T  # y -> y**q: column j is x**(jq), and jq < v
+    trace = (np.eye(n, dtype=np.int64) + frobenius + frobenius @ frobenius) % p
+    base = np.flatnonzero(~(np.array(powers) @ trace.T % p).any(axis=1)).tolist()
+    return min(
+        tuple(sorted((y - a) * pow(b - a, -1, v) % v for y in base))
+        for a in base for b in base if a != b and math.gcd(b - a, v) == 1
+    )
 
 
 def build_block_design(d: int) -> Allocation:
     """Symmetric block design with every object pair sharing exactly one node.
 
-    Exists (and is built here via a cyclic perfect difference set) when d - 1
-    is a prime power; n = k = d*d - d + 1, node j hosts objects D + j mod n.
-    Other orders are rejected.
+    Exists when d - 1 is a prime power; n = k = d*d - d + 1, and node j
+    hosts objects D + j mod n, for D the perfect difference set that
+    ``perfect_difference_set`` builds by Singer's construction in time
+    polynomial in d (under 0.11 s for every d up to 48).  For d <= 10 the
+    tests pin D to the first set that a backtracking search finds, so these
+    designs are those the search gave.  Other orders are rejected.
     """
     if d < 3:
         raise UnsupportedDesignError("block designs are built for d >= 3")
-    if not _is_prime_power(d - 1):
-        raise UnsupportedDesignError(f"d-1={d - 1} is not a prime power")
     base = perfect_difference_set(d)
     v = d * d - d + 1
     sets = []
@@ -491,9 +501,10 @@ def _built_by_family(alloc: Allocation) -> bool:
     from .loadsolver import FAMILIES  # loadsolver imports this module
 
     if alloc.kind == "block_design" and alloc.n != alloc.d * alloc.d - alloc.d + 1:
-        return False  # no other n matches, and the builder's search grows fast with d
+        return False  # no other n matches; building at the file's d costs O(d**3), whatever n is
     try:
-        built = FAMILIES[alloc.kind].build(alloc.n, alloc.d, alloc.r, alloc.k // alloc.n)
+        built = FAMILIES[alloc.kind].build_with(n=alloc.n, d=alloc.d, r=alloc.r,
+                                                m=alloc.k // alloc.n)
     except (UnsupportedDesignError, ValueError):
         return False
     return built == alloc

@@ -156,7 +156,7 @@ def build_allocation(kind: str, n: int, d: int = 1, r: int = 1, m: int = 1) -> A
     if family is None:
         raise ConfigError(f"unknown design kind {kind!r}")
     try:
-        return family.build(n, d, r, m)
+        return family.build_with(n=n, d=d, r=r, m=m)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -339,13 +339,14 @@ def _outputs(args, configured: list[dict], default_format: str) -> list[dict]:
 
 
 def _note_ignored(kinds: list[str], given: dict, what: str) -> None:
-    """Write one stderr note per (kind, field) for each of d, r and m that
-    ``given`` sets to a value other than 1 (or a list holding one) and that
-    the kind's builder does not read (``FAMILIES``); ``what`` formats the
-    field's name as the user set it."""
+    """Write one stderr note per (kind, field) for each field of ``given``
+    (d, r and m, in that order) that it sets to a value other than 1 (or a
+    list holding one) and that the kind's builder does not read
+    (``Family.reads``); ``what`` formats the field's name as the user set
+    it."""
     for kind in dict.fromkeys(kinds):
-        for name in FAMILIES[kind].ignores:
-            if any(value != 1 for value in _as_list(given[name])):
+        for name, values in given.items():
+            if name not in FAMILIES[kind].reads and any(v != 1 for v in _as_list(values)):
                 sys.stderr.write(f"note: {kind} designs ignore {what.format(name)}\n")
 
 

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import inspect
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -596,22 +597,30 @@ def _condition(alloc: Allocation, demands, name: str, generic) -> np.ndarray:
 class Family:
     """What the package knows about one named design family.
 
-    ``build(n, d, r, m)`` constructs it; ``predict(alloc)`` is the asymptotic
-    band of its imbalance factor (small d for the d-choice families);
-    ``t_star(n, d_values, demands)`` is its closed form, the t* of the
-    designs (n, d) for each d over (T, k) demand rows, one row per d, so
-    that its designs of one n share a ``shared_pass`` (None: the LP);
-    ``sufficient`` and ``necessary`` map (d, r) to (window, bound), meaning
-    W_window <= bound (None: no known condition); ``ignores`` names the
-    config fields among d, r and m that ``build`` does not read.
+    ``build`` constructs it from the config fields among n, d, r and m that
+    its parameters name, listed in ``reads``; ``build_with`` passes them.
+    ``predict(alloc)`` is the asymptotic band of its imbalance factor (small
+    d for the d-choice families); ``t_star(n, d_values, demands)`` is its
+    closed form, the t* of the designs (n, d) for each d over (T, k) demand
+    rows, one row per d, so that its designs of one n share a
+    ``shared_pass`` (None: the LP); ``sufficient`` and ``necessary`` map
+    (d, r) to (window, bound), meaning W_window <= bound (None: no known
+    condition).
     """
 
-    build: Callable[[int, int, int, int], Allocation]
+    build: Callable[..., Allocation]
     predict: Callable[[Allocation], AsymptoticPrediction]
     t_star: Optional[Callable[[int, Sequence[int], np.ndarray], np.ndarray]] = None
     sufficient: Optional[Callable[[int, int], tuple[int, float]]] = None
     necessary: Optional[Callable[[int, int], tuple[int, float]]] = None
-    ignores: tuple[str, ...] = ()
+    reads: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "reads", tuple(inspect.signature(self.build).parameters))
+
+    def build_with(self, **fields: int) -> Allocation:
+        """``build`` called with the ones of ``fields`` that it reads."""
+        return self.build(**{name: fields[name] for name in self.reads})
 
 
 #: The named design families.  A cyclic XOR window of D = 1 + r(d-1)
@@ -619,39 +628,34 @@ class Family:
 #: nodes and each of the d - 1 recovery units costs r.
 FAMILIES: dict[str, Family] = {
     "single_choice": Family(
-        build=lambda n, d, r, m: build_single_choice(n, m),
+        build=build_single_choice,
         predict=lambda a: predict_single_choice(a.n, a.k // a.n),
         t_star=_t_star_clusters,
-        ignores=("d", "r"),
     ),
     "clustering": Family(
-        build=lambda n, d, r, m: build_clustering(n, d),
+        build=build_clustering,
         predict=lambda a: predict_d_choice(a.n, a.d, REGIME_SMALL_D),
         t_star=_t_star_clusters,
         sufficient=lambda d, r: (d, d),
         necessary=lambda d, r: (d + 1, 2.0 * d),
-        ignores=("r", "m"),
     ),
     "cyclic": Family(
-        build=lambda n, d, r, m: build_cyclic(n, d),
+        build=build_cyclic,
         predict=lambda a: predict_d_choice(a.n, a.d, REGIME_SMALL_D),
         t_star=_t_star_cyclic,
         sufficient=lambda d, r: (d, d),
         necessary=lambda d, r: (d + 1, 2.0 * d),
-        ignores=("r", "m"),
     ),
     "block_design": Family(
-        build=lambda n, d, r, m: build_block_design(d),
+        build=build_block_design,
         predict=lambda a: predict_d_choice(a.n, a.d, REGIME_SMALL_D),
         sufficient=lambda d, r: (d, d / 2.0),
         necessary=lambda d, r: (d, d * d - 2.0 * d + 3.0),
-        ignores=("r", "m"),
     ),
     "cyclic_xor": Family(
-        build=lambda n, d, r, m: build_cyclic_xor(n, d, r),
+        build=build_cyclic_xor,
         predict=lambda a: predict_xor(a.n, a.d, a.r, REGIME_SMALL_D),
         sufficient=lambda d, r: (1 + r * (d - 1), d),
         necessary=lambda d, r: (1 + r * (d - 1), d + r * (d - 1)),
-        ignores=("m",),
     ),
 }

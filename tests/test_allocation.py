@@ -40,6 +40,7 @@ from util import (
     reference_num_portions,
     reference_to_matrices,
     reference_validate,
+    time_limit,
 )
 
 
@@ -157,13 +158,45 @@ FANO_REFERENCE = [  # a reference seven-node layout with pairwise overlap one
 ]
 
 
+#: The first-lexicographic perfect difference sets that a backtracking search
+#: over sets starting 0, 1 returns, for the orders it finishes in under a
+#: second.
+FIRST_DIFFERENCE_SETS = {
+    2: (0, 1),
+    3: (0, 1, 3),
+    4: (0, 1, 3, 9),
+    5: (0, 1, 4, 14, 16),
+    6: (0, 1, 3, 8, 12, 18),
+    8: (0, 1, 3, 13, 32, 36, 43, 52),
+    9: (0, 1, 3, 7, 15, 31, 36, 54, 63),
+    10: (0, 1, 3, 9, 27, 49, 56, 61, 77, 81),
+}
+
+
+def is_perfect_difference_set(ds, v: int) -> bool:
+    """Every nonzero residue mod v is exactly one difference of two members."""
+    return sorted((x - y) % v for x in ds for y in ds if x != y) == list(range(1, v))
+
+
 def test_difference_set_small_orders():
-    assert perfect_difference_set(3) == (0, 1, 3)
-    for d in (3, 4, 5, 6, 8):
+    for d, want in FIRST_DIFFERENCE_SETS.items():
         ds = perfect_difference_set(d)
+        assert ds == want
+        assert is_perfect_difference_set(ds, d * d - d + 1)
+
+
+@pytest.mark.parametrize("d", [12, 14, 17])
+def test_block_design_large_orders(d):
+    # d - 1 = 11, 13 and 16 are prime powers; the alarm fails a build that
+    # grows exponentially with d instead of hanging the suite
+    with time_limit(10):
+        a = build_block_design(d)
         v = d * d - d + 1
-        diffs = sorted((x - y) % v for x in ds for y in ds if x != y)
-        assert diffs == list(range(1, v))  # every nonzero residue exactly once
+        base = perfect_difference_set(d)
+        assert is_perfect_difference_set(base, v)
+        assert a.recovery_sets[0] == tuple((h,) for h in sorted(-x % v for x in base))
+        assert validate_regular_balanced(a) == []
+        assert pairwise_overlap_histogram(a) == {1: a.k * (a.k - 1) // 2}
 
 
 def test_block_design_three_is_fano_up_to_relabeling():
@@ -194,6 +227,8 @@ def test_block_design_unsupported_orders():
         build_block_design(7)  # d-1 = 6 is not a prime power
     with pytest.raises(UnsupportedDesignError):
         build_block_design(2)
+    with time_limit(1), pytest.raises(UnsupportedDesignError, match="prime power"):
+        perfect_difference_set(7)  # d - 1 = 6: raised before any field arithmetic
 
 
 # ---------------------------------------------------------------------------
@@ -661,12 +696,12 @@ def test_loaded_kind_whose_builder_raises_becomes_custom():
     assert allocation_from_dict(data).kind == "custom"
 
 
-def test_loaded_block_design_of_another_n_is_not_searched(monkeypatch):
-    # the difference-set search takes over 20 s at d = 12; a file whose n
-    # is not d^2 - d + 1 is no block design, whatever its d
-    def search(d):
-        raise AssertionError(f"searched for a difference set of size {d}")
+def test_loaded_block_design_of_another_n_is_not_built(monkeypatch):
+    # building at a file's d costs O(d^3) whatever the file's size; a file
+    # whose n is not d^2 - d + 1 is no block design, whatever its d
+    def build(d):
+        raise AssertionError(f"built a difference set of size {d}")
 
-    monkeypatch.setattr(allocation, "perfect_difference_set", search)
+    monkeypatch.setattr(allocation, "perfect_difference_set", build)
     data = dict(allocation_to_dict(build_cyclic(5, 2)), kind="block_design", d=12)
     assert allocation_from_dict(data).kind == "custom"

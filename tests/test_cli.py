@@ -23,7 +23,7 @@ from storagebalance.cli import (
 )
 from storagebalance.loadsolver import FAMILIES
 from storagebalance.metrics import CSV_COLUMNS, SOLVE_LOAD, rows_to_csv
-from util import crowded_allocation
+from util import crowded_allocation, time_limit
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -498,6 +498,16 @@ def test_inspect_block_design_histogram(capsys):
     assert main(["inspect", "--kind", "block_design", "--d", "3", "--n", "0"]) == EXIT_OK
     info = json.loads(capsys.readouterr().out)
     assert info["pairwise_overlap_histogram"] == {"1": 21}
+
+
+def test_inspect_block_design_of_a_large_order(capsys):
+    # d - 1 = 11 is prime; the alarm fails a build that grows exponentially
+    # with d instead of hanging the suite
+    with time_limit(10):
+        assert main(["inspect", "--kind", "block_design", "--d", "12"]) == EXIT_OK
+    info = json.loads(capsys.readouterr().out)
+    assert (info["n"], info["valid_regular_balanced"]) == (133, True)
+    assert info["hall_check"] == {"passed": True, "witness": None}
 
 
 @pytest.mark.parametrize(

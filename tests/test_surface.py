@@ -63,6 +63,15 @@ def test_every_public_name_has_a_non_test_caller():
     assert unused == [], f"public names only tests call: {unused}"
 
 
+def test_every_family_builder_reads_only_config_fields():
+    # ``Family.build_with`` passes a builder the config fields its
+    # parameters name, and ``cli`` notes the ones among d, r and m it skips
+    from storagebalance.loadsolver import FAMILIES
+
+    for kind, family in FAMILIES.items():
+        assert set(inspect.signature(family.build).parameters) <= {"n", "d", "r", "m"}, kind
+
+
 def _defaulted_parameters(tree: ast.Module):
     """(function, parameter, position or None if keyword-only) of each
     defaulted parameter of a top-level public function."""

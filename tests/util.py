@@ -1,9 +1,12 @@
 """Shared helpers for the test suite."""
 
+import signal
 from collections import Counter
+from contextlib import contextmanager
 from itertools import combinations
 
 import numpy as np
+import pytest
 from scipy.sparse import csr_matrix
 
 from storagebalance.allocation import (
@@ -24,6 +27,27 @@ def per_trial_spacings(k: int, sigma: float, seed: int, index: int) -> np.ndarra
     gen = np.random.Generator(np.random.Philox(key=key))
     e = gen.standard_exponential(k)
     return e * (sigma / e.sum())
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail the test once its body has run for ``seconds`` of wall time, so a
+    call that would run for minutes fails instead of hanging the suite.  Uses
+    SIGALRM: main thread, POSIX only."""
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError:
+        # the traceback through a deep recursion is no help, and pytest can
+        # fail to render it
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def spacing_batches(k: int, trials: int, seed: int):
