@@ -1,12 +1,15 @@
-"""Storage allocations: construction, validation, and routing matrices.
+"""Storage allocations: construction, validation, and structure queries.
 
 An allocation assigns each of k objects a list of d pairwise-disjoint
 service choices over n nodes.  A choice is a single node (replica) or a set
-of r nodes that jointly recover the object (XOR).  Builders cover the
-single-choice, clustering, cyclic, symmetric block-design, and cyclic-XOR
-families; ``to_matrices`` emits the binary routing matrix M (nodes x demand
-portions) and aggregation matrix T (objects x portions), the dense form of
-the portion table that the LP solver is built from.
+of r nodes that jointly recover the object (XOR).  An allocation is stored as
+its portion table ``Allocation.portions``, one portion per (object, choice)
+pair with the nodes that serve it; every validation, structure query and the
+LP read that table.  The builders for the single-choice, clustering, cyclic,
+symmetric block-design and cyclic-XOR families compute it by index
+arithmetic, and the nested ``recovery_sets`` tuples are made from it only
+when asked for.  ``to_matrices`` gives the dense routing matrix M (nodes x
+portions) and aggregation matrix T (objects x portions) of the table.
 
 Objects and nodes are 0-based; all cyclic index arithmetic is modulo n.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, product
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -32,34 +35,94 @@ class UnsupportedDesignError(Exception):
     """Requested design family or parameters are not constructible here."""
 
 
-@dataclass(frozen=True)
 class Allocation:
-    """A regular balanced d-choice storage allocation.
+    """A regular balanced d-choice storage allocation, stored as its portion
+    table (see ``portions``).
 
-    ``recovery_sets[i]`` lists object i's d choices in a fixed order; each
-    choice is a tuple of node ids (length 1 for replicas, a single primary
-    plus length-r sets for XOR designs).
+    ``Allocation(n=.., k=.., d=.., r=.., kind=.., recovery_sets=..)`` makes
+    one from nested tuples: ``recovery_sets[i]`` lists object i's choices in
+    a fixed order, each a tuple of node ids (length 1 for replicas, a single
+    primary plus length-r sets for XOR designs).  Such an allocation keeps
+    its tuples, which word the error messages and hold ids beyond int64, and
+    walks them into the table on first use.  The builders store the table
+    alone, and ``recovery_sets`` is then made from it on first use.  Two
+    allocations are equal when their fields and recovery sets are; an
+    allocation is immutable, and hashes by its table.
     """
 
-    n: int
-    k: int
-    d: int
-    r: int
-    kind: str
-    recovery_sets: tuple[tuple[tuple[int, ...], ...], ...]
+    def __init__(self, n: int, k: int, d: int, r: int, kind: str,
+                 recovery_sets: tuple[tuple[tuple[int, ...], ...], ...]):
+        self._set_fields(n, k, d, r, kind, len(recovery_sets))
+        vars(self)["recovery_sets"] = recovery_sets
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        _require_positive(n=self.n, k=self.k, d=self.d, r=self.r)
+    @classmethod
+    def _of_layout(cls, n: int, d: int, r: int, kind: str, layout: np.ndarray) -> Allocation:
+        """The allocation whose object i is served by the nodes in row i of
+        the (k, 1 + r(d-1)) ``layout``: its first node alone, then d - 1 sets
+        of r consecutive entries.  Portion c = i*d + j (j > 0) starts at
+        entry i(1 + r(d-1)) + 1 + r(j-1), which is rc - (r-1) ceil(c/d)."""
+        alloc = cls.__new__(cls)
+        k = layout.shape[0]
+        alloc._set_fields(n, k, d, r, kind, k)
+        c = np.arange(k * d + 1)
+        indptr = c if r == 1 else r * c - (r - 1) * -(-c // d)
+        vars(alloc)["portions"] = (np.repeat(np.arange(k), d), indptr, layout.ravel())
+        vars(alloc)["_exact"] = True
+        return alloc
+
+    def _set_fields(self, n, k, d, r, kind, objects) -> None:
+        if kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        _require_positive(n=n, k=k, d=d, r=r)
+        vars(self).update(n=n, k=k, d=d, r=r, kind=kind, _objects=objects)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: allocations are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: allocations are immutable")
+
+    def __repr__(self) -> str:
+        return (f"Allocation(n={self.n}, k={self.k}, d={self.d}, r={self.r}, "
+                f"kind={self.kind!r}, portions={self.num_portions})")
+
+    def __eq__(self, other):
+        if not isinstance(other, Allocation):
+            return NotImplemented
+        if self._key != other._key:
+            return False
+        if self._exact and other._exact:  # the tables name every id as given
+            return all(map(np.array_equal, self.portions, other.portions))
+        return self.recovery_sets == other.recovery_sets
+
+    def __hash__(self):
+        owner, indptr, nodes = self.portions
+        return hash((self._key, owner.tobytes(), indptr.tobytes(), nodes.tobytes()))
+
+    @property
+    def _key(self) -> tuple:
+        return self.n, self.k, self.d, self.r, self.kind, self._objects
+
+    @cached_property
+    def recovery_sets(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``recovery_sets[i]`` is object i's choices, each a tuple of node
+        ids as plain ints.  Given to the constructor, or made from the
+        portion table on first use, in one pass."""
+        owner, indptr, nodes = self.portions
+        named, bounds = nodes.tolist(), indptr.tolist()
+        choices = [tuple(named[a:b]) for a, b in zip(bounds, bounds[1:])]
+        ends = list(accumulate(np.bincount(owner, minlength=self._objects).tolist(), initial=0))
+        return tuple(tuple(choices[a:b]) for a, b in zip(ends, ends[1:]))
 
     @cached_property
     def portions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Portion table ``(owner, indptr, nodes)``, the one walk over
-        ``recovery_sets``.  Portions are object-major and choice-minor:
-        portion c belongs to object owner[c] and is served by the nodes
+        """Portion table ``(owner, indptr, nodes)``, the stored form of the
+        allocation.  Portions are object-major and choice-minor: portion c
+        belongs to object owner[c] and is served by the nodes
         nodes[indptr[c]:indptr[c + 1]], as named (an id beyond int64 as -1).
-        Built once and shared by every caller, which must not modify it."""
+        A builder stores the table; given ``recovery_sets`` are walked into
+        it once, on first use.  Shared by every caller, which must not
+        modify it."""
         sets = self.recovery_sets
         choices = list(chain.from_iterable(sets))
         owner = np.repeat(np.arange(len(sets)), np.fromiter(map(len, sets), np.intp, len(sets)))
@@ -70,6 +133,14 @@ class Allocation:
         except OverflowError:  # out of range as well
             nodes = np.array([v if -1 <= v < self.n else -1 for v in named], np.int64)
         return owner, indptr, nodes
+
+    @cached_property
+    def _exact(self) -> bool:
+        """Whether ``portions`` holds every node id as ``recovery_sets``
+        names it, as a builder's table does, so that equal tables mean equal
+        recovery sets."""
+        named = chain.from_iterable(chain.from_iterable(self.recovery_sets))
+        return self.portions[2].tolist() == list(named)
 
     @cached_property
     def incidence(self) -> csr_matrix:
@@ -83,6 +154,19 @@ class Allocation:
         B.sum_duplicates()
         B.data[:] = 1
         return B
+
+    @cached_property
+    def _pair_overlaps(self) -> tuple[int, np.ndarray]:
+        """(r-gap radius, histogram over overlap sizes 0..n of the unordered
+        object pairs), from one walk of ``_shared_pairs``: the pair queries
+        both read it."""
+        k, radius = self.k, 0
+        hist = np.zeros(self.n + 1, dtype=np.int64)
+        for i, j, c in _shared_pairs(self):
+            radius = max(radius, int(np.minimum(j - i, k - (j - i)).max(initial=0)))
+            hist += np.bincount(c, minlength=self.n + 1)
+        hist[0] = k * (k - 1) // 2 - hist.sum()  # pairs sharing no node
+        return radius, hist
 
     @property
     def num_portions(self) -> int:
@@ -138,8 +222,7 @@ def _require_positive(**params: int) -> None:
 def build_single_choice(n: int, m: int) -> Allocation:
     """k = n*m objects, node j hosting objects j*m .. j*m + m - 1, d = 1."""
     _require_positive(n=n, m=m)
-    sets = tuple(((i // m,),) for i in range(n * m))
-    return Allocation(n=n, k=n * m, d=1, r=1, kind="single_choice", recovery_sets=sets)
+    return Allocation._of_layout(n, 1, 1, "single_choice", (np.arange(n * m) // m)[:, None])
 
 
 def build_clustering(n: int, d: int) -> Allocation:
@@ -151,11 +234,8 @@ def build_clustering(n: int, d: int) -> Allocation:
     _require_positive(n=n, d=d)
     if n % d != 0:
         raise ValueError(f"d={d} must divide n={n}")
-    sets = []
-    for i in range(n):
-        base = (i // d) * d
-        sets.append(tuple((base + j,) for j in range(d)))
-    return Allocation(n=n, k=n, d=d, r=1, kind="clustering", recovery_sets=tuple(sets))
+    layout = (np.arange(n) // d * d)[:, None] + np.arange(d)
+    return Allocation._of_layout(n, d, 1, "clustering", layout)
 
 
 def build_cyclic(n: int, d: int) -> Allocation:
@@ -163,9 +243,9 @@ def build_cyclic(n: int, d: int) -> Allocation:
     _require_positive(n=n, d=d)
     if d > n:
         raise ValueError(f"d={d} must be <= n={n}")
-    layout = (np.arange(n)[:, None] + np.arange(d)) % n
-    sets = tuple(zip(*(zip(nodes) for nodes in layout.T.tolist())))
-    return Allocation(n=n, k=n, d=d, r=1, kind="cyclic", recovery_sets=sets)
+    layout = np.arange(n)[:, None] + np.arange(d)
+    layout %= n
+    return Allocation._of_layout(n, d, 1, "cyclic", layout)
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -252,11 +332,9 @@ def build_block_design(d: int) -> Allocation:
         raise UnsupportedDesignError("block designs are built for d >= 3")
     base = perfect_difference_set(d)
     v = d * d - d + 1
-    sets = []
-    for i in range(v):
-        hosts = sorted((i - x) % v for x in base)
-        sets.append(tuple((h,) for h in hosts))
-    return Allocation(n=v, k=v, d=d, r=1, kind="block_design", recovery_sets=tuple(sets))
+    layout = (np.arange(v)[:, None] - np.array(base)) % v
+    layout.sort(axis=1)
+    return Allocation._of_layout(v, d, 1, "block_design", layout)
 
 
 def build_cyclic_xor(n: int, d: int, r: int) -> Allocation:
@@ -272,13 +350,9 @@ def build_cyclic_xor(n: int, d: int, r: int) -> Allocation:
         raise ValueError("r must be >= 2 for XOR designs")
     if n < 1 + r * (d - 1):
         raise ValueError(f"need n >= 1 + r(d-1) = {1 + r * (d - 1)}, got n={n}")
-    sets = []
-    for i in range(n):
-        choices = [(i,)]
-        for j in range(d - 1):
-            choices.append(tuple((i + 1 + j * r + t) % n for t in range(r)))
-        sets.append(tuple(choices))
-    return Allocation(n=n, k=n, d=d, r=r, kind="cyclic_xor", recovery_sets=tuple(sets))
+    layout = np.arange(n)[:, None] + np.arange(1 + r * (d - 1))  # i .. i + r(d-1)
+    layout %= n
+    return Allocation._of_layout(n, d, r, "cyclic_xor", layout)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +375,7 @@ def validate_regular_balanced(alloc: Allocation) -> list[str]:
     ok = (nodes >= 0) & (nodes < alloc.n)
     pairs = np.sort(rows[ok] * alloc.n + nodes[ok])  # (object, node) pairs named
     flagged = np.unique(np.concatenate([
-        np.flatnonzero(np.bincount(owner, minlength=len(alloc.recovery_sets)) != alloc.d),
+        np.flatnonzero(np.bincount(owner, minlength=alloc._objects) != alloc.d),
         owner[(sizes != 1) & (sizes != alloc.r)],
         rows[~ok],
         pairs[1:][pairs[1:] == pairs[:-1]] // alloc.n,
@@ -343,21 +417,28 @@ _PAIR_BLOCK = 1 << 22
 
 
 def _shared_pairs(alloc: Allocation):
-    """Yield (i, j, |C_i & C_j|) arrays over pairs i < j with a shared node.
-
-    Row i of B @ B.T takes one product per object on each node of C_i; a block
-    of rows holds at most ``_PAIR_BLOCK`` products unless it is a single row."""
-    from scipy.sparse import triu
-
+    """Yield (i, j, |C_i & C_j|) arrays over pairs i < j with a shared node:
+    the entries right of the diagonal of B @ B.T, in the row blocks of
+    ``_row_blocks``."""
     B = alloc.incidence
     Bt = B.T.tocsr()
+    for lo, hi in _row_blocks(B, Bt):
+        g = B[lo:hi] @ Bt
+        rows = np.repeat(np.arange(lo, hi), np.diff(g.indptr))
+        upper = g.indices > rows
+        yield rows[upper], g.indices[upper], g.data[upper]
+
+
+def _row_blocks(B, Bt):
+    """Yield (lo, hi) row blocks of B @ B.T, given B and B.T as CSR.  Row i
+    takes one product per object on each node of C_i; a block holds at most
+    ``_PAIR_BLOCK`` products unless it is a single row."""
     work = np.cumsum(B @ np.diff(Bt.indptr).astype(np.int64))
     lo = 0
-    while lo < alloc.k:
+    while lo < B.shape[0]:
         done = work[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(work, done + _PAIR_BLOCK, side="right")))
-        g = triu(B[lo:hi] @ Bt, k=lo + 1, format="coo")
-        yield g.row + lo, g.col, g.data
+        yield lo, hi
         lo = hi
 
 
@@ -385,9 +466,7 @@ def r_gap_radius(alloc: Allocation) -> int:
     """Smallest r for which the allocation is an r-gap design."""
     if alloc.r != 1:
         raise UnsupportedDesignError("r-gap is defined for replica allocations")
-    k = alloc.k
-    gaps = [np.minimum(j - i, k - (j - i)).max(initial=0) for i, j, _ in _shared_pairs(alloc)]
-    return int(max(gaps, default=0))
+    return alloc._pair_overlaps[0]
 
 
 def hall_check(alloc: Allocation) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -426,10 +505,7 @@ def pairwise_overlap_histogram(alloc: Allocation) -> dict[int, int]:
     """Histogram {overlap size: number of unordered object pairs}."""
     if alloc.r != 1:
         raise UnsupportedDesignError("overlaps are defined for replica allocations")
-    hist = np.zeros(alloc.n + 1, dtype=np.int64)
-    for _, _, c in _shared_pairs(alloc):
-        hist += np.bincount(c, minlength=alloc.n + 1)
-    hist[0] = alloc.k * (alloc.k - 1) // 2 - hist.sum()  # pairs sharing no node
+    hist = alloc._pair_overlaps[1]
     sizes = np.flatnonzero(hist)
     return dict(zip(sizes.tolist(), hist[sizes].tolist()))
 
@@ -493,7 +569,8 @@ def allocation_from_dict(data: dict) -> Allocation:
         )
     _entries_in_range(alloc)
     if alloc.kind != "custom" and not _built_by_family(alloc):
-        alloc = replace(alloc, kind="custom")
+        alloc = Allocation(n=alloc.n, k=alloc.k, d=alloc.d, r=alloc.r, kind="custom",
+                           recovery_sets=sets)
     return alloc
 
 

@@ -1,6 +1,7 @@
 """Tests for allocation builders, validation, and routing matrices."""
 
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -30,14 +31,16 @@ from storagebalance.allocation import (
     to_matrices,
     validate_regular_balanced,
 )
-from storagebalance.loadsolver import min_max_load, t_star_batch
+from storagebalance.loadsolver import FAMILIES, min_max_load, t_star_batch
 from storagebalance.spacings import spacing_matrix
 from util import (
+    REFERENCE_BUILDERS,
     crowded_allocation,
     is_fano_plane,
     random_regular_allocation,
     reference_incidence,
     reference_num_portions,
+    reference_portions,
     reference_to_matrices,
     reference_validate,
     time_limit,
@@ -248,6 +251,119 @@ def test_cyclic_xor_minimum_size():
         build_cyclic_xor(3, 3, 2)  # 3 < 1 + 2*2
     with pytest.raises(ValueError):
         build_cyclic_xor(6, 2, 1)  # replicas are not an XOR design
+
+
+# ---------------------------------------------------------------------------
+# stored form: the builders' portion tables against reference tuples
+# ---------------------------------------------------------------------------
+
+#: Corner cases of every family: n = 1, d = n, m > 1, and XOR windows that
+#: wrap around the ring, at the smallest n = 1 + r(d-1) and above it.
+EDGE_DESIGNS = [
+    ("single_choice", dict(n=1, m=1)),
+    ("single_choice", dict(n=1, m=3)),
+    ("single_choice", dict(n=4, m=2)),
+    ("clustering", dict(n=1, d=1)),
+    ("clustering", dict(n=4, d=4)),
+    ("clustering", dict(n=9, d=3)),
+    ("cyclic", dict(n=1, d=1)),
+    ("cyclic", dict(n=6, d=6)),
+    ("cyclic", dict(n=10, d=3)),
+    ("block_design", dict(d=3)),
+    ("block_design", dict(d=5)),
+    ("cyclic_xor", dict(n=1, d=1, r=2)),
+    ("cyclic_xor", dict(n=7, d=4, r=2)),
+    ("cyclic_xor", dict(n=9, d=3, r=2)),
+    ("cyclic_xor", dict(n=11, d=3, r=3)),
+]
+
+
+def _draw_family_params(kind, data):
+    if kind == "single_choice":
+        return dict(n=data.draw(st.integers(1, 12)), m=data.draw(st.integers(1, 4)))
+    if kind == "clustering":
+        d = data.draw(st.integers(1, 6))
+        return dict(n=d * data.draw(st.integers(1, 4)), d=d)
+    if kind == "cyclic":
+        n = data.draw(st.integers(1, 20))
+        return dict(n=n, d=data.draw(st.integers(1, n)))
+    if kind == "block_design":
+        return dict(d=data.draw(st.sampled_from([3, 4, 5, 6, 8])))
+    d, r = data.draw(st.integers(1, 5)), data.draw(st.integers(2, 4))
+    return dict(n=data.draw(st.integers(1 + r * (d - 1), 1 + r * (d - 1) + 6)), d=d, r=r)
+
+
+def _assert_matches_reference(kind, params):
+    built, ref = FAMILIES[kind].build(**params), REFERENCE_BUILDERS[kind](**params)
+    assert built.recovery_sets == ref.recovery_sets
+    assert all(
+        type(obj) is tuple and type(s) is tuple and type(v) is int
+        for obj in built.recovery_sets for s in obj for v in s
+    )
+    for got, want in zip(built.portions, reference_portions(ref)):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    assert allocation_to_dict(built) == allocation_to_dict(ref)
+    assert built == ref and hash(built) == hash(ref)
+
+
+@pytest.mark.parametrize("kind", list(FAMILIES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_builders_match_reference_tuples(kind, data):
+    _assert_matches_reference(kind, _draw_family_params(kind, data))
+
+
+@pytest.mark.parametrize("kind,params", EDGE_DESIGNS)
+def test_builders_match_reference_tuples_at_the_edges(kind, params):
+    _assert_matches_reference(kind, params)
+
+
+def test_cyclic_build_and_table_stay_small():
+    # nested tuples of 300 000 node ids took 41.6 MiB; the table is three
+    # int64 arrays of 2.3 MiB each
+    tracemalloc.start()
+    try:
+        build_cyclic(100_000, 3).portions
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("kind,params", EDGE_DESIGNS)
+def test_saved_build_loads_equal_and_keeps_its_kind(tmp_path, kind, params):
+    built = FAMILIES[kind].build(**params)
+    path = tmp_path / "alloc.json"
+    save_allocation(built, str(path))
+    loaded = load_allocation(str(path))
+    assert loaded == built and hash(loaded) == hash(built)
+    assert loaded.kind == kind
+    fields = dict(n=built.n, k=built.k, d=built.d, r=built.r)
+    custom = Allocation(**fields, kind="custom",
+                        recovery_sets=REFERENCE_BUILDERS[kind](**params).recovery_sets)
+    assert custom != built
+    relabelled = allocation_from_dict(dict(allocation_to_dict(built), kind="custom"))
+    assert custom == relabelled and hash(custom) == hash(relabelled)
+
+
+def test_ids_beyond_int64_compare_by_their_values():
+    def one_node(v):
+        return Allocation(n=3, k=1, d=1, r=1, kind="custom", recovery_sets=(((v,),),))
+
+    assert one_node(2**64) == one_node(2**64)
+    assert hash(one_node(2**64)) == hash(one_node(2**64))
+    assert one_node(2**64) != one_node(2**65)  # both -1 in the table
+    assert one_node(2**64) != one_node(-1)
+    assert one_node(1) == one_node(1) != one_node(2)
+
+
+def test_allocations_are_immutable():
+    a = build_cyclic(5, 2)
+    with pytest.raises(AttributeError):
+        a.kind = "custom"
+    with pytest.raises(AttributeError):
+        del a.n
+    assert a.kind == "cyclic"
 
 
 # ---------------------------------------------------------------------------
@@ -479,27 +595,50 @@ def test_structure_queries_on_duplicate_node():
 def test_pair_queries_do_not_depend_on_row_blocks(monkeypatch):
     import storagebalance.allocation as allocation
 
-    designs = (build_cyclic(40, 3), build_block_design(4), build_single_choice(9, 1))
-    whole = [(pairwise_overlap_histogram(a), r_gap_radius(a)) for a in designs]
+    def queries():
+        # fresh designs: each allocation keeps the pair walk it made first
+        designs = (build_cyclic(40, 3), build_block_design(4), build_single_choice(9, 1))
+        return [(pairwise_overlap_histogram(a), r_gap_radius(a)) for a in designs]
+
+    whole = queries()
     monkeypatch.setattr(allocation, "_PAIR_BLOCK", 7)  # blocks of one row or a few
-    assert [(pairwise_overlap_histogram(a), r_gap_radius(a)) for a in designs] == whole
+    assert queries() == whole
+
+
+def test_pair_queries_share_one_walk(monkeypatch):
+    import storagebalance.allocation as allocation
+
+    walks = []
+    real = allocation._shared_pairs
+
+    def counting(alloc):
+        walks.append(alloc)
+        return real(alloc)
+
+    monkeypatch.setattr(allocation, "_shared_pairs", counting)
+    a = build_cyclic(12, 3)
+    assert r_gap_radius(a) == 2
+    hist = pairwise_overlap_histogram(a)
+    assert hist == {0: 42, 1: 12, 2: 12}
+    hist[0] = -1  # the caller's copy
+    assert pairwise_overlap_histogram(a) == {0: 42, 1: 12, 2: 12}
+    assert r_gap_radius(a) == 2
+    assert walks == [a]
 
 
 def _pair_blocks(monkeypatch, alloc):
     """(first row, row count) of every block of B @ B.T that _shared_pairs forms."""
-    import scipy.sparse
-
     import storagebalance.allocation as allocation
 
     blocks = []
-    real = scipy.sparse.triu
+    real = allocation._row_blocks
 
-    def recording(m, k, format):
-        blocks.append((k - 1, m.shape[0]))
-        return real(m, k=k, format=format)
+    def recording(B, Bt):
+        for lo, hi in real(B, Bt):
+            blocks.append((lo, hi - lo))
+            yield lo, hi
 
-    # _shared_pairs imports triu when called, so it finds the patched name
-    monkeypatch.setattr(scipy.sparse, "triu", recording)
+    monkeypatch.setattr(allocation, "_row_blocks", recording)
     list(allocation._shared_pairs(alloc))
     return blocks
 

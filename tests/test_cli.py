@@ -626,6 +626,23 @@ def test_inspect_large_cyclic_matches_closed_forms(capsys):
     }
 
 
+def test_inspect_large_cyclic_derives_no_recovery_sets(monkeypatch, capsys):
+    # every query reads the builder's portion table; nested tuples of
+    # 300 000 node ids would cost more than all of them
+    import storagebalance.cli as cli
+
+    built, real = [], cli.build_allocation
+
+    def keep(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_allocation", keep)
+    assert main(["inspect", "--kind", "cyclic", "--n", "100000", "--d", "3"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["valid_regular_balanced"] is True
+    assert len(built) == 1 and "recovery_sets" not in vars(built[0])
+
+
 @pytest.mark.parametrize(
     "argv,config",
     [

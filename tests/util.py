@@ -14,6 +14,7 @@ from storagebalance.allocation import (
     AllocationMatrices,
     build_clustering,
     build_cyclic,
+    perfect_difference_set,
 )
 from storagebalance.metrics import estimate_metrics, t_star_series
 from storagebalance.spacings import prefix_sums, spacing_matrix, window_max_pair
@@ -139,8 +140,63 @@ def crowded_allocation() -> Allocation:
     return Allocation(n=200, k=200, d=3, r=1, kind="custom", recovery_sets=crowded + cyclic)
 
 
+# Reference builders: each family's recovery sets made as nested tuples, one
+# object at a time, to check the builders' portion tables against.
+
+
+def reference_single_choice(n: int, m: int) -> Allocation:
+    sets = tuple(((i // m,),) for i in range(n * m))
+    return Allocation(n=n, k=n * m, d=1, r=1, kind="single_choice", recovery_sets=sets)
+
+
+def reference_clustering(n: int, d: int) -> Allocation:
+    sets = tuple(tuple((i // d * d + j,) for j in range(d)) for i in range(n))
+    return Allocation(n=n, k=n, d=d, r=1, kind="clustering", recovery_sets=sets)
+
+
+def reference_cyclic(n: int, d: int) -> Allocation:
+    sets = tuple(tuple(((i + j) % n,) for j in range(d)) for i in range(n))
+    return Allocation(n=n, k=n, d=d, r=1, kind="cyclic", recovery_sets=sets)
+
+
+def reference_block_design(d: int) -> Allocation:
+    base, v = perfect_difference_set(d), d * d - d + 1
+    sets = tuple(tuple((h,) for h in sorted((i - x) % v for x in base)) for i in range(v))
+    return Allocation(n=v, k=v, d=d, r=1, kind="block_design", recovery_sets=sets)
+
+
+def reference_cyclic_xor(n: int, d: int, r: int) -> Allocation:
+    sets = tuple(
+        ((i,),) + tuple(tuple((i + 1 + j * r + t) % n for t in range(r)) for j in range(d - 1))
+        for i in range(n)
+    )
+    return Allocation(n=n, k=n, d=d, r=r, kind="cyclic_xor", recovery_sets=sets)
+
+
+#: The reference builder of each family, by kind.
+REFERENCE_BUILDERS = {
+    "single_choice": reference_single_choice,
+    "clustering": reference_clustering,
+    "cyclic": reference_cyclic,
+    "block_design": reference_block_design,
+    "cyclic_xor": reference_cyclic_xor,
+}
+
+
 # Reference implementations: per-object walks over ``recovery_sets``, kept to
 # check the readers of ``Allocation.portions`` against.
+
+
+def reference_portions(alloc: Allocation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The portion table of ``alloc.recovery_sets`` (all ids within int64),
+    built one choice at a time."""
+    owner, indptr, nodes = [], [0], []
+    for i, obj_sets in enumerate(alloc.recovery_sets):
+        for s in obj_sets:
+            owner.append(i)
+            nodes.extend(s)
+            indptr.append(len(nodes))
+    return (np.array(owner, np.intp), np.array(indptr, np.int64), np.array(nodes, np.int64))
 
 
 def reference_incidence(alloc: Allocation) -> csr_matrix:
