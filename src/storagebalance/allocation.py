@@ -47,7 +47,7 @@ class Allocation:
     walks them into the table on first use.  The builders store the table
     alone, and ``recovery_sets`` is then made from it on first use.  Two
     allocations are equal when their fields and recovery sets are; an
-    allocation is immutable, and hashes by its table.
+    allocation is immutable, and hashes by its fields.
     """
 
     def __init__(self, n: int, k: int, d: int, r: int, kind: str,
@@ -67,7 +67,6 @@ class Allocation:
         c = np.arange(k * d + 1)
         indptr = c if r == 1 else r * c - (r - 1) * -(-c // d)
         vars(alloc)["portions"] = (np.repeat(np.arange(k), d), indptr, layout.ravel())
-        vars(alloc)["_exact"] = True
         return alloc
 
     def _set_fields(self, n, k, d, r, kind, objects) -> None:
@@ -89,15 +88,10 @@ class Allocation:
     def __eq__(self, other):
         if not isinstance(other, Allocation):
             return NotImplemented
-        if self._key != other._key:
-            return False
-        if self._exact and other._exact:  # the tables name every id as given
-            return all(map(np.array_equal, self.portions, other.portions))
-        return self.recovery_sets == other.recovery_sets
+        return self._key == other._key and self.recovery_sets == other.recovery_sets
 
     def __hash__(self):
-        owner, indptr, nodes = self.portions
-        return hash((self._key, owner.tobytes(), indptr.tobytes(), nodes.tobytes()))
+        return hash(self._key)
 
     @property
     def _key(self) -> tuple:
@@ -133,14 +127,6 @@ class Allocation:
         except OverflowError:  # out of range as well
             nodes = np.array([v if -1 <= v < self.n else -1 for v in named], np.int64)
         return owner, indptr, nodes
-
-    @cached_property
-    def _exact(self) -> bool:
-        """Whether ``portions`` holds every node id as ``recovery_sets``
-        names it, as a builder's table does, so that equal tables mean equal
-        recovery sets."""
-        named = chain.from_iterable(chain.from_iterable(self.recovery_sets))
-        return self.portions[2].tolist() == list(named)
 
     @cached_property
     def incidence(self) -> csr_matrix:
