@@ -8,8 +8,11 @@ pair with the nodes that serve it; every validation, structure query and the
 LP read that table.  The builders for the single-choice, clustering, cyclic,
 symmetric block-design and cyclic-XOR families compute it by index
 arithmetic, and the nested ``recovery_sets`` tuples are made from it only
-when asked for.  ``to_matrices`` gives the dense routing matrix M (nodes x
-portions) and aggregation matrix T (objects x portions) of the table.
+when asked for.  ``to_matrices`` gives the routing matrix M (nodes x
+portions) and the aggregation matrix T (objects x portions) that the LP is
+built from, in compressed-column form: the table with each portion's nodes
+sorted and each named once.  Neither is held dense: as two n x dn arrays
+they would grow with n squared.
 
 Objects and nodes are 0-based; all cyclic index arithmetic is modulo n.
 """
@@ -18,10 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, product
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -164,7 +166,7 @@ class Allocation:
 def _entries_in_range(alloc: Allocation) -> tuple[np.ndarray, np.ndarray]:
     """Object and node of each portion-table entry, once every node id is
     checked to lie in [0, n): the one range check behind the incidence, the
-    routing matrices, the LP's portion table and a loaded allocation."""
+    routing matrices and a loaded allocation."""
     owner, indptr, nodes = alloc.portions
     rows = np.repeat(owner, np.diff(indptr))
     bad = np.flatnonzero((nodes < 0) | (nodes >= alloc.n))
@@ -175,22 +177,22 @@ def _entries_in_range(alloc: Allocation) -> tuple[np.ndarray, np.ndarray]:
     return rows, nodes
 
 
-@dataclass(frozen=True)
-class AllocationMatrices:
-    """Routing matrices of an allocation.
+class AllocationMatrices(NamedTuple):
+    """The routing matrix M (n nodes x portions) and aggregation matrix T
+    (k objects x portions) of an allocation, in compressed-column form.
 
-    Columns are demand portions in object-major, choice-minor order.  Each
-    column of T has a single 1 (the owning object); a column of M has one 1
-    per node serving that portion, so replica columns have weight 1 and
-    r-XOR recovery columns weight r.
+    Columns are demand portions in object-major, choice-minor order.
+    Column c of T has its one 1 at row owner[c], the owning object.  Column
+    c of M has its 1s at rows nodes[indptr[c]:indptr[c + 1]], ascending and
+    each once, one per node serving that portion: replica columns have
+    weight 1 and r-XOR recovery columns weight r.
     """
 
-    M: np.ndarray
-    T: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.T.shape[0]
+    n: int
+    k: int
+    owner: np.ndarray
+    indptr: np.ndarray
+    nodes: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +504,16 @@ def pairwise_overlap_histogram(alloc: Allocation) -> dict[int, int]:
 
 
 def to_matrices(alloc: Allocation) -> AllocationMatrices:
-    """Binary routing matrices in object-major, choice-minor column order."""
+    """The routing matrices of an allocation, the table its LP is built
+    from: the portion table with its node ids checked to lie in [0, n), and
+    each portion's nodes sorted with repeats collapsed, so a node named
+    twice in one choice loads it once.  Its size is that of the table."""
     _entries_in_range(alloc)
     owner, indptr, nodes = alloc.portions
-    cols = np.arange(owner.size)
-    M = np.zeros((alloc.n, cols.size), dtype=np.int8)
-    M[nodes, np.repeat(cols, np.diff(indptr))] = 1
-    T = np.zeros((alloc.k, cols.size), dtype=np.int8)
-    T[owner, cols] = 1
-    return AllocationMatrices(M=M, T=T)
+    cols = np.repeat(np.arange(owner.size), np.diff(indptr))
+    cols, nodes = np.divmod(np.unique(cols * alloc.n + nodes), alloc.n)
+    indptr = np.searchsorted(cols, np.arange(owner.size + 1))
+    return AllocationMatrices(alloc.n, alloc.k, owner, indptr, nodes)
 
 
 def allocation_to_dict(alloc: Allocation) -> dict:

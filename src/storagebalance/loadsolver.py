@@ -27,7 +27,7 @@ import inspect
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,13 +35,13 @@ from .allocation import (
     Allocation,
     AllocationMatrices,
     UnsupportedDesignError,
-    _entries_in_range,
     build_block_design,
     build_clustering,
     build_cyclic,
     build_cyclic_xor,
     build_single_choice,
     node_expansion,
+    to_matrices,
 )
 from .spacings import (
     REGIME_SMALL_D,
@@ -74,51 +74,21 @@ class LoadSplit:
 
 
 def min_max_load(matrices: AllocationMatrices, rho) -> LoadSplit:
-    """Solve the min-max load program to optimality.
+    """Solve the min-max load program of ``to_matrices``'s routing matrices
+    to optimality at one demand vector rho.
 
     The one-row case of the LP solve behind ``t_star_batch``, on a model
-    built for this call: the split is checked for demand conservation and
-    certified by its dual.  Raises NumericalFailureError if the solver does
-    not converge or a check fails; never silently returns an unverified
-    split.
+    built for this call from ``matrices`` as they are: the split is checked
+    for demand conservation and certified by its dual.  Raises ValueError
+    for a rho of the wrong length or with an entry that is negative or not
+    finite, and NumericalFailureError if the solver does not converge or a
+    check fails; never silently returns an unverified split.
     """
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != (matrices.k,):
         raise ValueError(f"rho must have length k={matrices.k}, got shape {rho.shape}")
-    owner = np.nonzero(matrices.T.T)[1]
-    entries = np.nonzero(matrices.M.T)  # by portion, then by node
-    portions = _Portions.of_entries(matrices.M.shape[0], matrices.k, owner, *entries)
-    x, loads = _EpigraphLP(portions).solve(rho[None, :])
+    x, loads = _EpigraphLP(matrices).solve(rho[None, :])
     return LoadSplit(portions=x[0], max_load=float(loads[0].max()), node_loads=loads[0])
-
-
-class _Portions(NamedTuple):
-    """The portion table an LP is built from: portion c serves object
-    owner[c] and loads nodes[indptr[c]:indptr[c + 1]], ascending and each
-    node once, out of n nodes and k objects."""
-
-    n: int
-    k: int
-    owner: np.ndarray
-    indptr: np.ndarray
-    nodes: np.ndarray
-
-    @classmethod
-    def of_entries(cls, n: int, k: int, owner, cols, nodes) -> _Portions:
-        """The table of (portion, node) entries ``cols``, ``nodes``, sorted
-        by portion, then by node, each once."""
-        return cls(n, k, owner, np.searchsorted(cols, np.arange(owner.size + 1)), nodes)
-
-
-def _lp_portions(alloc: Allocation) -> _Portions:
-    """The LP portion table of an allocation: its node ids checked to lie in
-    [0, n), and each portion's nodes sorted with repeats collapsed, as in
-    the routing matrix M of ``to_matrices``."""
-    _entries_in_range(alloc)
-    owner, indptr, nodes = alloc.portions
-    cols = np.repeat(np.arange(owner.size), np.diff(indptr))
-    entries = np.divmod(np.unique(cols * alloc.n + nodes), alloc.n)
-    return _Portions.of_entries(alloc.n, alloc.k, owner, *entries)
 
 
 #: The module name of scipy's HiGHS bindings.
@@ -161,20 +131,22 @@ def _bin_sums(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
 
 
 class _EpigraphLP:
-    """The epigraph LP of one portion table, one HiGHS model re-solved per demand row.
+    """The epigraph LP of one set of routing matrices, one HiGHS model
+    re-solved per demand row.
 
     With M the nodes x portions routing matrix and T the objects x
-    portions aggregation matrix of the table, the model
+    portions aggregation matrix of ``to_matrices``, the model
 
         min t  s.t.  M x - t <= 0,  T x = rho,  x, t >= 0
 
-    is built once, with presolve off, straight from the table: portion c's
-    column holds 1 at its nodes' rows (ascending) and at row n + owner[c],
-    and the t column, last, holds -1 at every node row.  Each row sets the
-    k equality bounds to its rho and runs the simplex from the basis the
-    row before it left, so a row's x (and the last bits of its t*) can
-    depend on the rows solved before it on the same model.  Row j's t* is
-    max(M x_j), each node's load summed over its portions in portion order.
+    is built once, with presolve off, straight from their compressed
+    columns: portion c's column holds 1 at its nodes' rows (ascending) and
+    at row n + owner[c], and the t column, last, holds -1 at every node
+    row.  Each row sets the k equality bounds to its rho and runs the
+    simplex from the basis the row before it left, so a row's x (and the
+    last bits of its t*) can depend on the rows solved before it on the
+    same model.  Row j's t* is max(M x_j), each node's load summed over its
+    portions in portion order.
     Every row must pass two checks, each at LP_TOL (absolute on the dual,
     relative to max(1, max rho_j) on demands and loads):
 
@@ -187,10 +159,10 @@ class _EpigraphLP:
       dual whose value meets the primal value proves the split optimal.
     """
 
-    def __init__(self, portions: _Portions):
+    def __init__(self, matrices: AllocationMatrices):
         core = _highs_core()
-        self.portions = portions
-        n, k, owner, indptr, nodes = portions
+        self.matrices = matrices
+        n, k, owner, indptr, nodes = matrices
         num_portions = owner.size
         self._entry_portion = np.repeat(np.arange(num_portions), np.diff(indptr))
         # each portion's entries, then its owner's row; the t column last
@@ -226,13 +198,14 @@ class _EpigraphLP:
     def solve(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Optimal splits x (b, L) and node loads M x (b, n) of (b, k) rows.
 
-        The rows are solved in order.  A failed solve or check raises
-        NumericalFailureError whose ``row_index`` is the failing row's
-        index in ``rows``.
+        The rows are solved in order.  A demand that is negative or not
+        finite raises ValueError before any row is solved; a failed solve
+        or check raises NumericalFailureError whose ``row_index`` is the
+        failing row's index in ``rows``.
         """
-        if np.any(rows < 0):
-            raise ValueError("demands must be non-negative")
-        n, k, owner, _, nodes = self.portions
+        if not np.all(np.isfinite(rows) & (rows >= 0)):
+            raise ValueError("demands must be finite and non-negative")
+        n, k, owner, _, nodes = self.matrices
         b, num_portions = rows.shape[0], owner.size
         x, y, z = np.empty((b, num_portions)), np.empty((b, k)), np.empty((b, n))
         for i, rho in enumerate(rows):
@@ -265,7 +238,7 @@ class _EpigraphLP:
 
         y and z are the duals of T x = rho and of M x - t <= 0.
         """
-        n = self.portions.n
+        n = self.matrices.n
         for j, value in enumerate(rho.tolist()):
             self._highs.changeRowBounds(n + j, value, value)
         self._highs.run()
@@ -297,8 +270,8 @@ def min_max_load_flow(alloc: Allocation, rho) -> float:
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != (alloc.k,):
         raise ValueError(f"rho must have length k={alloc.k}")
-    if np.any(rho < 0):
-        raise ValueError("demands must be non-negative")
+    if not np.all(np.isfinite(rho) & (rho >= 0)):
+        raise ValueError("demands must be finite and non-negative")
     if rho.sum() == 0.0:
         return 0.0
     S = _binding_set(alloc, rho)
@@ -378,7 +351,7 @@ def t_star_batch(
     NumericalFailureError with ``row_index`` set to its index in ``demands``.
     """
     if getattr(FAMILIES.get(alloc.kind), "t_star", None) is None:
-        return _EpigraphLP(_lp_portions(alloc)).solve(_demand_rows(alloc, demands))[1].max(axis=1)
+        return _EpigraphLP(to_matrices(alloc)).solve(_demand_rows(alloc, demands))[1].max(axis=1)
     if solved is None:
         solved = shared_pass([alloc], demands)
     return solved.row(alloc, demands)

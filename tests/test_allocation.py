@@ -36,6 +36,7 @@ from storagebalance.spacings import spacing_matrix
 from util import (
     REFERENCE_BUILDERS,
     crowded_allocation,
+    dense,
     is_fano_plane,
     random_regular_allocation,
     reference_incidence,
@@ -727,8 +728,10 @@ def test_portion_table_readers_match_reference_walks(kind, data):
         assert np.array_equal(getattr(B, part), getattr(ref, part))
         assert getattr(B, part).dtype == getattr(ref, part).dtype
     m, ref_m = to_matrices(a), reference_to_matrices(a)
-    assert np.array_equal(m.M, ref_m.M) and m.M.dtype == ref_m.M.dtype
-    assert np.array_equal(m.T, ref_m.T) and m.T.dtype == ref_m.T.dtype
+    assert (m.n, m.k) == (ref_m.n, ref_m.k) == (a.n, a.k)
+    for part in ("owner", "indptr", "nodes"):
+        assert np.array_equal(getattr(m, part), getattr(ref_m, part))
+        assert getattr(m, part).dtype == getattr(ref_m, part).dtype
 
 
 # ---------------------------------------------------------------------------
@@ -737,24 +740,24 @@ def test_portion_table_readers_match_reference_walks(kind, data):
 
 
 def test_matrices_replica_example():
-    m = to_matrices(build_cyclic(3, 2))
+    M, T = dense(to_matrices(build_cyclic(3, 2)))
     expected = np.array(
         [[1, 0, 0, 0, 0, 1], [0, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]], dtype=np.int8
     )
-    assert np.array_equal(m.M, expected)
-    assert np.array_equal(m.T, np.repeat(np.eye(3, dtype=np.int8), 2, axis=1))
+    assert np.array_equal(M, expected)
+    assert np.array_equal(T, np.repeat(np.eye(3, dtype=np.int8), 2, axis=1))
 
 
 def test_matrices_xor_example():
-    m = to_matrices(build_cyclic_xor(3, 2, 2))
+    M, _ = dense(to_matrices(build_cyclic_xor(3, 2, 2)))
     expected = np.array(
         [[1, 0, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1], [0, 1, 0, 1, 1, 0]], dtype=np.int8
     )
-    assert np.array_equal(m.M, expected)
+    assert np.array_equal(M, expected)
 
 
 def test_matrices_cyclic_xor_n6():
-    m = to_matrices(build_cyclic_xor(6, 2, 2))
+    M, _ = dense(to_matrices(build_cyclic_xor(6, 2, 2)))
     expected = np.array(
         [
             [1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1],
@@ -766,8 +769,8 @@ def test_matrices_cyclic_xor_n6():
         ],
         dtype=np.int8,
     )
-    assert np.array_equal(m.M, expected)
-    assert m.M.sum(axis=0).tolist() == [1, 2] * 6  # replica cols 1, recovery cols r
+    assert np.array_equal(M, expected)
+    assert M.sum(axis=0).tolist() == [1, 2] * 6  # replica cols 1, recovery cols r
 
 
 @pytest.mark.parametrize(
@@ -781,15 +784,29 @@ def test_matrices_cyclic_xor_n6():
     ],
 )
 def test_matrix_invariants(alloc):
-    m = to_matrices(alloc)
-    assert m.M.shape[1] == m.T.shape[1] == alloc.num_portions
-    assert np.all(m.T.sum(axis=0) == 1)  # each portion belongs to one object
-    assert np.all(m.T.sum(axis=1) == alloc.d)  # d portions per object
-    col_weights = m.M.sum(axis=0)
+    M, T = dense(to_matrices(alloc))
+    assert M.shape[1] == T.shape[1] == alloc.num_portions
+    assert np.all(T.sum(axis=0) == 1)  # each portion belongs to one object
+    assert np.all(T.sum(axis=1) == alloc.d)  # d portions per object
+    col_weights = M.sum(axis=0)
     if alloc.r == 1:
         assert np.all(col_weights == 1)
     else:
         assert set(col_weights.tolist()) == {1, alloc.r}
+
+
+def test_matrices_of_a_large_design_stay_small():
+    # dense int8 M and T took 143 MiB at n = 5000; the compressed columns
+    # are a few int64 arrays of 15 000 entries
+    alloc = build_cyclic(5000, 3)
+    alloc.portions  # the allocation's own table is not counted
+    tracemalloc.start()
+    try:
+        to_matrices(alloc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

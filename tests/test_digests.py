@@ -10,6 +10,10 @@ install with other versions says so.
 
 import hashlib
 import json
+import runpy
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,30 +25,55 @@ from storagebalance.cli import EXIT_OK, build_allocation, main
 #: The numpy and scipy versions the digests were captured with.
 CAPTURED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
-#: One design of every kind, as ``build_allocation`` arguments.
+ROOT = Path(__file__).resolve().parents[1]
+
+#: One design of every kind, as ``build_allocation`` arguments (block
+#: designs ignore n).
 DESIGNS = {
     "single_choice_m2": ("single_choice", 5, dict(m=2)),
     "clustering": ("clustering", 9, dict(d=3)),
     "cyclic": ("cyclic", 100, dict(d=3)),
-    "block_design_d3": ("block_design", 0, dict(d=3)),
-    "block_design_d5": ("block_design", 0, dict(d=5)),
+    "block_design_d3": ("block_design", 7, dict(d=3)),
+    "block_design_d5": ("block_design", 21, dict(d=5)),
     "cyclic_xor_r2": ("cyclic_xor", 9, dict(d=3, r=2)),
 }
 
+#: ``limit-checks`` shapes: (k, d values, trials).
+LIMIT_SHAPES = {"k300_d1_d2": (300, [1, 2], 60), "k1000_d3": (1000, [3], 40)}
+
 DIGESTS = {
+    "exact-k3/d1": "591959e628dfb0f0e62b4a07ee712d5a388e2bd121153db15057e772e565493a",
+    "exact-k3/d2": "7fe5b603a4133307af21bcf1694a6033f38c78436802a56c71b271ff30280b9d",
+    "exact-k3/d3": "c52c460f199a4bfed3f041109c2976ffac87b28811fd0b238b149410eb9646f6",
     "inspect/block_design_d3": "1aac9eff60b714683a10321b7e6864413950ef0049714790ecade5c08c5c95cf",
     "inspect/block_design_d5": "f0c6acabe863c3046e7ef2a277cbdb4b32cbac560a11807df6f31038aac7962f",
     "inspect/clustering": "3cd3a44f409296047728d4b6b9d3b8dd61de7e512282435c286bf79e6106a510",
     "inspect/cyclic": "cdedfe9fbc2e68cb5592f1374e5789bdbf2a2647c6434c7bf178d4bd63abf04a",
     "inspect/cyclic_xor_r2": "f17187551f8988a566d338138cf3b0597efd6532b0044a26fbb3043a62c465c8",
     "inspect/single_choice_m2": "9ae3cc1c79b678d7caecaf988d6ef2debe6bd799f55c6406d6714240210526f8",
+    "limit-checks/k1000_d3": "ce10039ca0e7b03b81210554ed45dc97b45d4bd718abce005a091e3a55d91b9d",
+    "limit-checks/k300_d1_d2": "1425fdfd4b3cb6ce25753636692985ecc1c80679b0ab66d2a2c02abc09a6d1c9",
     "save_allocation/block_design_d3": "4591f263f380fef2d7d537d1f28634deda48f28d000e2883cc8fc9c8d5fc2ba3",
     "save_allocation/block_design_d5": "3f121896dda36bed7b4493b558317b1ca0861a418c483d838de3d12ab0ab3085",
     "save_allocation/clustering": "a33017100f455aa5bf25bbe8886bcc67349116eb39105c47d0cb46ad959ed72e",
     "save_allocation/cyclic": "4dccce1ecdd9dde154cf253318ffaf8b8ebb509af7262572b4c0b238effdb9f3",
     "save_allocation/cyclic_xor_r2": "b051e664b069a2ab4088fc7750350ef3d413b92417654c35a61ade30342ae8ad",
     "save_allocation/single_choice_m2": "f78061899ef2ab71f5f990a0c63d757ec842209287cbc8141990d55d374107d6",
+    "scripts/fig_design_comparison.csv": "4455b8a6f5e6666de944b584538a6e4cc531a23ea692d79e9e7de3fb3864568b",
+    "scripts/fig_imbalance_vs_d.csv": "548615212774889888d6d93259a497da4a92054bb5b8bf553861fcc5f9420552",
+    "simulate/block_design_d3.csv": "de6f1c266f00a194565832011b98440818471ed2d8acbd26747268bfa33fcaeb",
+    "simulate/block_design_d3.json": "abaf1b4b05d79e8db79ac4bc216f33983cf370e89e07df1609a7a9abba980c22",
+    "simulate/block_design_d5.csv": "2a4126866605b222daafd452e7648906b10abc5b8468f786b073bcac5d1db5c8",
+    "simulate/block_design_d5.json": "1d0912f0de7e80433ad8f8308e238b398d026e4d6f30eaa82f81f27698fe6d3f",
+    "simulate/clustering.csv": "cce8de5d421585b56017d8840a70728f9054d7c1e31cb91231b25e235c0c4d31",
+    "simulate/clustering.json": "7634c8589e308b45a0117cabc276635dd64f15ad61590c40081ad12b76e90d17",
+    "simulate/cyclic.csv": "2098a8f7050248206311e7bd6e72b5edd005d31b49d8380e0176c96ac9c812d3",
+    "simulate/cyclic.json": "d217124c8a0d94f8ddf8a3b97b18a14d4dc7fc061148a44e6be4f36f7b265d8f",
     "simulate/cyclic_sweep/seed1.csv": "9c9ccae091059bb29364970a3c44a041b486f53e74e8538d1c5fbb546fa26301",
+    "simulate/cyclic_xor_r2.csv": "4e41cc9e8f3522c6080fedd5143d0a4599c477239ca804602de340f1e0a5e0b3",
+    "simulate/cyclic_xor_r2.json": "5e8aa6056c5ad720ee3d47cad67d52e7b206b506a0fb745fa7559e03b2df2e0a",
+    "simulate/single_choice_m2.csv": "edff6816ba00623bbec6cadc36701d940f01c8af0cbaaf86f98f1391630b7e03",
+    "simulate/single_choice_m2.json": "a6ca505f10005e3c7b65ced1f8a843efdbaadf706b813ccca4879db8408e0c30",
 }
 
 
@@ -77,10 +106,65 @@ def _cyclic_sweep_csv(seed, tmp_path, capsys) -> bytes:
     return out.read_bytes()
 
 
+def _json_data(text: str) -> bytes:
+    """The ``data`` section of a JSON report, the part that is deterministic."""
+    return (json.dumps(json.loads(text)["data"], indent=2) + "\n").encode()
+
+
+def _simulated(design_format, tmp_path, capsys) -> bytes:
+    """The CSV, or the JSON ``data``, of ``simulate`` on one design at
+    sigma = 0.8 n and at sigma = n / log n, 300 trials, seed 5."""
+    design, fmt = design_format
+    kind, n, params = DESIGNS[design]
+    out = tmp_path / f"out.{fmt}"
+    config = {
+        "kind": kind, "n": n, **params,
+        "sigma": [{"fraction_of_n": 0.8}, {"b_n_over_log_n": 1.0}], "trials": 300,
+        "master_seed": 5, "outputs": [{"format": fmt, "path": str(out)}],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path)]) == EXIT_OK
+    return out.read_bytes() if fmt == "csv" else _json_data(out.read_text())
+
+
+def _limit_checks_data(shape, tmp_path, capsys) -> bytes:
+    k, d_values, trials = LIMIT_SHAPES[shape]
+    flags = [f for d in d_values for f in ("--d", str(d))]
+    capsys.readouterr()
+    argv = ["limit-checks", "--k", str(k), *flags, "--trials", str(trials), "--seed", "3"]
+    main([*argv, "--format", "json"])  # its exit code says whether every check passed
+    return _json_data(capsys.readouterr().out)
+
+
+def _exact_k3_stdout(d, tmp_path, capsys) -> bytes:
+    capsys.readouterr()
+    assert main(["exact-k3", "--d", str(d), "--sigma", "2.4"]) == EXIT_OK
+    return capsys.readouterr().out.encode()
+
+
+def _figure_csv(script_args, tmp_path, capsys) -> bytes:
+    """The CSV a script in ``scripts/`` writes, run in this process."""
+    script, *args = script_args
+    out = tmp_path / "figure.csv"
+    run = runpy.run_path(str(ROOT / "scripts" / script))["run"]
+    with mock.patch.object(sys, "argv", [script, *args, "--out", str(out)]):
+        assert run() == EXIT_OK
+    return out.read_bytes()
+
+
 OUTPUTS = {
     **{f"inspect/{design}": (_inspect_stdout, design) for design in DESIGNS},
     **{f"save_allocation/{design}": (_saved_bytes, design) for design in DESIGNS},
     "simulate/cyclic_sweep/seed1.csv": (_cyclic_sweep_csv, 1),
+    **{f"simulate/{design}.{fmt}": (_simulated, (design, fmt))
+       for design in DESIGNS for fmt in ("csv", "json")},
+    **{f"limit-checks/{shape}": (_limit_checks_data, shape) for shape in LIMIT_SHAPES},
+    **{f"exact-k3/d{d}": (_exact_k3_stdout, d) for d in (1, 2, 3)},
+    "scripts/fig_imbalance_vs_d.csv": (
+        _figure_csv, ("fig_imbalance_vs_d.py", "--n", "12", "--trials", "50")),
+    "scripts/fig_design_comparison.csv": (
+        _figure_csv, ("fig_design_comparison.py", "--d", "3", "--trials", "20")),
 }
 
 

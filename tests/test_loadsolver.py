@@ -33,7 +33,7 @@ from storagebalance.loadsolver import (
     t_star_batch,
 )
 from storagebalance.spacings import prefix_sums, spacing_matrix, window_max
-from util import crowded_allocation, replica_instance, window_maxima
+from util import crowded_allocation, dense, reference_to_matrices, replica_instance, window_maxima
 
 
 # ---------------------------------------------------------------------------
@@ -63,14 +63,21 @@ def test_min_max_load_rejects_bad_input():
         min_max_load(m, [1.0, 2.0])
     with pytest.raises(ValueError):
         min_max_load(m, [1.0, -0.5, 0.0])
+    # not a solver fault: a non-finite demand is bad input on either LP route
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="demands must be finite and non-negative"):
+            min_max_load(m, [1.0, bad, 0.0])
+        with pytest.raises(ValueError, match="demands must be finite and non-negative"):
+            t_star_batch(build_block_design(3), [bad] + [1.0] * 6)
 
 
 def test_load_split_consistency():
     m = to_matrices(build_cyclic(5, 2))
+    M, T = dense(m)
     rho = np.array([1.0, 0.3, 0.0, 0.7, 0.5])
     split = min_max_load(m, rho)
-    assert np.allclose(m.T @ split.portions, rho, atol=1e-9)
-    assert np.allclose(split.node_loads, m.M @ split.portions)
+    assert np.allclose(T @ split.portions, rho, atol=1e-9)
+    assert np.allclose(split.node_loads, M @ split.portions)
     assert split.max_load == split.node_loads.max()
 
 
@@ -177,6 +184,9 @@ def test_flow_oracle_rejects_bad_input():
         min_max_load_flow(alloc, [1.0, 2.0])
     with pytest.raises(ValueError, match="non-negative"):
         min_max_load_flow(alloc, [1.0, -0.5, 0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="demands must be finite and non-negative"):
+            min_max_load_flow(alloc, [1.0, bad, 0.0])
 
 
 def test_flow_oracle_random_agreement():
@@ -282,11 +292,11 @@ def test_hot_started_rows_match_cold_solves(name):
 
 def test_lp_counts_a_node_named_twice_once():
     # object 0's second choice names node 2 twice and lists its nodes out of
-    # order; the routing matrix M collapses the pair to one entry
+    # order; the reference table, built from the tuples, names it once
     sets = (((0,), (2, 1, 2)), ((1,), (2, 0)), ((2,), (0, 1)))
     alloc = Allocation(n=3, k=3, d=2, r=2, kind="custom", recovery_sets=sets)
     demands = np.array([[2.4, 0.3, 0.1], [1.8, 0.0, 0.9], *spacing_matrix(3, 2.4, 44, 10)])
-    m = to_matrices(alloc)
+    m = reference_to_matrices(alloc)
     for rho in demands:
         assert t_star_batch(alloc, rho)[0] == min_max_load(m, rho).max_load
 

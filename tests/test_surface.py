@@ -212,3 +212,9 @@ def test_benchmark_tracer_finds_the_names_it_notes():
     noted = {s[spans.NAME] for s in tracer.spans if s[spans.NOTE]}
     assert {table[name] for name in TRACED_NAMES} <= noted
     assert [c["alloc"].kind for c in tracer.captured] == ["cyclic", "block_design"]
+    # the LP route builds its model from to_matrices, once, under the block
+    # design's solve; the benchmark counts those spans as allocation.to_matrices
+    solves = {i: s[spans.NOTE]["kind"] for i, s in enumerate(tracer.spans)
+              if s[spans.NAME] == "loadsolver.t_star_batch"}
+    assert [solves.get(s[spans.PARENT]) for s in tracer.spans
+            if s[spans.NAME] == "allocation.to_matrices"] == ["block_design"]

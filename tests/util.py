@@ -213,17 +213,29 @@ def reference_num_portions(alloc: Allocation) -> int:
 
 
 def reference_to_matrices(alloc: Allocation) -> AllocationMatrices:
-    cols = reference_num_portions(alloc)
-    M = np.zeros((alloc.n, cols), dtype=np.int8)
-    T = np.zeros((alloc.k, cols), dtype=np.int8)
-    c = 0
+    """The compressed routing matrices of ``alloc.recovery_sets``, built one
+    choice at a time, each choice's nodes sorted and each named once."""
+    owner, indptr, nodes = [], [0], []
     for i, obj_sets in enumerate(alloc.recovery_sets):
         for s in obj_sets:
-            for v in s:
-                M[v, c] = 1
-            T[i, c] = 1
-            c += 1
-    return AllocationMatrices(M=M, T=T)
+            owner.append(i)
+            nodes.extend(sorted(set(s)))
+            indptr.append(len(nodes))
+    return AllocationMatrices(alloc.n, alloc.k, np.array(owner, np.intp),
+                              np.array(indptr, np.intp), np.array(nodes, np.int64))
+
+
+def dense(matrices: AllocationMatrices) -> tuple[np.ndarray, np.ndarray]:
+    """The dense int8 routing matrix M (n x portions) and aggregation matrix
+    T (k x portions) of compressed ``matrices``; an entry named twice in one
+    column shows as a 2."""
+    n, k, owner, indptr, nodes = matrices
+    cols = np.arange(owner.size)
+    M = np.zeros((n, owner.size), dtype=np.int8)
+    np.add.at(M, (nodes, np.repeat(cols, np.diff(indptr))), 1)
+    T = np.zeros((k, owner.size), dtype=np.int8)
+    np.add.at(T, (owner, cols), 1)
+    return M, T
 
 
 def reference_validate(alloc: Allocation) -> list[str]:
