@@ -138,7 +138,9 @@ class Allocation:
         from scipy.sparse import csr_matrix
 
         rows, cols = _entries_in_range(self)
-        B = csr_matrix((np.ones(cols.size, np.int32), (rows, cols)), shape=(self.k, self.n))
+        # the table is object-major, so the entries' rows already ascend
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=self.k))))
+        B = csr_matrix((np.ones(cols.size, np.int32), cols, indptr), shape=(self.k, self.n))
         B.sum_duplicates()
         B.data[:] = 1
         return B

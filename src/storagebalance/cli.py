@@ -15,6 +15,7 @@ deterministic for a given seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -441,7 +442,12 @@ def _cmd_exact_k3(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing leaves it unchanged, and each parse makes a fresh
+    namespace.  Each subcommand's handler is bound once, here; the handlers
+    look up the functions they call at call time."""
     p = argparse.ArgumentParser(prog="storagebalance", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -483,6 +489,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.  The parser is built on the
+    first call in a process (not at import) and reused by every later call."""
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

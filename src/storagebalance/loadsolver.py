@@ -203,8 +203,7 @@ class _EpigraphLP:
         or check raises NumericalFailureError whose ``row_index`` is the
         failing row's index in ``rows``.
         """
-        if not np.all(np.isfinite(rows) & (rows >= 0)):
-            raise ValueError("demands must be finite and non-negative")
+        _check_demands(rows)
         n, k, owner, _, nodes = self.matrices
         b, num_portions = rows.shape[0], owner.size
         x, y, z = np.empty((b, num_portions)), np.empty((b, k)), np.empty((b, n))
@@ -270,8 +269,7 @@ def min_max_load_flow(alloc: Allocation, rho) -> float:
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != (alloc.k,):
         raise ValueError(f"rho must have length k={alloc.k}")
-    if not np.all(np.isfinite(rho) & (rho >= 0)):
-        raise ValueError("demands must be finite and non-negative")
+    _check_demands(rho)
     if rho.sum() == 0.0:
         return 0.0
     S = _binding_set(alloc, rho)
@@ -347,7 +345,8 @@ def t_star_batch(
     every row certified (see ``_EpigraphLP``); a row's t* can thus differ in
     its last bits with the rows before it, so callers cut batches by row
     index alone.  Closed forms agree with the LP to machine precision (see
-    the solver cross-check tests).  A failed row raises
+    the solver cross-check tests).  On either route a demand that is
+    negative or not finite raises ValueError, and a failed row raises
     NumericalFailureError with ``row_index`` set to its index in ``demands``.
     """
     if getattr(FAMILIES.get(alloc.kind), "t_star", None) is None:
@@ -369,7 +368,8 @@ class SharedPass:
     def row(self, alloc: Allocation, demands) -> np.ndarray:
         if demands is not self.demands:
             raise ValueError("the shared pass was run on other demand rows")
-        # the key leaves out k, which single_choice designs of one n vary by m
+        # the key leaves out k, which single_choice designs of one n vary by
+        # m; the values were checked by the shared_pass that made these rows
         _demand_rows(alloc, demands)
         row = self.rows.get((alloc.kind, alloc.n, alloc.d))
         if row is None:
@@ -381,9 +381,11 @@ def shared_pass(allocs: Sequence[Allocation], demands) -> SharedPass:
     """Solve the closed-form designs of ``allocs``, which share k (see
     ``common_k``), over ``demands``: one ``FAMILIES`` kernel call for each
     (kind, n), for each of its distinct d once.  Designs without a closed
-    form get no row."""
+    form get no row.  A demand that is negative or not finite raises
+    ValueError."""
     common_k(allocs)
     rows = _demand_rows(allocs[0], demands)
+    _check_demands(rows)
     groups: dict[tuple[str, int], list[int]] = {}
     for alloc in allocs:
         if getattr(FAMILIES.get(alloc.kind), "t_star", None) is not None:
@@ -402,6 +404,13 @@ def common_k(allocs: Sequence[Allocation]) -> int:
     if len({alloc.k for alloc in allocs}) != 1:
         raise ValueError("the allocations must share their number of objects k")
     return allocs[0].k
+
+
+def _check_demands(demands: np.ndarray) -> None:
+    """Raise ValueError unless every demand is finite and non-negative: the
+    one statement of the rule that every t* route applies."""
+    if not np.all(np.isfinite(demands) & (demands >= 0)):
+        raise ValueError("demands must be finite and non-negative")
 
 
 def _demand_rows(alloc: Allocation, demands) -> np.ndarray:

@@ -775,6 +775,66 @@ def test_limit_checks_requires_k(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the parser: built on the first main call, shared by every later one
+# ---------------------------------------------------------------------------
+
+#: Counts the argparse parsers made while ``storagebalance.cli`` is imported
+#: and then over three ``main`` calls, and prints both counts.
+_COUNT_PARSERS = (
+    "import argparse, sys\n"
+    "built = []\n"
+    "init = argparse.ArgumentParser.__init__\n"
+    "def counting(self, *args, **kwargs):\n"
+    "    built.append(self)\n"
+    "    init(self, *args, **kwargs)\n"
+    "argparse.ArgumentParser.__init__ = counting\n"
+    "import storagebalance.cli as cli\n"
+    "at_import = len(built)\n"
+    "out = sys.argv[1]\n"
+    "for argv in (['inspect', '--kind', 'cyclic', '--n', '7', '--d', '3'],\n"
+    "             ['limit-checks', '--k', '50', '--d', '2', '--trials', '2'],\n"
+    "             ['exact-k3', '--d', '2', '--sigma', '2.4']):\n"
+    "    assert cli.main([*argv, '--out', out]) == 0\n"
+    "print(at_import, len(built) - at_import)\n"
+)
+
+
+def test_cli_builds_its_parser_once_and_not_at_import(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_PARSERS, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the root parser and one per subcommand, once for all three calls
+    assert proc.stdout.split() == ["0", "5"]
+
+
+def test_main_calls_share_no_parsed_state(tmp_path, capsys):
+    out = tmp_path / "lc.json"
+    base = ["limit-checks", "--k", "50", "--trials", "2", "--out", str(out)]
+    assert main([*base, "--d", "1", "--d", "2"]) == EXIT_OK
+    assert json.loads(out.read_text())["config"]["d"] == [1, 2]
+    # --d appends to a fresh list on every call
+    assert main([*base, "--d", "3"]) == EXIT_OK
+    assert json.loads(out.read_text())["config"]["d"] == [3]
+    # a usage error leaves the parser fit for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["inspect", "--n", "seven"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["inspect", "--kind", "cyclic", "--n", "7", "--d", "3", "--r", "2"]) == EXIT_OK
+    noted = capsys.readouterr()
+    assert noted.err == "note: cyclic designs ignore flag --r\n"
+    assert main(["inspect", "--kind", "cyclic", "--n", "7", "--d", "3"]) == EXIT_OK
+    assert capsys.readouterr() == (noted.out, "")
+
+
+# ---------------------------------------------------------------------------
 # start-up: scipy is imported only by the code that calls it, jsonschema never
 # ---------------------------------------------------------------------------
 

@@ -71,6 +71,23 @@ def test_min_max_load_rejects_bad_input():
             t_star_batch(build_block_design(3), [bad] + [1.0] * 6)
 
 
+@pytest.mark.parametrize(
+    "alloc, row",
+    [
+        (build_cyclic(5, 2), [1.0, np.nan, 0.0, 0.0, 0.0]),
+        (build_cyclic(5, 2), [1.0, -3.0, 0.0, 0.0, 0.0]),
+        (build_clustering(4, 2), [1.0, np.inf, 0.0, 0.0]),
+    ],
+    ids=["cyclic-nan", "cyclic-negative", "clustering-inf"],
+)
+def test_closed_form_route_rejects_bad_demands(alloc, row):
+    # the same rule as the LP route and the flow oracle, checked by the pass
+    with pytest.raises(ValueError, match="demands must be finite and non-negative"):
+        t_star_batch(alloc, row)
+    with pytest.raises(ValueError, match="demands must be finite and non-negative"):
+        ls.shared_pass([alloc], np.array([row]))
+
+
 def test_load_split_consistency():
     m = to_matrices(build_cyclic(5, 2))
     M, T = dense(m)
