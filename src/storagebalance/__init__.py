@@ -8,9 +8,12 @@ asymptotic predictors and stability conditions.
 
 Importing the package loads numpy but no scipy.  Each function that calls
 scipy (or a process pool) imports it in its body, so a command pays only for
-the subpackages its code path reaches.  The LP route loads only HiGHS's
-extension module, ``scipy.optimize._highspy._core``, from its file, and no
-code imports ``scipy.optimize`` itself.
+the subpackages its code path reaches.  The structure queries behind
+``inspect`` run on numpy alone; only a Hall check that the degree-counting
+certificate cannot settle loads ``scipy.sparse.csgraph``, for its matching.
+The LP route loads only HiGHS's extension module,
+``scipy.optimize._highspy._core``, from its file, and no code imports
+``scipy.optimize`` itself.
 """
 
 __version__ = "0.1.0"

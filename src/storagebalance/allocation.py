@@ -23,12 +23,9 @@ import json
 import math
 from functools import cached_property
 from itertools import accumulate, chain, product
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 KINDS = ("single_choice", "clustering", "cyclic", "block_design", "cyclic_xor", "custom")
 
@@ -54,7 +51,7 @@ class Allocation:
 
     def __init__(self, n: int, k: int, d: int, r: int, kind: str,
                  recovery_sets: tuple[tuple[tuple[int, ...], ...], ...]):
-        self._set_fields(n, k, d, r, kind, len(recovery_sets))
+        self._set_fields(n, k, d, r, kind, objects=len(recovery_sets))
         vars(self)["recovery_sets"] = recovery_sets
 
     @classmethod
@@ -65,17 +62,21 @@ class Allocation:
         entry i(1 + r(d-1)) + 1 + r(j-1), which is rc - (r-1) ceil(c/d)."""
         alloc = cls.__new__(cls)
         k = layout.shape[0]
-        alloc._set_fields(n, k, d, r, kind, k)
+        alloc._set_fields(n, k, d, r, kind, objects=k)
         c = np.arange(k * d + 1)
         indptr = c if r == 1 else r * c - (r - 1) * -(-c // d)
         vars(alloc)["portions"] = (np.repeat(np.arange(k), d), indptr, layout.ravel())
         return alloc
 
     def _set_fields(self, n, k, d, r, kind, objects) -> None:
+        """Check and store the fields; ``objects`` is the number of objects
+        given, which must be k."""
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
         _require_positive(n=n, k=k, d=d, r=r)
-        vars(self).update(n=n, k=k, d=d, r=r, kind=kind, _objects=objects)
+        if objects != k:
+            raise ValueError(f"recovery_sets has {objects} objects, expected k={k}")
+        vars(self).update(n=n, k=k, d=d, r=r, kind=kind)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: allocations are immutable")
@@ -97,7 +98,7 @@ class Allocation:
 
     @property
     def _key(self) -> tuple:
-        return self.n, self.k, self.d, self.r, self.kind, self._objects
+        return self.n, self.k, self.d, self.r, self.kind
 
     @cached_property
     def recovery_sets(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -107,7 +108,7 @@ class Allocation:
         owner, indptr, nodes = self.portions
         named, bounds = nodes.tolist(), indptr.tolist()
         choices = [tuple(named[a:b]) for a, b in zip(bounds, bounds[1:])]
-        ends = list(accumulate(np.bincount(owner, minlength=self._objects).tolist(), initial=0))
+        ends = list(accumulate(np.bincount(owner, minlength=self.k).tolist(), initial=0))
         return tuple(tuple(choices[a:b]) for a, b in zip(ends, ends[1:]))
 
     @cached_property
@@ -131,19 +132,28 @@ class Allocation:
         return owner, indptr, nodes
 
     @cached_property
-    def incidence(self) -> csr_matrix:
-        """Object-node incidence B (k x n, 0/1 CSR): B[i, v] = 1 iff node v is
-        in one of object i's recovery sets, however often it is named there.
-        Built once and shared by every caller, which must not modify it."""
-        from scipy.sparse import csr_matrix
+    def incidence(self) -> Incidence:
+        """Object-node incidence B (k x n, 0/1) as compressed rows: B[i, v] = 1
+        iff node v is in one of object i's recovery sets, however often it is
+        named there.  Built once and shared by every caller, which must not
+        modify it."""
+        _check_in_range(self)
+        rows, indices = np.divmod(_sorted_unique(self._named), self.n)
+        indptr = np.zeros(self.k + 1, np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.k), out=indptr[1:])
+        return Incidence(indptr, indices)
 
-        rows, cols = _entries_in_range(self)
-        # the table is object-major, so the entries' rows already ascend
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=self.k))))
-        B = csr_matrix((np.ones(cols.size, np.int32), cols, indptr), shape=(self.k, self.n))
-        B.sum_duplicates()
-        B.data[:] = 1
-        return B
+    @cached_property
+    def _named(self) -> np.ndarray:
+        """object * n + node for each portion-table entry whose node lies in
+        [0, n), ascending, repeats kept: validation finds the nodes an object
+        names twice in it, and the incidence is it without its repeats."""
+        owner, indptr, nodes = self.portions
+        keys = np.repeat(owner, np.diff(indptr)) * self.n + nodes
+        ok = (nodes >= 0) & (nodes < self.n)
+        # the table is object-major, so only each object's own keys can be
+        # out of order, and a merge sort finds the sorted runs
+        return np.sort(keys if ok.all() else keys[ok], kind="stable")
 
     @cached_property
     def _pair_overlaps(self) -> tuple[int, np.ndarray]:
@@ -153,8 +163,10 @@ class Allocation:
         k, radius = self.k, 0
         hist = np.zeros(self.n + 1, dtype=np.int64)
         for i, j, c in _shared_pairs(self):
-            radius = max(radius, int(np.minimum(j - i, k - (j - i)).max(initial=0)))
-            hist += np.bincount(c, minlength=self.n + 1)
+            gap = j - i
+            radius = max(radius, int(np.minimum(gap, k - gap).max(initial=0)))
+            sizes = np.bincount(c)
+            hist[: sizes.size] += sizes
         hist[0] = k * (k - 1) // 2 - hist.sum()  # pairs sharing no node
         return radius, hist
 
@@ -165,18 +177,37 @@ class Allocation:
         return self.portions[0].size
 
 
-def _entries_in_range(alloc: Allocation) -> tuple[np.ndarray, np.ndarray]:
-    """Object and node of each portion-table entry, once every node id is
-    checked to lie in [0, n): the one range check behind the incidence, the
-    routing matrices and a loaded allocation."""
+def _check_in_range(alloc: Allocation) -> None:
+    """Raise ValueError naming the first portion-table entry whose node id
+    is outside [0, n): the one range check behind the incidence, the routing
+    matrices and a loaded allocation."""
     owner, indptr, nodes = alloc.portions
-    rows = np.repeat(owner, np.diff(indptr))
     bad = np.flatnonzero((nodes < 0) | (nodes >= alloc.n))
     if bad.size:
-        i = rows[bad[0]]
+        i = owner[np.searchsorted(indptr, bad[0], side="right") - 1]
         v = next(v for s in alloc.recovery_sets[i] for v in s if not 0 <= v < alloc.n)
         raise ValueError(f"object {i}: node {v} out of range [0, {alloc.n})")
-    return rows, nodes
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending, by one sort and a
+    mask.  ``np.unique`` gives the same, but numpy 2.4 sends it down a hash
+    path that took 25 times as long on 300 000 int64 keys.  The merge sort
+    is for keys that come in long ascending runs, as the portion table's do;
+    on such keys it took a tenth of the default sort's time."""
+    keys = np.sort(keys, kind="stable")
+    keep = np.ones(keys.size, bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+class Incidence(NamedTuple):
+    """The object-node incidence B (k objects x n nodes, 0/1) in compressed-
+    row form: object i's nodes are indices[indptr[i]:indptr[i + 1]],
+    ascending and each once."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
 
 
 class AllocationMatrices(NamedTuple):
@@ -361,14 +392,13 @@ def validate_regular_balanced(alloc: Allocation) -> list[str]:
     """
     owner, indptr, nodes = alloc.portions
     sizes = np.diff(indptr)
-    rows = np.repeat(owner, sizes)
     ok = (nodes >= 0) & (nodes < alloc.n)
-    pairs = np.sort(rows[ok] * alloc.n + nodes[ok])  # (object, node) pairs named
-    flagged = np.unique(np.concatenate([
-        np.flatnonzero(np.bincount(owner, minlength=alloc._objects) != alloc.d),
+    keys = alloc._named  # object * n + node, ascending, so repeats sit side by side
+    flagged = _sorted_unique(np.concatenate([
+        np.flatnonzero(np.bincount(owner, minlength=alloc.k) != alloc.d),
         owner[(sizes != 1) & (sizes != alloc.r)],
-        rows[~ok],
-        pairs[1:][pairs[1:] == pairs[:-1]] // alloc.n,
+        owner[np.searchsorted(indptr, np.flatnonzero(~ok), side="right") - 1],
+        keys[1:][keys[1:] == keys[:-1]] // alloc.n,
     ]))
     out: list[str] = []
     for i in flagged.tolist():
@@ -402,30 +432,53 @@ def validate_regular_balanced(alloc: Allocation) -> list[str]:
     return out
 
 
-#: Most entries of B @ B.T that ``_shared_pairs`` holds at once.
-_PAIR_BLOCK = 1 << 22
+#: Most (i < j, shared node) pairs that ``_shared_pairs`` holds at once.
+_PAIR_BLOCK = 1 << 16
 
 
 def _shared_pairs(alloc: Allocation):
-    """Yield (i, j, |C_i & C_j|) arrays over pairs i < j with a shared node:
-    the entries right of the diagonal of B @ B.T, in the row blocks of
-    ``_row_blocks``."""
-    B = alloc.incidence
-    Bt = B.T.tocsr()
-    for lo, hi in _row_blocks(B, Bt):
-        g = B[lo:hi] @ Bt
-        rows = np.repeat(np.arange(lo, hi), np.diff(g.indptr))
-        upper = g.indices > rows
-        yield rows[upper], g.indices[upper], g.data[upper]
+    """Yield (i, j, |C_i & C_j|) arrays over pairs i < j with a shared node,
+    in the object-row blocks of ``_row_blocks``.  Each node shared by i and
+    j gives one (i < j, shared node) pair: entry (i, v) of B meets the
+    objects after i in node v's ascending list of objects.  A block's pairs
+    are sorted by (i, j), and each run of equal pairs counts shared nodes."""
+    indptr, indices = alloc.incidence
+    k, shift = alloc.k, alloc.k.bit_length()  # a pair is held as (i - lo) << shift | j
+    rows = np.repeat(np.arange(k), np.diff(indptr))
+    # B's rows ascend, so a stable sort by node lists each node's objects in
+    # order: node v holds held[on[v]:on[v + 1]]
+    order = np.argsort(indices, kind="stable")
+    held = rows[order]
+    on = np.zeros(alloc.n + 1, np.int64)
+    np.cumsum(np.bincount(indices, minlength=alloc.n), out=on[1:])
+    after = np.empty_like(order)
+    after[order] = np.arange(1, order.size + 1)  # where entry e's later objects start
+    later = on[indices + 1]
+    later -= after  # the pairs entry e makes
+    made = np.zeros(later.size + 1, np.int64)
+    np.cumsum(later, out=made[1:])  # the pairs entries before e make
+    for lo, hi in _row_blocks(made[indptr[1:]]):
+        start, stop = indptr[lo], indptr[hi]
+        at = after[start:stop] - made[start:stop]
+        at += made[start]
+        at = np.repeat(at, later[start:stop])
+        at += np.arange(at.size)  # each pair's j is held[at]
+        pairs = np.repeat(np.arange(hi - lo) << shift, np.diff(made[indptr[lo : hi + 1]]))
+        pairs |= held[at]
+        pairs.sort(kind="stable")  # ascending by i already
+        first = np.ones(pairs.size, bool)
+        np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+        runs = np.flatnonzero(first)
+        shared = pairs[runs]
+        yield (shared >> shift) + lo, shared & ((1 << shift) - 1), np.diff(runs, append=pairs.size)
 
 
-def _row_blocks(B, Bt):
-    """Yield (lo, hi) row blocks of B @ B.T, given B and B.T as CSR.  Row i
-    takes one product per object on each node of C_i; a block holds at most
-    ``_PAIR_BLOCK`` products unless it is a single row."""
-    work = np.cumsum(B @ np.diff(Bt.indptr).astype(np.int64))
+def _row_blocks(work: np.ndarray):
+    """Yield (lo, hi) blocks of object rows, given work[i], the pairs that
+    rows 0..i make; a block holds at most ``_PAIR_BLOCK`` pairs unless it is
+    a single row."""
     lo = 0
-    while lo < B.shape[0]:
+    while lo < work.size:
         done = work[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(work, done + _PAIR_BLOCK, side="right")))
         yield lo, hi
@@ -449,7 +502,12 @@ def node_expansion(alloc: Allocation, objects: Iterable[int]) -> int:
     objs = set(objects)
     if any(not 0 <= i < alloc.k for i in objs):
         raise ValueError("object id out of range")
-    return int(np.count_nonzero(alloc.incidence[sorted(objs)].getnnz(axis=0)))
+    indptr, indices = alloc.incidence
+    chosen = np.zeros(alloc.k, bool)
+    chosen[list(objs)] = True
+    hit = np.zeros(alloc.n, bool)
+    hit[indices[np.repeat(chosen, np.diff(indptr))]] = True
+    return int(np.count_nonzero(hit))
 
 
 def r_gap_radius(alloc: Allocation) -> int:
@@ -462,17 +520,34 @@ def r_gap_radius(alloc: Allocation) -> int:
 def hall_check(alloc: Allocation) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Check node_expansion(S) >= |S| for every object set S (Hall's condition).
 
-    Exact at every k: by Hall's theorem the condition holds iff a maximum
-    matching of the incidence B covers every object.  Returns (True, None)
-    or (False, witness), where the witness is the smallest object set with
-    the largest deficiency |S| - node_expansion(S), sorted.  It is the set of
-    objects reached from the unmatched ones by alternating paths (Dulmage-
-    Mendelsohn), so it does not depend on which maximum matching is found.
+    Returns (True, None) or (False, witness), where the witness is the
+    smallest object set with the largest deficiency |S| - node_expansion(S),
+    sorted.  Exact at every k, in two steps.
+
+    First a counting certificate, from the degrees of B alone: let every
+    object have at least ``lo`` nodes and every node hold at most ``hi``
+    objects, with lo >= max(1, hi).  For any S, the edges of B that leave S
+    number at least |S| lo; all of them end in N(S), and each node of N(S)
+    takes at most hi of them.  So |S| lo <= |N(S)| hi <= |N(S)| lo, and
+    |N(S)| >= |S| as lo >= 1.  A design whose objects all have m nodes and
+    whose nodes all hold mk/n objects passes whenever k <= n: the cyclic,
+    clustering, block and cyclic-XOR designs, and single choice at m = 1.
+
+    Otherwise, by Hall's theorem the condition holds iff a maximum matching
+    of B covers every object.  The witness is the set of objects reached
+    from the unmatched ones by alternating paths (Dulmage-Mendelsohn), so it
+    does not depend on which maximum matching is found.  Only this step
+    loads scipy.
     """
+    indptr, indices = alloc.incidence
+    k, degree = alloc.k, np.diff(indptr)
+    if degree.min() >= max(1, np.bincount(indices, minlength=alloc.n).max()):
+        return True, None
+
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
 
-    B, k = alloc.incidence, alloc.k
+    B = csr_matrix((np.ones(indices.size, np.int8), indices, indptr), shape=(k, alloc.n))
     node_of = maximum_bipartite_matching(B, perm_type="column")
     unmatched = np.flatnonzero(node_of < 0)
     if not unmatched.size:
@@ -481,8 +556,8 @@ def hall_check(alloc: Allocation) -> tuple[bool, Optional[tuple[int, ...]]]:
     object_of = np.full(alloc.n, -1)
     object_of[node_of[matched]] = matched
     # object i -> the object matched to each of i's nodes; source k -> unmatched
-    src = np.repeat(np.arange(k), np.diff(B.indptr))
-    dst = object_of[B.indices]
+    src = np.repeat(np.arange(k), degree)
+    dst = object_of[indices]
     keep = dst >= 0
     src = np.concatenate([src[keep], np.full(unmatched.size, k)])
     dst = np.concatenate([dst[keep], unmatched])
@@ -510,10 +585,10 @@ def to_matrices(alloc: Allocation) -> AllocationMatrices:
     from: the portion table with its node ids checked to lie in [0, n), and
     each portion's nodes sorted with repeats collapsed, so a node named
     twice in one choice loads it once.  Its size is that of the table."""
-    _entries_in_range(alloc)
+    _check_in_range(alloc)
     owner, indptr, nodes = alloc.portions
     cols = np.repeat(np.arange(owner.size), np.diff(indptr))
-    cols, nodes = np.divmod(np.unique(cols * alloc.n + nodes), alloc.n)
+    cols, nodes = np.divmod(_sorted_unique(cols * alloc.n + nodes), alloc.n)
     indptr = np.searchsorted(cols, np.arange(owner.size + 1))
     return AllocationMatrices(alloc.n, alloc.k, owner, indptr, nodes)
 
@@ -554,11 +629,7 @@ def allocation_from_dict(data: dict) -> Allocation:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed allocation data: {exc}") from exc
-    if len(alloc.recovery_sets) != alloc.k:
-        raise ValueError(
-            f"recovery_sets has {len(alloc.recovery_sets)} objects, expected k={alloc.k}"
-        )
-    _entries_in_range(alloc)
+    _check_in_range(alloc)
     if alloc.kind != "custom" and not _built_by_family(alloc):
         alloc = Allocation(n=alloc.n, k=alloc.k, d=alloc.d, r=alloc.r, kind="custom",
                            recovery_sets=sets)

@@ -300,15 +300,15 @@ def _binding_set(alloc: Allocation, rho: np.ndarray) -> np.ndarray:
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-    B, k, n = alloc.incidence, alloc.k, alloc.n
+    (indptr, indices), k, n = alloc.incidence, alloc.k, alloc.n
     sigma = float(rho.sum())
     rho_int = np.round(rho / sigma * _FLOW_SCALE).astype(np.int64)
     total = int(rho_int.sum())
-    degree = np.diff(B.indptr)
+    degree = np.diff(indptr)
     # source 0, objects 1..k, nodes k+1..k+n (object-node edges from B), sink k+n+1
     owner = np.repeat(np.arange(k), degree)
     rows = np.concatenate([np.zeros(k, np.int64), 1 + owner, 1 + k + np.arange(n)])
-    cols = np.concatenate([1 + np.arange(k), 1 + k + B.indices, np.full(n, k + n + 1)])
+    cols = np.concatenate([1 + np.arange(k), 1 + k + indices, np.full(n, k + n + 1)])
     caps = np.concatenate([rho_int, np.full(owner.size, total), np.ones(n, np.int64)])
     g = csr_matrix((caps, (rows, cols)), shape=(k + n + 2, k + n + 2), dtype=np.int64)
     sink_edges = g.indptr[k + 1 : k + n + 1]  # a node's one entry is its sink edge
@@ -554,13 +554,16 @@ def necessary_condition(alloc: Allocation, demands, r_gap: int | None = None) ->
 def _condition(alloc: Allocation, demands, name: str, generic) -> np.ndarray:
     """Per row, whether W_w <= bound for every (w, bound) pair; w is clamped to k.
 
-    The pair is the family's ``name`` rule, else the ``generic`` pairs.
+    The pair is the family's ``name`` rule, else the ``generic`` pairs.  A
+    demand that is negative or not finite raises ValueError, as on every t*
+    route.
     """
     rule = getattr(FAMILIES.get(alloc.kind), name, None)
     pairs = [rule(alloc.d, alloc.r)] if rule is not None else generic
     if pairs is None:
         raise UnsupportedDesignError(f"no known {name} condition for kind {alloc.kind!r}")
     demands = _demand_rows(alloc, demands)
+    _check_demands(demands)
     t, k = demands.shape
     ok = np.ones(t, dtype=bool)
     if pairs:

@@ -585,7 +585,8 @@ def test_structure_queries_on_duplicate_node():
     sets = list(build_cyclic(5, 2).recovery_sets)
     sets[1] = ((1,), (1,))
     a = Allocation(n=5, k=5, d=2, r=1, kind="custom", recovery_sets=tuple(sets))
-    assert a.incidence.toarray()[1].tolist() == [0, 1, 0, 0, 0]
+    indptr, indices = a.incidence
+    assert indices[indptr[1] : indptr[2]].tolist() == [1]
     assert overlap_sum(a) == 8  # node degrees (2, 2, 1, 2, 2)
     assert pairwise_overlap_histogram(a) == {0: 6, 1: 4}
     assert r_gap_radius(a) == 1
@@ -628,14 +629,14 @@ def test_pair_queries_share_one_walk(monkeypatch):
 
 
 def _pair_blocks(monkeypatch, alloc):
-    """(first row, row count) of every block of B @ B.T that _shared_pairs forms."""
+    """(first row, row count) of every block of object rows that _shared_pairs forms."""
     import storagebalance.allocation as allocation
 
     blocks = []
     real = allocation._row_blocks
 
-    def recording(B, Bt):
-        for lo, hi in real(B, Bt):
+    def recording(work):
+        for lo, hi in real(work):
             blocks.append((lo, hi - lo))
             yield lo, hi
 
@@ -651,8 +652,9 @@ def test_pair_blocks_are_sized_by_products(monkeypatch, cap):
     monkeypatch.setattr(allocation, "_PAIR_BLOCK", cap)
     for a in (crowded_allocation(), build_cyclic(40, 3), build_block_design(4)):
         unions = [{v for s in obj for v in s} for obj in a.recovery_sets]
-        degree = np.bincount([v for u in unions for v in u], minlength=a.n)
-        products = [int(degree[list(u)].sum()) for u in unions]  # entries row i generates
+        # row i makes one product for each node v of i and each object j > i on v
+        products = [sum(v in unions[j] for v in u for j in range(i + 1, a.k))
+                    for i, u in enumerate(unions)]
         blocks = _pair_blocks(monkeypatch, a)
         assert [lo for lo, _ in blocks] == list(np.cumsum([0] + [r for _, r in blocks[:-1]]))
         assert sum(r for _, r in blocks) == a.k
@@ -664,7 +666,7 @@ def test_pair_blocks_are_sized_by_products(monkeypatch, cap):
 
 
 def test_pair_blocks_at_large_k_do_not_grow_with_k(monkeypatch):
-    # 20 000 rows of 9 products each fit the default cap in one block
+    # 20 000 rows of 3 pairs each fit the default cap in one block
     assert _pair_blocks(monkeypatch, build_cyclic(20_000, 3)) == [(0, 20_000)]
 
 
@@ -723,10 +725,9 @@ def test_portion_table_readers_match_reference_walks(kind, data):
             to_matrices(a)
         return
     B, ref = a.incidence, reference_incidence(a)
-    assert B.shape == ref.shape
-    for part in ("indptr", "indices", "data"):
+    assert ref.shape == (a.k, a.n)
+    for part in ("indptr", "indices"):
         assert np.array_equal(getattr(B, part), getattr(ref, part))
-        assert getattr(B, part).dtype == getattr(ref, part).dtype
     m, ref_m = to_matrices(a), reference_to_matrices(a)
     assert (m.n, m.k) == (ref_m.n, ref_m.k) == (a.n, a.k)
     for part in ("owner", "indptr", "nodes"):
@@ -826,6 +827,16 @@ def test_allocation_from_dict_rejects_bad_nodes():
     data = allocation_to_dict(build_cyclic(3, 2))
     data["recovery_sets"][0][0] = [5]
     with pytest.raises(ValueError):
+        allocation_from_dict(data)
+
+
+def test_allocation_needs_k_recovery_sets():
+    # three objects under k = 2 once failed only at the first incidence query
+    sets = (((0,),), ((1,),), ((2,),))
+    with pytest.raises(ValueError, match=re.escape("recovery_sets has 3 objects, expected k=2")):
+        Allocation(n=5, k=2, d=1, r=1, kind="custom", recovery_sets=sets)
+    data = dict(allocation_to_dict(build_single_choice(3, 1)), k=2)
+    with pytest.raises(ValueError, match=re.escape("recovery_sets has 3 objects, expected k=2")):
         allocation_from_dict(data)
 
 

@@ -867,12 +867,15 @@ def _simulate(kind, n, d):
         (["simulate"], _simulate("single_choice", 12, 1),
          ["scipy.optimize", "scipy.sparse", "jsonschema"], []),
         (["inspect", "--kind", "cyclic", "--n", "20", "--d", "3"], None,
-         ["scipy.optimize", "jsonschema"], []),
+         ["scipy", "jsonschema"], []),
+        (["inspect", "--kind", "single_choice", "--n", "5", "--m", "2"], None,
+         ["scipy.optimize", "jsonschema"], ["scipy.sparse.csgraph"]),
         (["simulate"], _simulate("block_design", 7, 3),
          ["scipy.sparse", "scipy.linalg", "scipy.special", "jsonschema"],
          ["scipy.optimize._highspy._core"]),
     ],
-    ids=["import", "limit-checks", "cyclic", "clustering", "single_choice", "inspect", "lp"],
+    ids=["import", "limit-checks", "cyclic", "clustering", "single_choice", "inspect",
+         "inspect-hall-fails", "lp"],
 )
 def test_commands_import_only_the_scipy_they_call(tmp_path, command, config, absent, present):
     argv = list(command)
@@ -895,3 +898,6 @@ def test_commands_import_only_the_scipy_they_call(tmp_path, command, config, abs
         assert not {m for m in loaded if m == name or m.startswith(name + ".")}, name
     for name in present:
         assert name in loaded
+    if command[:1] == ["inspect"]:  # with scipy or without, the exact verdict
+        hall = json.loads((tmp_path / "out").read_text())["hall_check"]
+        assert hall["witness"] == (list(range(10)) if "single_choice" in command else None)

@@ -659,6 +659,19 @@ def test_conditions_unsupported_kind():
     assert necessary_condition(alloc, s, r_gap=0).dtype == bool
 
 
+@pytest.mark.parametrize("bad", [-3.0, np.nan, np.inf])
+def test_conditions_reject_bad_demands(bad):
+    # a negative demand was judged stable, and a NaN or inf row unstable,
+    # without a word
+    alloc = build_cyclic(5, 2)
+    row = [1.0, bad, 0.0, 0.0, 0.0]
+    for condition in (sufficient_condition, necessary_condition):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            condition(alloc, row)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            condition(alloc, [[0.5] * 5, row])
+
+
 def test_xor_condition_window():
     alloc = build_cyclic_xor(12, 3, 2)
     flat = unit_sample(np.ones(12), 7.0)  # 5-window = 35/12 < 3
