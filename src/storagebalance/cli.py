@@ -233,13 +233,12 @@ class ExperimentConfig:
 def run_simulate(config: ExperimentConfig) -> list[ExperimentRow]:
     """One row per (kind, d, sigma) in deterministic sweep order.
 
-    Every sweep point reuses the same master seed, so per-trial demand
-    vectors are paired across designs and redundancy levels.  The designs
-    that share the number of objects k are solved in one ``t_star_series``
-    call, which draws each demand chunk once for all of them, whatever the
-    sigma list: sigma only scales the series, and ``estimate_metrics``
-    reduces it at each sigma.  Each of those designs is reduced before the
-    next group is solved.
+    Every design is built and every sigma resolved before any solve, so a
+    bad config fails before any work.  One ``t_star_series`` call then
+    solves all the designs with the master seed, on one demand draw per
+    chunk for the designs that share the number of objects k, so per-trial
+    demand vectors are paired across designs and redundancy levels.  sigma
+    only scales a series, and ``estimate_metrics`` reduces it at each sigma.
     """
     trials, seed = config.trials, config.master_seed
     designs = []
@@ -247,24 +246,19 @@ def run_simulate(config: ExperimentConfig) -> list[ExperimentRow]:
         for d in config.d_values:
             alloc = build_allocation(kind, config.n, d=d, r=config.r, m=config.m)
             designs.append((kind, alloc, [resolve_sigma(s, alloc.n) for s in config.sigma_specs]))
-    groups: dict[int, list[int]] = {}
-    for i, (_, alloc, _) in enumerate(designs):
-        groups.setdefault(alloc.k, []).append(i)
-    rows: list[list[ExperimentRow]] = [[] for _ in designs]
-    for members in groups.values():
-        # looked up on the module, so that a wrapper set on
-        # ``metrics.t_star_series`` (as perfbench's tracer sets) sees the call
-        allocs = [designs[i][1] for i in members]
-        series = metrics.t_star_series(allocs, trials, seed, workers=config.workers)
-        for i, t_stars in zip(members, series):
-            kind, alloc, sigmas = designs[i]
-            for sigma in sigmas:
-                p_est, i_est = estimate_metrics(alloc, sigma, trials, seed, t_stars)
-                rows[i].append(ExperimentRow(
-                    kind=kind, n=alloc.n, k=alloc.k, d=alloc.d, r=alloc.r, sigma=sigma,
-                    trials=trials, seed=seed, p=p_est, imbalance=i_est,
-                ))
-    return [row for design_rows in rows for row in design_rows]
+    # looked up on the module, so that a wrapper set on
+    # ``metrics.t_star_series`` (as perfbench's tracer sets) sees the call
+    series = metrics.t_star_series([alloc for _, alloc, _ in designs], trials, seed,
+                                   workers=config.workers)
+    rows = []
+    for (kind, alloc, sigmas), t_stars in zip(designs, series):
+        for sigma in sigmas:
+            p_est, i_est = estimate_metrics(alloc, sigma, trials, seed, t_stars)
+            rows.append(ExperimentRow(
+                kind=kind, n=alloc.n, k=alloc.k, d=alloc.d, r=alloc.r, sigma=sigma,
+                trials=trials, seed=seed, p=p_est, imbalance=i_est,
+            ))
+    return rows
 
 
 def report_json(config_echo: dict, data) -> str:

@@ -81,12 +81,11 @@ def min_max_load(matrices: AllocationMatrices, rho) -> LoadSplit:
     built for this call from ``matrices`` as they are: the split is checked
     for demand conservation and certified by its dual.  Raises ValueError
     for a rho of the wrong length or with an entry that is negative or not
-    finite, and NumericalFailureError if the solver does not converge or a
-    check fails; never silently returns an unverified split.
+    finite, and for an object that no node can serve (see
+    ``_check_servable``), and NumericalFailureError if the solver does not
+    converge or a check fails; never silently returns an unverified split.
     """
-    rho = np.asarray(rho, dtype=np.float64)
-    if rho.shape != (matrices.k,):
-        raise ValueError(f"rho must have length k={matrices.k}, got shape {rho.shape}")
+    rho = _demand_rows(matrices.k, rho, ndim=1)
     x, loads = _EpigraphLP(matrices).solve(rho[None, :])
     return LoadSplit(portions=x[0], max_load=float(loads[0].max()), node_loads=loads[0])
 
@@ -146,7 +145,8 @@ class _EpigraphLP:
     simplex from the basis the row before it left, so a row's x (and the
     last bits of its t*) can depend on the rows solved before it on the
     same model.  Row j's t* is max(M x_j), each node's load summed over its
-    portions in portion order.
+    portions in portion order.  A table that ``_check_servable`` rejects
+    raises ValueError before the model is built.
     Every row must pass two checks, each at LP_TOL (absolute on the dual,
     relative to max(1, max rho_j) on demands and loads):
 
@@ -160,9 +160,10 @@ class _EpigraphLP:
     """
 
     def __init__(self, matrices: AllocationMatrices):
+        n, k, owner, indptr, nodes = matrices
+        _check_servable(k, owner, indptr)
         core = _highs_core()
         self.matrices = matrices
-        n, k, owner, indptr, nodes = matrices
         num_portions = owner.size
         self._entry_portion = np.repeat(np.arange(num_portions), np.diff(indptr))
         # each portion's entries, then its owner's row; the t column last
@@ -196,14 +197,13 @@ class _EpigraphLP:
         self._highs.passModel(lp)
 
     def solve(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Optimal splits x (b, L) and node loads M x (b, n) of (b, k) rows.
+        """Optimal splits x (b, L) and node loads M x (b, n) of (b, k) rows
+        that ``_demand_rows`` has checked.
 
-        The rows are solved in order.  A demand that is negative or not
-        finite raises ValueError before any row is solved; a failed solve
-        or check raises NumericalFailureError whose ``row_index`` is the
-        failing row's index in ``rows``.
+        The rows are solved in order.  A failed solve or check raises
+        NumericalFailureError whose ``row_index`` is the failing row's
+        index in ``rows``.
         """
-        _check_demands(rows)
         n, k, owner, _, nodes = self.matrices
         b, num_portions = rows.shape[0], owner.size
         x, y, z = np.empty((b, num_portions)), np.empty((b, k)), np.empty((b, n))
@@ -246,6 +246,22 @@ class _EpigraphLP:
         return self._highs.getModelStatus(), solution.col_value[:-1], duals[n:], duals[:n]
 
 
+def _check_servable(k: int, owner: np.ndarray, indptr: np.ndarray) -> None:
+    """Raise ValueError naming the first of k objects that has no portion,
+    or a portion with no node, in a table whose portion c belongs to object
+    owner[c] and has indptr[c + 1] - indptr[c] nodes.  The LP would serve
+    an empty portion at no load and find no split for an object without
+    one; the flow oracle would ignore the first and divide by zero on the
+    second."""
+    portions = np.bincount(owner, minlength=k)
+    empty = np.bincount(owner[indptr[1:] == indptr[:-1]], minlength=k)
+    bad = np.flatnonzero((portions == 0) | (empty > 0))
+    if bad.size:
+        i = bad[0]
+        what = "has no choice" if portions[i] == 0 else "has a choice with no node"
+        raise ValueError(f"object {i}: {what}")
+
+
 def _row_failure(row: int, message: str) -> NumericalFailureError:
     exc = NumericalFailureError(message)
     exc.row_index = row
@@ -263,13 +279,14 @@ _FLOW_SCALE = 2**30
 
 def min_max_load_flow(alloc: Allocation, rho) -> float:
     """t* of a replica design as rho(S) / |N(S)| for the S of ``_binding_set``,
-    N(S) the nodes hosting S: by max-flow duality, independent of the LP."""
+    N(S) the nodes hosting S: by max-flow duality, independent of the LP.
+
+    Raises ValueError for a rho that ``_demand_rows`` rejects and for a
+    design that ``_check_servable`` rejects."""
     if alloc.r != 1:
         raise UnsupportedDesignError("flow oracle requires a replica allocation")
-    rho = np.asarray(rho, dtype=np.float64)
-    if rho.shape != (alloc.k,):
-        raise ValueError(f"rho must have length k={alloc.k}")
-    _check_demands(rho)
+    rho = _demand_rows(alloc.k, rho, ndim=1)
+    _check_servable(alloc.k, *alloc.portions[:2])
     if rho.sum() == 0.0:
         return 0.0
     S = _binding_set(alloc, rho)
@@ -337,20 +354,19 @@ def t_star_batch(
 ) -> np.ndarray:
     """Optimal max load for each row of a (trials, k) demand matrix.
 
-    A design whose family has a closed form in ``FAMILIES`` returns its row
-    of ``solved``, a ``shared_pass`` run on this same ``demands`` object,
-    or of a pass over the design alone when none is given.  Anything else
-    solves the LP for the rows in order on one HiGHS model built for this
-    call, each re-solve starting from the basis of the row before, with
-    every row certified (see ``_EpigraphLP``); a row's t* can thus differ in
-    its last bits with the rows before it, so callers cut batches by row
-    index alone.  Closed forms agree with the LP to machine precision (see
-    the solver cross-check tests).  On either route a demand that is
-    negative or not finite raises ValueError, and a failed row raises
-    NumericalFailureError with ``row_index`` set to its index in ``demands``.
+    ``solved`` is a ``shared_pass`` run on this same ``demands`` object; a
+    pass over the design alone is run when none is given.  A design whose
+    family has a closed form in ``FAMILIES`` returns its row of that pass.
+    Anything else solves the LP for the pass's checked rows in order, on
+    one HiGHS model built for this call, each re-solve starting from the
+    basis of the row before, with every row certified (see
+    ``_EpigraphLP``); a row's t* can thus differ in its last bits with the
+    rows before it, so callers cut batches by row index alone.  Closed
+    forms agree with the LP to machine precision (see the solver
+    cross-check tests).  On either route, demands that ``_demand_rows``
+    rejects raise ValueError, and a failed row raises NumericalFailureError
+    with ``row_index`` set to its index in ``demands``.
     """
-    if getattr(FAMILIES.get(alloc.kind), "t_star", None) is None:
-        return _EpigraphLP(to_matrices(alloc)).solve(_demand_rows(alloc, demands))[1].max(axis=1)
     if solved is None:
         solved = shared_pass([alloc], demands)
     return solved.row(alloc, demands)
@@ -358,19 +374,26 @@ def t_star_batch(
 
 @dataclass(frozen=True, eq=False)
 class SharedPass:
-    """The t* rows that ``shared_pass`` gave on one demand matrix, keyed by
-    each design's (kind, n, d); ``row`` raises ValueError for a design it
-    does not cover or for other demand rows."""
+    """What ``shared_pass`` made of one demand matrix ``demands``: its
+    ``checked`` rows and the closed-form t* rows, keyed by each design's
+    (kind, n, d).
+
+    ``row`` gives a design's t*: its closed-form row, or the LP solved on
+    the checked rows.  It raises ValueError for other demand rows, for a
+    design of another k, and for a closed-form design the pass does not
+    cover."""
 
     demands: np.ndarray
+    checked: np.ndarray
     rows: dict[tuple[str, int, int], np.ndarray]
 
     def row(self, alloc: Allocation, demands) -> np.ndarray:
         if demands is not self.demands:
             raise ValueError("the shared pass was run on other demand rows")
-        # the key leaves out k, which single_choice designs of one n vary by
-        # m; the values were checked by the shared_pass that made these rows
-        _demand_rows(alloc, demands)
+        # the key leaves out k, which single_choice designs of one n vary by m
+        _check_width(alloc.k, self.checked)
+        if getattr(FAMILIES.get(alloc.kind), "t_star", None) is None:
+            return _EpigraphLP(to_matrices(alloc)).solve(self.checked)[1].max(axis=1)
         row = self.rows.get((alloc.kind, alloc.n, alloc.d))
         if row is None:
             raise ValueError(f"the shared pass does not cover {alloc.kind} n={alloc.n} d={alloc.d}")
@@ -378,16 +401,15 @@ class SharedPass:
 
 
 def shared_pass(allocs: Sequence[Allocation], demands) -> SharedPass:
-    """Solve the closed-form designs of ``allocs``, which share k (see
-    ``common_k``), over ``demands``: one ``FAMILIES`` kernel call for each
+    """Check ``demands`` by ``_demand_rows`` and solve the closed-form
+    designs of ``allocs`` over them: one ``FAMILIES`` kernel call for each
     (kind, n), for each of its distinct d once.  Designs without a closed
-    form get no row.  A demand that is negative or not finite raises
-    ValueError."""
-    common_k(allocs)
-    rows = _demand_rows(allocs[0], demands)
-    _check_demands(rows)
+    form get no row.  Every design must have the rows' k: a design of
+    another k raises ValueError before any kernel runs."""
+    rows = _demand_rows(allocs[0].k, demands)
     groups: dict[tuple[str, int], list[int]] = {}
     for alloc in allocs:
+        _check_width(alloc.k, rows)
         if getattr(FAMILIES.get(alloc.kind), "t_star", None) is not None:
             d_values = groups.setdefault((alloc.kind, alloc.n), [])
             if alloc.d not in d_values:
@@ -396,28 +418,28 @@ def shared_pass(allocs: Sequence[Allocation], demands) -> SharedPass:
     for (kind, n), d_values in groups.items():
         t_stars = FAMILIES[kind].t_star(n, d_values, rows)
         solved.update(((kind, n, d), t_star) for d, t_star in zip(d_values, t_stars))
-    return SharedPass(demands, solved)
+    return SharedPass(demands, rows, solved)
 
 
-def common_k(allocs: Sequence[Allocation]) -> int:
-    """The number of objects k that all of ``allocs`` share; ValueError if none."""
-    if len({alloc.k for alloc in allocs}) != 1:
-        raise ValueError("the allocations must share their number of objects k")
-    return allocs[0].k
-
-
-def _check_demands(demands: np.ndarray) -> None:
-    """Raise ValueError unless every demand is finite and non-negative: the
-    one statement of the rule that every t* route applies."""
+def _demand_rows(k: int, demands, ndim: int = 2) -> np.ndarray:
+    """``demands`` as float64 demands of k objects: the one statement of
+    the demand rule that every t* route applies.  At ``ndim`` 2 it takes
+    (T, k) rows, or a (k,) vector as one row, and returns (T, k) rows; at
+    ``ndim`` 1 it takes and returns one (k,) vector.  ValueError unless
+    the shape is one of these and every demand is finite and non-negative.
+    """
+    demands = np.asarray(demands, dtype=np.float64)
+    _check_width(k, demands, ndim)
     if not np.all(np.isfinite(demands) & (demands >= 0)):
         raise ValueError("demands must be finite and non-negative")
+    return np.atleast_2d(demands) if ndim == 2 else demands
 
 
-def _demand_rows(alloc: Allocation, demands) -> np.ndarray:
-    demands = np.atleast_2d(np.asarray(demands, dtype=np.float64))
-    if demands.shape[1] != alloc.k:
-        raise ValueError(f"demand rows must have length k={alloc.k}")
-    return demands
+def _check_width(k: int, demands: np.ndarray, ndim: int = 2) -> None:
+    """Raise ValueError unless ``demands`` is a (k,) vector or, at ``ndim``
+    2, (T, k) rows."""
+    if not 1 <= demands.ndim <= ndim or demands.shape[-1] != k:
+        raise ValueError(f"demand rows must have length k={k}, got shape {demands.shape}")
 
 
 def _t_star_clusters(n: int, d_values: Sequence[int], demands: np.ndarray) -> np.ndarray:
@@ -562,8 +584,7 @@ def _condition(alloc: Allocation, demands, name: str, generic) -> np.ndarray:
     pairs = [rule(alloc.d, alloc.r)] if rule is not None else generic
     if pairs is None:
         raise UnsupportedDesignError(f"no known {name} condition for kind {alloc.kind!r}")
-    demands = _demand_rows(alloc, demands)
-    _check_demands(demands)
+    demands = _demand_rows(alloc.k, demands)
     t, k = demands.shape
     ok = np.ones(t, dtype=bool)
     if pairs:

@@ -25,7 +25,6 @@ from .loadsolver import (
     FAMILIES,
     STABILITY_TOL,
     NumericalFailureError,
-    common_k,
     shared_pass,
     t_star_batch,
 )
@@ -104,15 +103,16 @@ def batch_rows(k: int) -> int:
 
 
 def _t_star_chunk(args) -> np.ndarray:
-    """t* of one chunk of trials for each allocation, one row each.
+    """t* of one chunk of trials for each allocation, one row each; the
+    allocations share k.
 
     The chunk is drawn once, at cumulative load ``SOLVE_LOAD * k``.
-    ``shared_pass`` then solves every allocation with a closed form over it,
-    one kernel call per (kind, n), and each allocation still gets its own
-    ``t_star_batch`` call, which returns its row of that pass or solves its
-    LP.  Every allocation's row thus passes through ``t_star_batch`` with the
-    chunk it belongs to, where a wrapper set on ``metrics.t_star_batch`` sees
-    it.
+    ``shared_pass`` checks its rows and solves every allocation with a
+    closed form over them, one kernel call per (kind, n), and each
+    allocation still gets its own ``t_star_batch`` call, which returns its
+    row of that pass or solves its LP on the checked rows.  Every
+    allocation's row thus passes through ``t_star_batch`` with the chunk it
+    belongs to, where a wrapper set on ``metrics.t_star_batch`` sees it.
     """
     allocs, master_seed, start, count = args
     k = allocs[0].k
@@ -134,22 +134,24 @@ def t_star_series(
     """Optimal max load of each allocation for trials independent demand
     draws at cumulative load ``SOLVE_LOAD * k``.
 
-    The allocations must share their number of objects k (ValueError,
-    before any draw, if not), and row j of the ``(len(allocs), trials)``
-    result belongs to ``allocs[j]``.  Trial i draws its ``spacing_matrix``
-    row once for all of them, so the designs are compared on
-    paired demands, and ``estimate_metrics`` reduces the one series at any
-    sigma.  Chunks of ``batch_rows(k)`` trials are solved in trial order,
-    or mapped over a process pool when ``workers`` > 1; either way the
-    result is independent of the worker count, and the first trials of a
-    longer series are a shorter series.
+    Row j of the ``(len(allocs), trials)`` result belongs to ``allocs[j]``.
+    The allocations that share their number of objects k are solved
+    together: trial i draws its ``spacing_matrix`` row of that k once for
+    all of them, so they are compared on paired demands, and
+    ``estimate_metrics`` reduces each design's row at any sigma.  Each k's
+    chunks of ``batch_rows(k)`` trials are solved in trial order, the k in
+    the order they first occur in ``allocs``, or mapped over a process pool
+    when ``workers`` > 1; either way the result is independent of the
+    worker count, and the first trials of a longer series are a shorter
+    series.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    batch = batch_rows(common_k(allocs))
+    ks = [alloc.k for alloc in allocs]
     chunks = [
-        (allocs, master_seed, start, min(batch, trials - start))
-        for start in range(0, trials, batch)
+        ([a for a in allocs if a.k == k], master_seed, start, min(batch_rows(k), trials - start))
+        for k in dict.fromkeys(ks)
+        for start in range(0, trials, batch_rows(k))
     ]
     if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -158,7 +160,10 @@ def t_star_series(
             results = list(pool.map(_t_star_chunk, chunks))
     else:
         results = [_t_star_chunk(c) for c in chunks]
-    return np.concatenate(results, axis=1)
+    series = np.empty((len(allocs), trials))
+    for (group, _, start, count), t_stars in zip(chunks, results):
+        series[np.equal(ks, group[0].k), start : start + count] = t_stars
+    return series
 
 
 def estimate_metrics(

@@ -278,35 +278,51 @@ def _small_d_band(n: float, d: int, r: int) -> AsymptoticPrediction:
     )
 
 
+def _d_choice_band(
+    n: float, d: int, r: int, regime: str, c: Optional[float], log_order_band
+) -> AsymptoticPrediction:
+    """Band of d-choice designs whose recovery sets hold r nodes, in
+    ``regime``: ``_small_d_band``, or in the regime d = c log n the band
+    (lo, hi) that ``log_order_band(alpha)`` gives, with alpha the root of
+    (1+a)e^{-a} = e^{-1/c}, centred at (1 + alpha) c log n with scale
+    loglog n."""
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if regime == REGIME_SMALL_D:
+        return _small_d_band(n, d, r)
+    if regime == REGIME_LOG_ORDER_D:
+        alpha, tau = _log_order_d_constants(c)
+        band_lo, band_hi = log_order_band(alpha)
+        return AsymptoticPrediction(
+            centering=(1.0 + alpha) * c * math.log(n),
+            scale=math.log(math.log(n)),
+            regime=regime,
+            band_lo=band_lo,
+            band_hi=band_hi,
+            alpha=alpha,
+            tau=tau,
+        )
+    raise ValueError(f"unknown regime {regime!r}")
+
+
 def predict_d_choice(
     n: float, d: int, regime: str, c: Optional[float] = None
 ) -> AsymptoticPrediction:
     """Band for the imbalance factor of d-choice replica designs.
 
     small_d: ``_small_d_band`` with r = 1, so B = log n + (d-1)(1 + loglog n
-    - log d).  log_order_d (d = c log n): the band comes from the fluctuation
-    bound of the window maximum, rearranged, using the root of
-    (1+a)e^{-a} = e^{-1/c}.
+    - log d).  log_order_d (d = c log n): the band [q/6, q] with
+    q = 3(a+1) loglog n / (2 c a log n), from the fluctuation bound of the
+    window maximum, rearranged.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if regime == REGIME_SMALL_D:
-        return _small_d_band(n, d, 1)
-    if regime == REGIME_LOG_ORDER_D:
-        alpha, tau = _log_order_d_constants(c)
+
+    def band(alpha):
         q = 3.0 * (alpha + 1.0) / (2.0 * c * alpha) * math.log(math.log(n)) / math.log(n)
-        return AsymptoticPrediction(
-            centering=(1.0 + alpha) * c * math.log(n),
-            scale=math.log(math.log(n)),
-            regime=regime,
-            band_lo=q / 6.0,
-            band_hi=q,
-            alpha=alpha,
-            tau=tau,
-        )
-    raise ValueError(f"unknown regime {regime!r}")
+        return q / 6.0, q
+
+    return _d_choice_band(n, d, 1, regime, c, band)
 
 
 def predict_xor(
@@ -320,27 +336,14 @@ def predict_xor(
     """
     if r < 2:
         raise ValueError("r must be >= 2 for XOR designs")
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if regime == REGIME_SMALL_D:
-        return _small_d_band(n, d, r)
-    if regime == REGIME_LOG_ORDER_D:
-        alpha, tau = _log_order_d_constants(c)
+
+    def band(alpha):
         x = (alpha + 1.0) * (
             3.0 / (2.0 * c * alpha) * math.log(math.log(n)) / math.log(n) + r
         )
-        return AsymptoticPrediction(
-            centering=(1.0 + alpha) * c * math.log(n),
-            scale=math.log(math.log(n)),
-            regime=regime,
-            band_lo=x / 2.0,
-            band_hi=x,
-            alpha=alpha,
-            tau=tau,
-        )
-    raise ValueError(f"unknown regime {regime!r}")
+        return x / 2.0, x
+
+    return _d_choice_band(n, d, r, regime, c, band)
 
 
 def p_sigma_transition(

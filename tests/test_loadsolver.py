@@ -551,18 +551,71 @@ def test_single_choice_lookup_checks_k():
         t_star_batch(build_single_choice(10, 3), demands, solved)
 
 
-def test_allocations_of_different_k_raise_before_any_draw(monkeypatch):
-    import storagebalance.metrics as metrics_mod
+def test_shared_pass_rejects_a_design_of_another_k_before_any_kernel(monkeypatch):
+    import dataclasses
 
-    def no_draw(*args, **kwargs):
-        raise AssertionError("drew demand rows")
+    family = ls.FAMILIES["single_choice"]
 
-    monkeypatch.setattr(metrics_mod, "spacing_matrix", no_draw)
+    def no_kernel(*args):
+        raise AssertionError("ran a kernel")
+
+    monkeypatch.setitem(ls.FAMILIES, "single_choice", dataclasses.replace(family, t_star=no_kernel))
     allocs = [build_single_choice(10, 2), build_single_choice(10, 3)]
-    with pytest.raises(ValueError, match="share their number of objects k"):
-        metrics_mod.t_star_series(allocs, 100, 13)
-    with pytest.raises(ValueError, match="share their number of objects k"):
+    with pytest.raises(ValueError, match="length k=30"):
         ls.shared_pass(allocs, np.ones((4, 20)))
+
+
+def test_a_chunk_with_an_lp_design_checks_its_demand_rows_once(monkeypatch):
+    # the pass checks the chunk; the LP route solves the rows it checked
+    checked, solved_rows = [], []
+    real_check, real_solve = ls._demand_rows, ls._EpigraphLP.solve
+
+    def counting_check(k, demands, ndim=2):
+        checked.append(k)
+        return real_check(k, demands, ndim)
+
+    def recording_solve(self, rows):
+        solved_rows.append(rows)
+        return real_solve(self, rows)
+
+    monkeypatch.setattr(ls, "_demand_rows", counting_check)
+    monkeypatch.setattr(ls._EpigraphLP, "solve", recording_solve)
+    allocs = [build_cyclic(7, 3), build_block_design(3)]
+    demands = spacing_matrix(7, 5.6, 4, 30)
+    solved = ls.shared_pass(allocs, demands)
+    got = [t_star_batch(alloc, demands, solved) for alloc in allocs]
+    assert checked == [7]
+    assert len(solved_rows) == 1 and solved_rows[0] is solved.checked
+    m = to_matrices(allocs[1])
+    assert got[1] == pytest.approx([min_max_load(m, row).max_load for row in demands], abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        ((((0,), ()), ((1,), ())), "object 0: has a choice with no node"),
+        ((((0,), (1,)), ((1,), ())), "object 1: has a choice with no node"),
+        ((((0,), (1,)), ()), "object 1: has no choice"),
+    ],
+    ids=["empty-choice", "one-empty-choice", "no-choice"],
+)
+def test_both_oracles_reject_an_object_no_node_can_serve(sets, message, tmp_path, capsys):
+    from storagebalance import cli
+    from storagebalance.allocation import save_allocation
+
+    alloc = Allocation(n=2, k=2, d=2, r=1, kind="custom", recovery_sets=sets)
+    # the LP would route demand through an empty choice, which loads no node
+    with pytest.raises(ValueError, match=message):
+        t_star_batch(alloc, [1.0, 1.0])
+    with pytest.raises(ValueError, match=message):
+        min_max_load(to_matrices(alloc), [1.0, 1.0])
+    with pytest.raises(ValueError, match=message):
+        min_max_load_flow(alloc, [1.0, 1.0])
+    # inspect lists such a design's violations rather than failing
+    path = tmp_path / "alloc.json"
+    save_allocation(alloc, str(path))
+    assert cli.main(["inspect", "--file", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["violations"]
 
 
 def test_t_star_batch_block_design_uses_lp():

@@ -199,6 +199,26 @@ def test_each_design_and_chunk_passes_through_t_star_batch(monkeypatch):
         assert np.concatenate(returned).tobytes() == series[j].tobytes()
 
 
+def test_designs_of_several_k_are_paired_within_each_k(monkeypatch):
+    import storagebalance.metrics as metrics_mod
+
+    drawn = []
+    real = metrics_mod.spacing_matrix
+
+    def recording(k, sigma, master_seed, trials, start_index=0):
+        drawn.append((k, start_index, trials))
+        return real(k, sigma, master_seed, trials, start_index=start_index)
+
+    monkeypatch.setattr(metrics_mod, "spacing_matrix", recording)
+    monkeypatch.setattr(metrics_mod, "BATCH_TRIALS", 70)  # 120 trials: chunks of 70 and 50
+    allocs = [build_single_choice(10, 2), build_cyclic(20, 2), build_single_choice(10, 3)]
+    series = t_star_series(allocs, 120, SEED)
+    assert drawn == [(20, 0, 70), (20, 70, 50), (30, 0, 70), (30, 70, 50)]
+    assert series.tobytes() == np.concatenate([
+        t_star_series(allocs[:2], 120, SEED), t_star_series(allocs[2:], 120, SEED)
+    ]).tobytes()
+
+
 def test_a_repeated_design_is_solved_once_per_chunk(monkeypatch):
     import dataclasses
 

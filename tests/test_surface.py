@@ -185,6 +185,15 @@ TRACED_NAMES = {
     ("metrics", "spacing_matrix"): {"k", "master_seed", "trials", "start_index"},
 }
 
+#: The tracer's patches that find nothing in the package today, so record no
+#: span (ROADMAP item 1): ``cli`` builds no routing matrices, and limitlaws
+#: takes its window maxima from ``spacings.window_max_pair``.
+UNRESOLVED_PATCHES = {
+    ("cli", "to_matrices"),
+    ("limitlaws", "window_maxima_line"),
+    ("limitlaws", "window_maxima_circle"),
+}
+
 
 def test_benchmark_tracer_finds_the_names_it_notes():
     # perfbench skips a patch whose attribute is missing, and then every
@@ -195,8 +204,13 @@ def test_benchmark_tracer_finds_the_names_it_notes():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     tracer = spans.Tracer(capture_rows=2)
-    table = {(module.__name__.rsplit(".", 1)[1], attr): span
-             for module, attr, span, _ in tracer.patches(cli, metrics, loadsolver, limitlaws)}
+    patches = tracer.patches(cli, metrics, loadsolver, limitlaws)
+    table = {(module.__name__.rsplit(".", 1)[1], attr): span for module, attr, span, _ in patches}
+    # the tracer skips a name it does not find, so a renamed one would blind
+    # its layer's metric with no failure
+    unresolved = {(module.__name__.rsplit(".", 1)[1], attr)
+                  for module, attr, _, _ in patches if not callable(getattr(module, attr, None))}
+    assert unresolved == UNRESOLVED_PATCHES
     for (module, attr), params in TRACED_NAMES.items():
         fn = getattr({"cli": cli, "metrics": metrics}[module], attr, None)
         assert callable(fn) and (module, attr) in table, f"{module}.{attr}"
