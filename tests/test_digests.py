@@ -36,6 +36,8 @@ DESIGNS = {
     "block_design_d3": ("block_design", 7, dict(d=3)),
     "block_design_d5": ("block_design", 21, dict(d=5)),
     "cyclic_xor_r2": ("cyclic_xor", 9, dict(d=3, r=2)),
+    # n + k = 60 model rows, above loadsolver._DANTZIG_MAX_ROWS
+    "cyclic_xor_n30": ("cyclic_xor", 30, dict(d=3, r=2)),
 }
 
 #: ``limit-checks`` shapes: (k, d values, trials).
@@ -49,6 +51,7 @@ DIGESTS = {
     "inspect/block_design_d5": "f0c6acabe863c3046e7ef2a277cbdb4b32cbac560a11807df6f31038aac7962f",
     "inspect/clustering": "3cd3a44f409296047728d4b6b9d3b8dd61de7e512282435c286bf79e6106a510",
     "inspect/cyclic": "cdedfe9fbc2e68cb5592f1374e5789bdbf2a2647c6434c7bf178d4bd63abf04a",
+    "inspect/cyclic_xor_n30": "31f971228c5c7d5ede924a9024e8641f209a0dd7d3821907bb9406ae0ad42f1b",
     "inspect/cyclic_xor_r2": "f17187551f8988a566d338138cf3b0597efd6532b0044a26fbb3043a62c465c8",
     "inspect/single_choice_m2": "9ae3cc1c79b678d7caecaf988d6ef2debe6bd799f55c6406d6714240210526f8",
     "limit-checks/k1000_d3": "ce10039ca0e7b03b81210554ed45dc97b45d4bd718abce005a091e3a55d91b9d",
@@ -57,21 +60,24 @@ DIGESTS = {
     "save_allocation/block_design_d5": "3f121896dda36bed7b4493b558317b1ca0861a418c483d838de3d12ab0ab3085",
     "save_allocation/clustering": "a33017100f455aa5bf25bbe8886bcc67349116eb39105c47d0cb46ad959ed72e",
     "save_allocation/cyclic": "4dccce1ecdd9dde154cf253318ffaf8b8ebb509af7262572b4c0b238effdb9f3",
+    "save_allocation/cyclic_xor_n30": "cad318aa116c214074c8ab9c5d6683405a6aa13a28a490ae2b2f3120a2233bdc",
     "save_allocation/cyclic_xor_r2": "b051e664b069a2ab4088fc7750350ef3d413b92417654c35a61ade30342ae8ad",
     "save_allocation/single_choice_m2": "f78061899ef2ab71f5f990a0c63d757ec842209287cbc8141990d55d374107d6",
-    "scripts/fig_design_comparison.csv": "4455b8a6f5e6666de944b584538a6e4cc531a23ea692d79e9e7de3fb3864568b",
+    "scripts/fig_design_comparison.csv": "512d74d3253f2385620f88a2ea4bc724616a07f8fe85ec18636eb156517112c2",
     "scripts/fig_imbalance_vs_d.csv": "548615212774889888d6d93259a497da4a92054bb5b8bf553861fcc5f9420552",
-    "simulate/block_design_d3.csv": "de6f1c266f00a194565832011b98440818471ed2d8acbd26747268bfa33fcaeb",
-    "simulate/block_design_d3.json": "abaf1b4b05d79e8db79ac4bc216f33983cf370e89e07df1609a7a9abba980c22",
-    "simulate/block_design_d5.csv": "2a4126866605b222daafd452e7648906b10abc5b8468f786b073bcac5d1db5c8",
-    "simulate/block_design_d5.json": "1d0912f0de7e80433ad8f8308e238b398d026e4d6f30eaa82f81f27698fe6d3f",
+    "simulate/block_design_d3.csv": "ec270903ddde64a9f0374e8c73152e2eb5bf64c800ff4c98ee38870369d20d66",
+    "simulate/block_design_d3.json": "f4e4c6c12ea9c876959ae482688bb9c7f482124b78bd415200bfd319221ccc6f",
+    "simulate/block_design_d5.csv": "13a75dcdf7ffa4d281faf709ea71cc6be1d96b9bce6001d466e1d4baed8ff174",
+    "simulate/block_design_d5.json": "4f1575826703e68376bf2991d5610d39960cdf3a74406e0f518bd89f4f6872b1",
     "simulate/clustering.csv": "cce8de5d421585b56017d8840a70728f9054d7c1e31cb91231b25e235c0c4d31",
     "simulate/clustering.json": "7634c8589e308b45a0117cabc276635dd64f15ad61590c40081ad12b76e90d17",
     "simulate/cyclic.csv": "2098a8f7050248206311e7bd6e72b5edd005d31b49d8380e0176c96ac9c812d3",
     "simulate/cyclic.json": "d217124c8a0d94f8ddf8a3b97b18a14d4dc7fc061148a44e6be4f36f7b265d8f",
     "simulate/cyclic_sweep/seed1.csv": "9c9ccae091059bb29364970a3c44a041b486f53e74e8538d1c5fbb546fa26301",
-    "simulate/cyclic_xor_r2.csv": "4e41cc9e8f3522c6080fedd5143d0a4599c477239ca804602de340f1e0a5e0b3",
-    "simulate/cyclic_xor_r2.json": "5e8aa6056c5ad720ee3d47cad67d52e7b206b506a0fb745fa7559e03b2df2e0a",
+    "simulate/cyclic_xor_n30.csv": "9d19241f5dd722073ed00079b8ea1247629a63d4de3b6b1db17df75e6bf26f58",
+    "simulate/cyclic_xor_n30.json": "37ead1e02dc95d8a0cb9cb5dda45b451d691502c8e20410f52336c517e079ceb",
+    "simulate/cyclic_xor_r2.csv": "4ca879664fb73c955b5210b2c95c57f3cca9215af148e29dc13965fc5d7c52c6",
+    "simulate/cyclic_xor_r2.json": "06ea2e41b1024a68634e5b64237cfdf2b6d25727bff209abc7324fff73d29f60",
     "simulate/single_choice_m2.csv": "edff6816ba00623bbec6cadc36701d940f01c8af0cbaaf86f98f1391630b7e03",
     "simulate/single_choice_m2.json": "a6ca505f10005e3c7b65ced1f8a843efdbaadf706b813ccca4879db8408e0c30",
 }

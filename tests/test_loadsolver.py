@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,15 @@ from storagebalance.loadsolver import (
     t_star_batch,
 )
 from storagebalance.spacings import prefix_sums, spacing_matrix, window_max
-from util import crowded_allocation, dense, reference_to_matrices, replica_instance, window_maxima
+from util import (
+    NotCertified,
+    certify_lp_row,
+    crowded_allocation,
+    dense,
+    reference_to_matrices,
+    replica_instance,
+    window_maxima,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +314,115 @@ def test_hot_started_rows_match_cold_solves(name):
         flows = np.array([min_max_load_flow(alloc, rho) for rho in demands])
         assert np.max(np.abs(hot - flows)) <= 1e-7
         assert all(_certifies(alloc, rho, t) for rho, t in zip(demands, cold))
+
+
+#: How far a float t* of the LP route may lie from its exact optimum,
+#: relative; the worst of 232 rows of each ``_LP_DESIGNS`` design was 4e-14
+#: off, and 2.2e-13 with HiGHS's default pricing on every model.
+EXACT_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(_LP_DESIGNS))
+def test_lp_rows_are_certified_in_exact_arithmetic(name):
+    # each row solved in order on one model, as t_star_batch solves it, and
+    # proven optimal over rationals from the basis HiGHS ended on
+    alloc = _LP_DESIGNS[name]
+    demands = _hot_start_hazards(alloc.k, 0.8 * alloc.n, 43)
+    m = to_matrices(alloc)
+    lp = ls._EpigraphLP(m)
+    floats, failures = [], []
+    for j, rho in enumerate(demands):
+        t = lp.solve(rho[None, :])[1].max()
+        floats.append(t)
+        try:
+            exact = certify_lp_row(m, rho, lp._highs.getBasis())
+        except NotCertified as exc:
+            failures.append(f"row {j}: {exc}")
+            continue
+        if abs(Fraction(float(t)) - exact) > EXACT_RTOL * exact:
+            failures.append(f"row {j}: t* {t!r} is {float(abs(t - exact) / exact):.1e} off")
+    assert failures == []
+    assert np.array(floats).tobytes() == t_star_batch(alloc, demands).tobytes()
+
+
+def test_the_certifier_proves_only_optimal_bases():
+    # bases that are not optimal for their row, from the primal simplex
+    # stopped early (infeasible, or feasible with an infeasible dual) and
+    # from the uniform row at a one-hot row; each check turns some away
+    alloc = build_cyclic_xor(15, 3, 2)
+    m = to_matrices(alloc)
+    rho = spacing_matrix(alloc.k, 0.8 * alloc.n, 43, 1)[0]
+    optimal = ls._highs_core().HighsModelStatus.kOptimal
+    rejected, certified = set(), 0
+    for limit in range(0, 60, 3):
+        highs = ls._EpigraphLP(m)._highs
+        highs.setOptionValue("simplex_strategy", 4)  # primal simplex
+        highs.setOptionValue("simplex_iteration_limit", limit)
+        for j, value in enumerate(rho):
+            highs.changeRowBounds(alloc.n + j, value, value)
+        highs.run()
+        try:
+            exact = certify_lp_row(m, rho, highs.getBasis())
+        except NotCertified as exc:
+            assert highs.getModelStatus() != optimal
+            rejected.add(str(exc).split(" has ")[-1])
+        else:
+            # a stop at the limit can already hold an optimal basis
+            assert abs(Fraction(float(t_star_batch(alloc, rho)[0])) - exact) <= EXACT_RTOL * exact
+            certified += 1
+    lp = ls._EpigraphLP(m)
+    lp.solve(np.full((1, alloc.k), 0.8))
+    with pytest.raises(NotCertified) as exc:
+        certify_lp_row(m, 12.0 * np.eye(alloc.k)[0], lp._highs.getBasis())
+    rejected.add(str(exc.value))
+    assert certified > 0
+    assert rejected == {
+        "a basic column is negative",
+        "a row the basis leaves free is violated",
+        "a node row's dual is positive",
+        "a negative reduced cost",
+    }
+
+
+def test_small_models_price_by_dantzig_and_large_ones_keep_highs_defaults():
+    options = ("simplex_dual_edge_weight_strategy", "simplex_update_limit")
+
+    def read_back(highs):
+        return tuple(highs.getOptionValue(option)[1] for option in options)
+
+    default = read_back(ls._highs_core()._Highs())
+    n = ls._DANTZIG_MAX_ROWS // 2  # cyclic_xor has n + k = 2 n model rows
+    for alloc, expected in (
+        (build_block_design(3), (0, 20)),
+        (build_cyclic_xor(n, 3, 2), (0, 20)),
+        (build_cyclic_xor(n + 1, 3, 2), default),
+        (crowded_allocation(), default),
+    ):
+        assert read_back(ls._EpigraphLP(to_matrices(alloc))._highs) == expected
+    assert default[0] != 0 and default[1] != 20
+
+
+def test_a_long_chunk_on_a_small_model_conserves_demand_closely():
+    # at the crossover, 48 model rows; Dantzig pricing with HiGHS's default
+    # update limit left row 110 of this chunk 3e-11 off
+    alloc = build_cyclic_xor(ls._DANTZIG_MAX_ROWS // 2, 3, 2)
+    m = to_matrices(alloc)
+    demands = spacing_matrix(alloc.k, 0.8 * alloc.k, 1, 2000)
+    x, _ = ls._EpigraphLP(m).solve(demands)
+    served = x @ dense(m)[1].T
+    assert np.abs(served - demands).max() <= 1e-12 * max(1.0, demands.max())
+
+
+def test_an_option_highs_refuses_is_an_internal_fault(monkeypatch):
+    core = ls._highs_core()
+
+    class Misspelt(core._Highs):
+        def setOptionValue(self, option, value):
+            return super().setOptionValue(option.replace("presolve", "presolv"), value)
+
+    monkeypatch.setattr(core, "_Highs", Misspelt)
+    with pytest.raises(RuntimeError, match="HiGHS option presolve: HighsStatus.kError"):
+        t_star_batch(build_block_design(3), np.full(7, 0.8))
 
 
 def test_lp_counts_a_node_named_twice_once():

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite."""
 
 import signal
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -269,3 +270,108 @@ def reference_validate(alloc: Allocation) -> list[str]:
             f"unbalanced: per-node participation ranges {lo}..{hi} (e.g. nodes {bad})"
         )
     return out
+
+
+# Exact LP certificates: the epigraph LP of ``loadsolver._EpigraphLP``
+# re-solved over rationals from the basis HiGHS ended on.
+
+
+class NotCertified(Exception):
+    """HiGHS's final basis does not prove its row optimal in exact arithmetic."""
+
+
+def solve_exact(rows: list[dict[int, int]], rhs: list[Fraction]) -> dict[int, Fraction]:
+    """The solution u of the square sparse system sum_j rows[i][j] u_j =
+    rhs[i], by Gauss-Jordan elimination over ``Fraction``s.  Each step
+    pivots on the shortest remaining row, at its column held by the fewest
+    rows, so the sparse network rows fill in little.  Raises NotCertified
+    if the system is singular."""
+    rows = [{j: Fraction(v) for j, v in row.items()} for row in rows]
+    rhs = list(rhs)
+    holders = defaultdict(set)
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    if len(holders) != len(rows):
+        raise NotCertified(f"{len(rows)} equations in {len(holders)} unknowns")
+    pending, pivots = set(range(len(rows))), []
+    while pending:
+        i = min(pending, key=lambda i: len(rows[i]))
+        pending.discard(i)
+        if not rows[i]:
+            raise NotCertified("the basis matrix is singular")
+        j = min(rows[i], key=lambda j: len(holders[j]))
+        pivot = rows[i]
+        for h in list(holders[j] - {i}):
+            factor = rows[h][j] / pivot[j]
+            for col, value in pivot.items():
+                new = rows[h].get(col, 0) - factor * value
+                if new:
+                    rows[h][col] = new
+                    holders[col].add(h)
+                else:
+                    rows[h].pop(col, None)
+                    holders[col].discard(h)
+            rhs[h] -= factor * rhs[i]
+        pivots.append((i, j))
+    return {j: rhs[i] / rows[i][j] for i, j in pivots}
+
+
+def certify_lp_row(matrices: AllocationMatrices, rho, basis) -> Fraction:
+    """The exact optimum t* of the epigraph LP of ``matrices`` at demand row
+    ``rho`` (floats, read exactly), proven from ``basis``, the
+    ``_Highs.getBasis()`` of a model that has just solved that row.
+
+    Columns are the portions, then t; rows are the n node rows
+    M x - t <= 0, then the k object rows T x = rho.  The basic columns are
+    solved from the rows the basis holds at a bound (the nonbasic rows), and
+    the duals y of those rows from the transposed system with cost 1 on t.
+    The basis proves its t optimal when x >= 0, every basic node row is at
+    most 0 and every basic object row meets rho, y <= 0 on the node rows,
+    every reduced cost is >= 0, and rho . y = t (which the two solves
+    imply, so it guards them).  Raises NotCertified naming the first check
+    that fails."""
+    n, k, owner, indptr, nodes = matrices
+    rho = [Fraction(float(v)) for v in rho]
+    num_portions = owner.size
+    columns = []  # column c as {row: coefficient}
+    for c in range(num_portions):
+        column = {int(v): 1 for v in nodes[indptr[c]:indptr[c + 1]]}
+        column[n + int(owner[c])] = 1
+        columns.append(column)
+    columns.append({i: -1 for i in range(n)})
+    cost = [0] * num_portions + [1]
+    if not basis.valid:
+        raise NotCertified("HiGHS holds no valid basis")
+    basic = [c for c, s in enumerate(basis.col_status) if s.name == "kBasic"]
+    if any(s.name not in ("kBasic", "kLower") for s in basis.col_status):
+        raise NotCertified("a nonbasic column is not at its lower bound 0")
+    active = [i for i, s in enumerate(basis.row_status) if s.name != "kBasic"]
+    if any(basis.row_status[i].name != "kUpper" for i in active if i < n):
+        raise NotCertified("a nonbasic node row is not at its upper bound 0")
+    bound = [Fraction(0)] * n + rho
+    x = solve_exact(
+        [{c: columns[c][i] for c in basic if i in columns[c]} for i in active],
+        [bound[i] for i in active],
+    )
+    y = solve_exact(
+        [{i: columns[c][i] for i in active if i in columns[c]} for c in basic],
+        [Fraction(cost[c]) for c in basic],
+    )
+    if min(x.values(), default=0) < 0:
+        raise NotCertified("a basic column is negative")
+    activity = [Fraction(0)] * (n + k)
+    for c, value in x.items():
+        for i, a in columns[c].items():
+            activity[i] += a * value
+    if any(activity[i] > 0 for i in range(n)) or activity[n:] != rho:
+        raise NotCertified("a row the basis leaves free is violated")
+    if any(y[i] > 0 for i in active if i < n):
+        raise NotCertified("a node row's dual is positive")
+    for c, column in enumerate(columns):
+        if cost[c] - sum(a * y.get(i, 0) for i, a in column.items()) < 0:
+            raise NotCertified(f"column {c} has a negative reduced cost")
+    t = x.get(num_portions, Fraction(0))
+    if sum(rho[j] * y.get(n + j, 0) for j in range(k)) != t:
+        raise NotCertified("the dual value does not meet the primal value")
+    return t
