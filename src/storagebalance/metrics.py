@@ -414,22 +414,11 @@ def asymptotic_band_check(alloc: Allocation, trials: int, master_seed: int) -> d
 # Report rows
 # ---------------------------------------------------------------------------
 
+#: The CSV schema, and the keys of ``ExperimentRow.as_dict`` in order.
 CSV_COLUMNS = (
-    "kind",
-    "n",
-    "k",
-    "d",
-    "r",
-    "sigma",
-    "trials",
-    "p_sigma",
-    "p_lo",
-    "p_hi",
-    "i_mean",
-    "i_stderr",
-    "i_q05",
-    "i_q50",
-    "i_q95",
+    "kind", "n", "k", "d", "r", "sigma", "trials",
+    "p_sigma", "p_lo", "p_hi",
+    "i_mean", "i_stderr", "i_q05", "i_q50", "i_q95",
     "seed",
 )
 
@@ -450,25 +439,16 @@ class ExperimentRow:
     imbalance: MetricEstimate = field(repr=False)
 
     def as_dict(self) -> dict:
-        q = self.imbalance.quantiles or {}
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "r": self.r,
-            "sigma": self.sigma,
-            "trials": self.trials,
-            "p_sigma": self.p.mean,
-            "p_lo": self.p.ci95_lo,
-            "p_hi": self.p.ci95_hi,
-            "i_mean": self.imbalance.mean,
-            "i_stderr": self.imbalance.stderr,
-            "i_q05": q.get("q05"),
-            "i_q50": q.get("q50"),
-            "i_q95": q.get("q95"),
-            "seed": self.seed,
-        }
+        """The row's values keyed by ``CSV_COLUMNS``, line for line."""
+        p, i = self.p, self.imbalance
+        q = i.quantiles or {}
+        values = (
+            self.kind, self.n, self.k, self.d, self.r, self.sigma, self.trials,
+            p.mean, p.ci95_lo, p.ci95_hi,
+            i.mean, i.stderr, q.get("q05"), q.get("q50"), q.get("q95"),
+            self.seed,
+        )
+        return dict(zip(CSV_COLUMNS, values, strict=True))
 
 
 def _csv_field(x) -> str:

@@ -9,6 +9,7 @@ batches of demand rows, with prefix sums one row per trial or position-major.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,8 +24,35 @@ REGIME_SMALL_D = "small_d"
 REGIME_LOG_ORDER_D = "log_order_d"
 
 
+@functools.cache
+def _philox_seed() -> np.random.SeedSequence:
+    """Seed of the one Philox that each ``spacing_matrix`` call re-keys.
+
+    The re-key overwrites the seeded state before the first draw, so no
+    output bit depends on it.  One constant seed, built on first use (so
+    that importing the package loads no ``numpy.random``), spares each call
+    the ``os.urandom`` entropy and the hashing of a fresh ``SeedSequence``.
+    """
+    return np.random.SeedSequence(0)
+
+
+def _check_out(out: np.ndarray, shape: tuple[int, int]) -> None:
+    """Raise ValueError unless ``out`` is a float64 array of ``shape`` whose
+    rows are contiguous; any row stride will do, so a column slice of a
+    wider buffer qualifies."""
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != shape:
+        raise ValueError(f"out must be a float64 array of shape {shape}")
+    if out.strides[1] != out.itemsize:
+        raise ValueError("out must have contiguous rows")
+
+
 def spacing_matrix(
-    k: int, sigma: float, master_seed: int, trials: int, start_index: int = 0
+    k: int,
+    sigma: float,
+    master_seed: int,
+    trials: int,
+    start_index: int = 0,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Stack ``trials`` independent samples into a (trials, k) matrix.
 
@@ -38,17 +66,22 @@ def spacing_matrix(
     each per-trial substream without building a generator per row.  The
     state holds its counter, key and buffer words as plain Python ints in
     lists: the ``state`` setter reads them by index, which costs about half
-    of what reading uint64 array items does.  Every call draws afresh.
+    of what reading uint64 array items does.  Every call draws afresh, into
+    ``out`` when it is given (see ``_check_out``; the same bits either way),
+    and returns it.
     """
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed must be in [0, 2^64), got {master_seed}")
     if start_index < 0:
         raise ValueError("start_index must be non-negative")
-    bitgen = np.random.Philox(key=0)
+    if out is None:
+        out = np.empty((trials, k))
+    else:
+        _check_out(out, (trials, k))
+    bitgen = np.random.Philox(_philox_seed())
     gen = np.random.Generator(bitgen)
     key = [0, master_seed]
     fresh = {**bitgen.state, "state": {"counter": [0] * 4, "key": key}, "buffer": [0] * 4}
-    out = np.empty((trials, k))
     for i, row in enumerate(out, start_index):
         key[0] = i % 2**64
         bitgen.state = fresh
@@ -62,7 +95,9 @@ def spacing_matrix(
 # ---------------------------------------------------------------------------
 
 
-def prefix_sums(a: np.ndarray, wrap: int = 0, axis: int = 1) -> np.ndarray:
+def prefix_sums(
+    a: np.ndarray, wrap: int = 0, axis: int = 1, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Prefix sums of each (T, k) row of ``a``, continued ``wrap`` entries
     cyclically, with the positions along axis ``axis`` of the result.
 
@@ -76,11 +111,20 @@ def prefix_sums(a: np.ndarray, wrap: int = 0, axis: int = 1) -> np.ndarray:
     across the trials, since ``np.cumsum`` down a column strides through
     memory.  An entry does not depend on ``wrap``: windows cut from one
     prefix equal those cut from prefixes built for each window size.
+
+    The sums go into ``out`` when it is given (see ``_check_out``), and
+    ``a`` may then be ``out[:, 1 : k + 1]`` itself: a block drawn into that
+    slice of a buffer is summed in place, with the same bits.
     """
     t, k = a.shape
     if not 0 <= wrap < k:
         raise ValueError(f"wrap must be in [0, {k}), got {wrap}")
-    p = np.empty((t, k + wrap + 1) if axis == 1 else (k + wrap + 1, t))
+    shape = (t, k + wrap + 1) if axis == 1 else (k + wrap + 1, t)
+    if out is None:
+        p = np.empty(shape)
+    else:
+        _check_out(out, shape)
+        p = out
     q = p if axis == 1 else p.T  # one row per trial in either layout
     q[:, 0] = 0.0
     q[:, 1 : k + 1] = a
@@ -110,14 +154,20 @@ def window_max(p: np.ndarray, k: int, d: int, axis: int = 1) -> np.ndarray:
 
 
 def window_max_pair(p: np.ndarray, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(line, circle) maxima of d consecutive entries from one array of window sums.
+    """(line, circle) maxima of d consecutive entries, cut from a
+    ``prefix_sums`` continued at least d - 1 entries.
 
-    The line windows are the first k - d + 1 circular windows, so circle >=
-    line holds exactly, the circle maximum equals ``window_max`` bit for bit,
-    and only one (T, k) array of sums is made.
+    The line windows are the first k - d + 1 circular windows, and the other
+    d - 1 wrap past the end.  So the circle maximum is the larger of the line
+    maximum and the wrapped windows' maximum: circle >= line holds exactly,
+    the circle maximum equals ``window_max`` bit for bit (each window sum is
+    the same difference, and a maximum is exact), and the k window sums of a
+    row are made and read once.
     """
-    sums = _window_sums(p, k, d)
-    return sums[:, : k - d + 1].max(axis=1), sums.max(axis=1)
+    line = (p[:, d : k + 1] - p[:, : k - d + 1]).max(axis=1)
+    if d == 1:
+        return line, line.copy()
+    return line, np.maximum(line, (p[:, k + 1 : k + d] - p[:, k - d + 1 : k]).max(axis=1))
 
 
 # ---------------------------------------------------------------------------

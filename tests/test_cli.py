@@ -835,17 +835,20 @@ def test_main_calls_share_no_parsed_state(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# start-up: scipy is imported only by the code that calls it, jsonschema never
+# start-up: scipy and numpy.random are imported only by the code that calls
+# them, jsonschema never
 # ---------------------------------------------------------------------------
 
 #: Runs ``cli.main`` on its arguments (or only imports the package, given
-#: none) and prints the scipy and jsonschema modules loaded at exit.
+#: none) and prints the scipy, numpy.random and jsonschema modules loaded at
+#: exit.
 _LOADED_AT_EXIT = (
     "import sys, storagebalance\n"
     "if sys.argv[1:]:\n"
     "    from storagebalance.cli import main\n"
     "    assert main(sys.argv[1:]) == 0\n"
-    "print(' '.join(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))\n"
+    "print(' '.join(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')\n"
+    "               or m.startswith('numpy.random')))\n"
 )
 
 
@@ -857,7 +860,7 @@ def _simulate(kind, n, d):
 @pytest.mark.parametrize(
     "command, config, absent, present",
     [
-        ([], None, ["scipy", "jsonschema"], []),
+        ([], None, ["scipy", "numpy.random", "jsonschema"], []),
         (["limit-checks", "--k", "50", "--d", "2", "--trials", "2"], None,
          ["scipy.optimize", "scipy.sparse", "jsonschema"], []),
         (["simulate"], _simulate("cyclic", 12, 3),
@@ -867,7 +870,7 @@ def _simulate(kind, n, d):
         (["simulate"], _simulate("single_choice", 12, 1),
          ["scipy.optimize", "scipy.sparse", "jsonschema"], []),
         (["inspect", "--kind", "cyclic", "--n", "20", "--d", "3"], None,
-         ["scipy", "jsonschema"], []),
+         ["scipy", "numpy.random", "jsonschema"], []),
         (["inspect", "--kind", "single_choice", "--n", "5", "--m", "2"], None,
          ["scipy.optimize", "jsonschema"], ["scipy.sparse.csgraph"]),
         (["simulate"], _simulate("block_design", 7, 3),

@@ -40,8 +40,13 @@ DESIGNS = {
     "cyclic_xor_n30": ("cyclic_xor", 30, dict(d=3, r=2)),
 }
 
-#: ``limit-checks`` shapes: (k, d values, trials).
-LIMIT_SHAPES = {"k300_d1_d2": (300, [1, 2], 60), "k1000_d3": (1000, [3], 40)}
+#: ``limit-checks`` shapes: (k, d values, trials, count trials or None).  At
+#: k = 40 a block holds many short rows, at k >= 300 a few long ones.
+LIMIT_SHAPES = {
+    "k300_d1_d2": (300, [1, 2], 60, None),
+    "k1000_d3": (1000, [3], 40, None),
+    "k40_d1_d2_d40_c2500": (40, [1, 2, 40], 300, 2500),
+}
 
 DIGESTS = {
     "exact-k3/d1": "591959e628dfb0f0e62b4a07ee712d5a388e2bd121153db15057e772e565493a",
@@ -56,6 +61,7 @@ DIGESTS = {
     "inspect/single_choice_m2": "9ae3cc1c79b678d7caecaf988d6ef2debe6bd799f55c6406d6714240210526f8",
     "limit-checks/k1000_d3": "ce10039ca0e7b03b81210554ed45dc97b45d4bd718abce005a091e3a55d91b9d",
     "limit-checks/k300_d1_d2": "1425fdfd4b3cb6ce25753636692985ecc1c80679b0ab66d2a2c02abc09a6d1c9",
+    "limit-checks/k40_d1_d2_d40_c2500": "ef09f983d35f61b21fba6ecfd6d4c5f8b192d9d119a288054196986560b71c5a",
     "save_allocation/block_design_d3": "4591f263f380fef2d7d537d1f28634deda48f28d000e2883cc8fc9c8d5fc2ba3",
     "save_allocation/block_design_d5": "3f121896dda36bed7b4493b558317b1ca0861a418c483d838de3d12ab0ab3085",
     "save_allocation/clustering": "a33017100f455aa5bf25bbe8886bcc67349116eb39105c47d0cb46ad959ed72e",
@@ -135,11 +141,15 @@ def _simulated(design_format, tmp_path, capsys) -> bytes:
 
 
 def _limit_checks_data(shape, tmp_path, capsys) -> bytes:
-    k, d_values, trials = LIMIT_SHAPES[shape]
-    flags = [f for d in d_values for f in ("--d", str(d))]
+    """The JSON ``data`` of ``limit-checks`` at one shape, seed 3."""
+    k, d_values, trials, count_trials = LIMIT_SHAPES[shape]
+    config = {"k": k, "d": d_values, "trials": trials, "master_seed": 3}
+    if count_trials is not None:
+        config["count_trials"] = count_trials
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     capsys.readouterr()
-    argv = ["limit-checks", "--k", str(k), *flags, "--trials", str(trials), "--seed", "3"]
-    main([*argv, "--format", "json"])  # its exit code says whether every check passed
+    main(["limit-checks", "--config", str(path), "--format", "json"])  # exit code: all passed?
     return _json_data(capsys.readouterr().out)
 
 

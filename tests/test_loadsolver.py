@@ -39,6 +39,8 @@ from util import (
     certify_lp_row,
     crowded_allocation,
     dense,
+    exact_t_star_clusters,
+    exact_t_star_cyclic,
     reference_to_matrices,
     replica_instance,
     window_maxima,
@@ -592,6 +594,57 @@ def test_cyclic_kernel_equals_unpruned_loop(data):
 def test_cyclic_kernel_equals_unpruned_loop_at_n_3000():
     demands = _adversarial_rows(np.random.default_rng(30), 3000, 3, 2400.0)
     _assert_pass_equals_unpruned(3000, [3, 2, 3, 3001], demands)
+
+
+#: Unit roundoff of float64.
+_U = 2.0**-53
+
+
+def _assert_within_exact(fast, exact, budget):
+    """|fast - exact| <= budget * exact, in exact arithmetic."""
+    got = Fraction(float(fast))
+    assert abs(got - exact) <= Fraction(budget) * exact, (float(got), float(exact))
+
+
+@pytest.mark.parametrize("n", [5, 12, 40, 100])
+def test_cyclic_t_star_is_within_its_error_budget_of_the_exact_value(n):
+    # Spacing rows, which the kernel's pruning drops after two window sizes
+    # at d = 1; rows that tie or differ only in their last bits; and rows
+    # whose binding window is long and wraps past the last object.  The
+    # budget follows the kernel's error analysis: a window sum is within
+    # (8n + 1) u sigma of its exact value, and t* >= sigma / n.
+    d_values = [d for d in range(1, 6) if d <= n]
+    rng = np.random.default_rng(n)
+    arc = np.where(np.roll(np.arange(n) < 3 * n // 4, -n // 2), 1.0 + 0.1 * rng.random((3, n)), 0.02)
+    demands = np.vstack([
+        spacing_matrix(n, 0.8 * n, 23, 24),
+        _adversarial_rows(rng, n, 2, 0.8 * n),
+        arc * (0.8 * n / arc.sum(axis=1, keepdims=True)),
+    ])
+    allocs = [build_cyclic(n, d) for d in d_values]
+    solved = ls.shared_pass(allocs, demands)
+    fast = [t_star_batch(alloc, demands, solved) for alloc in allocs]
+    budget = ((8 * n + 1) * n + 2) * _U
+    for j, row in enumerate(demands):
+        for t_stars, exact in zip(fast, exact_t_star_cyclic(n, d_values, row)):
+            _assert_within_exact(t_stars[j], exact, budget)
+
+
+@pytest.mark.parametrize("n", [12, 20, 60])
+def test_cluster_t_star_is_within_rounding_of_the_exact_value(n):
+    # clustering at every d in 1..5 that divides n, and single choice with
+    # m objects a node, all with k = n; a cluster of c objects sums with
+    # relative error at most (c - 1) u and divides with one more rounding
+    allocs = [build_clustering(n, d) for d in range(1, 6) if n % d == 0]
+    allocs += [build_single_choice(n // m, m) for m in (1, 2, 3, 4) if n % m == 0]
+    rng = np.random.default_rng(n)
+    demands = np.vstack([spacing_matrix(n, 0.8 * n, 29, 24), _adversarial_rows(rng, n, 3, 0.8 * n)])
+    solved = ls.shared_pass(allocs, demands)
+    for alloc in allocs:
+        fast = t_star_batch(alloc, demands, solved)
+        cluster = alloc.k * alloc.d // alloc.n
+        for j, row in enumerate(demands):
+            _assert_within_exact(fast[j], exact_t_star_clusters(alloc, row), (cluster + 1) * _U)
 
 
 def test_cyclic_kernel_skips_final_rows(monkeypatch):

@@ -183,6 +183,7 @@ TRACED_NAMES = {
     ("cli", "estimate_metrics"): {"alloc", "trials"},
     ("metrics", "t_star_batch"): set(),
     ("metrics", "spacing_matrix"): {"k", "master_seed", "trials", "start_index"},
+    ("limitlaws", "spacing_matrix"): {"k", "master_seed", "trials", "start_index"},
 }
 
 #: The tracer's patches that find nothing in the package today, so record no
@@ -195,15 +196,19 @@ UNRESOLVED_PATCHES = {
 }
 
 
+def _tracer(capture_rows=0):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench/spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans, spans.Tracer(capture_rows=capture_rows)
+
+
 def test_benchmark_tracer_finds_the_names_it_notes():
     # perfbench skips a patch whose attribute is missing, and then every
     # benchmark operation fails while the suite passes
     from storagebalance import cli, limitlaws, loadsolver, metrics
 
-    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench/spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    tracer = spans.Tracer(capture_rows=2)
+    spans, tracer = _tracer(capture_rows=2)
     patches = tracer.patches(cli, metrics, loadsolver, limitlaws)
     table = {(module.__name__.rsplit(".", 1)[1], attr): span for module, attr, span, _ in patches}
     # the tracer skips a name it does not find, so a renamed one would blind
@@ -212,7 +217,7 @@ def test_benchmark_tracer_finds_the_names_it_notes():
                   for module, attr, _, _ in patches if not callable(getattr(module, attr, None))}
     assert unresolved == UNRESOLVED_PATCHES
     for (module, attr), params in TRACED_NAMES.items():
-        fn = getattr({"cli": cli, "metrics": metrics}[module], attr, None)
+        fn = getattr({"cli": cli, "metrics": metrics, "limitlaws": limitlaws}[module], attr, None)
         assert callable(fn) and (module, attr) in table, f"{module}.{attr}"
         assert params <= set(inspect.signature(fn).parameters), f"{module}.{attr}"
 
@@ -232,3 +237,21 @@ def test_benchmark_tracer_finds_the_names_it_notes():
               if s[spans.NAME] == "loadsolver.t_star_batch"}
     assert [solves.get(s[spans.PARENT]) for s in tracer.spans
             if s[spans.NAME] == "allocation.to_matrices"] == ["block_design"]
+
+
+def test_traced_limit_checks_record_one_sample_span_per_block():
+    # the benchmark's spacings.sample_s and rows_drawn on limit_laws read
+    # these spans; a pass that drew around limitlaws.spacing_matrix would
+    # zero them with no failure
+    from storagebalance import cli, limitlaws, loadsolver, metrics
+
+    spans, tracer = _tracer()
+    k, trials, count_trials = 3000, 40, 25
+    with tracer.patched(cli, metrics, loadsolver, limitlaws):
+        limitlaws.run_limit_checks(k, [1, 3], trials, 9, count_trials=count_trials)
+    block = limitlaws._BLOCK_ELEMENTS // k
+    notes = [s[spans.NOTE] for s in tracer.spans if s[spans.NAME] == "spacings.sample"]
+    assert [(n["k"], n["master_seed"], n["start_index"], n["trials"]) for n in notes] == [
+        (k, 9, start, min(block, trials - start)) for start in range(0, trials, block)
+    ]
+    assert spans.summarise(tracer.spans, 1.0)["spacings.rows_drawn"] == trials

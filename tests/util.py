@@ -4,7 +4,7 @@ import signal
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -375,3 +375,42 @@ def certify_lp_row(matrices: AllocationMatrices, rho, basis) -> Fraction:
     if sum(rho[j] * y.get(n + j, 0) for j in range(k)) != t:
         raise NotCertified("the dual value does not meet the primal value")
     return t
+
+
+# Exact closed forms: t* of the cyclic, clustering and single-choice designs
+# over rationals, from the float demands read exactly.
+
+
+def _exact_integers(row) -> tuple[list[int], int]:
+    """The float entries of ``row`` exactly, as integers over one common
+    power-of-two denominator."""
+    fracs = [Fraction(float(x)) for x in row]
+    denom = max(f.denominator for f in fracs)
+    return [f.numerator * (denom // f.denominator) for f in fracs], denom
+
+
+def exact_t_star_cyclic(n: int, d_values, row) -> list[Fraction]:
+    """t* of the cyclic designs (n, d) at one demand row, one per d,
+    exactly: max(sigma / n, max_w W_w / (w + d - 1)) over w = 1 .. n - d,
+    where W_w is the largest sum of w circularly consecutive demands, and
+    sigma / n at d >= n."""
+    ints, denom = _exact_integers(row)
+    prefix = list(accumulate(ints + ints, initial=0))
+    windows = [max(prefix[i + w] - prefix[i] for i in range(n)) for w in range(n)]
+    total = Fraction(sum(ints), n * denom)
+    return [
+        max([total] + [Fraction(windows[w], (w + d - 1) * denom) for w in range(1, n - d + 1)])
+        for d in d_values
+    ]
+
+
+def exact_t_star_clusters(alloc: Allocation, row) -> Fraction:
+    """t* at one demand row, exactly, of a design whose objects' node sets
+    partition the nodes (clustering, and single choice with d = 1): the
+    largest sum of the demands one cluster serves, over its node count d."""
+    ints, denom = _exact_integers(row)
+    sums = defaultdict(int)
+    for i, sets in enumerate(alloc.recovery_sets):
+        sums[frozenset(v for s in sets for v in s)] += ints[i]
+    assert sorted(v for cluster in sums for v in cluster) == list(range(alloc.n))
+    return max(Fraction(total, len(cluster) * denom) for cluster, total in sums.items())
