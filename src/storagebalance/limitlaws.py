@@ -38,14 +38,6 @@ KS_NOISE = 1.63
 #: a block, its prefix sums and its window sums stay in L2 cache.
 _BLOCK_ELEMENTS = 2**15
 
-#: Blocks of at most this many rows count each row of a range mask with one
-#: flat ``np.count_nonzero``; larger blocks, of shorter rows, count along
-#: axis 1.  On a 2-vCPU Xeon host a flat count cost about 0.45 µs a row plus
-#: its bits, and an axis-1 count about 15 µs a full 2^15-bit block: 3.4 µs
-#: against 14 µs on a 3 × 10^4 block, but 279 µs against 29 µs on an
-#: 819 × 40 block.  The two crossed near 40 rows of a full block.
-_FLAT_COUNT_ROWS = 32
-
 
 def ks_threshold(d: int, trials: int) -> float:
     bias = KS_BIAS_D1 if d == 1 else KS_BIAS_DGT1
@@ -110,10 +102,11 @@ def _one_pass(k: int, d_values, trials: int, count_trials: int, master_seed: int
     A block holds ``max(1, _BLOCK_ELEMENTS // k)`` rows.  Row i is
     ``spacing_matrix``'s row i whatever the blocking, and every sum and
     maximum is taken per row, so the maxima and counts equal those of
-    separate passes.  One buffer of k + wrap + 1 numbers a row and two
-    boolean masks serve every block: the block is drawn into columns 1..k
-    of the buffer, its range counts go through the masks, and then its
-    prefix sums are built in place, from which each d cuts both maxima.
+    separate passes.  At most one block is held at a time: its range counts
+    are taken first, row by row (one flat ``np.count_nonzero`` a row is
+    several times faster than an axis-1 count on the few long rows of large
+    k), then the block is dropped once its prefix sums are built, and each
+    d cuts both maxima from them.
     """
     ds = sorted({d for d in d_values if d < k})
     ranges = _count_ranges(k) if count_trials else []
@@ -121,29 +114,24 @@ def _one_pass(k: int, d_values, trials: int, count_trials: int, master_seed: int
     circle = {d: np.empty(trials) for d in ds}
     counts = {name: np.empty(count_trials) for name, *_ in ranges}
     rows = max(trials if ds else 0, count_trials)
-    block = max(1, min(_BLOCK_ELEMENTS // k, rows))
-    wrap = ds[-1] - 1 if ds else 0
-    buf = np.empty((block, k + wrap + 1))
-    inside = np.empty((min(block, count_trials), k), dtype=bool)
-    upper = np.empty_like(inside)
-    flat = block <= _FLAT_COUNT_ROWS
+    block = max(1, _BLOCK_ELEMENTS // k)
     for start in range(0, rows, block):
-        size = min(block, rows - start)
-        s = spacing_matrix(k, 1.0, master_seed, size, start_index=start,
-                           out=buf[:size, 1 : k + 1])
+        s = spacing_matrix(k, 1.0, master_seed, min(block, rows - start), start_index=start)
         c = s[: max(0, count_trials - start)]
-        m, u = inside[: len(c)], upper[: len(c)]
         for name, lo, hi, *_ in ranges:
-            np.greater_equal(c, lo, out=m)
-            np.logical_and(m, np.less_equal(c, hi, out=u), out=m)
-            counts[name][start : start + len(c)] = (
-                [np.count_nonzero(row) for row in m] if flat else np.count_nonzero(m, axis=1)
-            )
+            counts[name][start : start + len(c)] = [
+                np.count_nonzero(row) for row in (c >= lo) & (c <= hi)
+            ]
+        del c
         if ds and trials > start:
-            p = prefix_sums(s[: trials - start], wrap, out=buf[: trials - start])
+            p = prefix_sums(s[: trials - start], wrap=ds[-1] - 1)
+            del s
             stop = start + len(p)
             for d in ds:
                 line[d][start:stop], circle[d][start:stop] = window_max_pair(p, k, d)
+            del p
+        else:
+            del s
     return _Pass(line=line, circle=circle, counts=counts)
 
 

@@ -36,23 +36,8 @@ def _philox_seed() -> np.random.SeedSequence:
     return np.random.SeedSequence(0)
 
 
-def _check_out(out: np.ndarray, shape: tuple[int, int]) -> None:
-    """Raise ValueError unless ``out`` is a float64 array of ``shape`` whose
-    rows are contiguous; any row stride will do, so a column slice of a
-    wider buffer qualifies."""
-    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != shape:
-        raise ValueError(f"out must be a float64 array of shape {shape}")
-    if out.strides[1] != out.itemsize:
-        raise ValueError("out must have contiguous rows")
-
-
 def spacing_matrix(
-    k: int,
-    sigma: float,
-    master_seed: int,
-    trials: int,
-    start_index: int = 0,
-    out: Optional[np.ndarray] = None,
+    k: int, sigma: float, master_seed: int, trials: int, start_index: int = 0
 ) -> np.ndarray:
     """Stack ``trials`` independent samples into a (trials, k) matrix.
 
@@ -66,22 +51,17 @@ def spacing_matrix(
     each per-trial substream without building a generator per row.  The
     state holds its counter, key and buffer words as plain Python ints in
     lists: the ``state`` setter reads them by index, which costs about half
-    of what reading uint64 array items does.  Every call draws afresh, into
-    ``out`` when it is given (see ``_check_out``; the same bits either way),
-    and returns it.
+    of what reading uint64 array items does.  Every call draws afresh.
     """
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed must be in [0, 2^64), got {master_seed}")
     if start_index < 0:
         raise ValueError("start_index must be non-negative")
-    if out is None:
-        out = np.empty((trials, k))
-    else:
-        _check_out(out, (trials, k))
     bitgen = np.random.Philox(_philox_seed())
     gen = np.random.Generator(bitgen)
     key = [0, master_seed]
     fresh = {**bitgen.state, "state": {"counter": [0] * 4, "key": key}, "buffer": [0] * 4}
+    out = np.empty((trials, k))
     for i, row in enumerate(out, start_index):
         key[0] = i % 2**64
         bitgen.state = fresh
@@ -95,9 +75,7 @@ def spacing_matrix(
 # ---------------------------------------------------------------------------
 
 
-def prefix_sums(
-    a: np.ndarray, wrap: int = 0, axis: int = 1, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def prefix_sums(a: np.ndarray, wrap: int = 0, axis: int = 1) -> np.ndarray:
     """Prefix sums of each (T, k) row of ``a``, continued ``wrap`` entries
     cyclically, with the positions along axis ``axis`` of the result.
 
@@ -111,20 +89,11 @@ def prefix_sums(
     across the trials, since ``np.cumsum`` down a column strides through
     memory.  An entry does not depend on ``wrap``: windows cut from one
     prefix equal those cut from prefixes built for each window size.
-
-    The sums go into ``out`` when it is given (see ``_check_out``), and
-    ``a`` may then be ``out[:, 1 : k + 1]`` itself: a block drawn into that
-    slice of a buffer is summed in place, with the same bits.
     """
     t, k = a.shape
     if not 0 <= wrap < k:
         raise ValueError(f"wrap must be in [0, {k}), got {wrap}")
-    shape = (t, k + wrap + 1) if axis == 1 else (k + wrap + 1, t)
-    if out is None:
-        p = np.empty(shape)
-    else:
-        _check_out(out, shape)
-        p = out
+    p = np.empty((t, k + wrap + 1) if axis == 1 else (k + wrap + 1, t))
     q = p if axis == 1 else p.T  # one row per trial in either layout
     q[:, 0] = 0.0
     q[:, 1 : k + 1] = a

@@ -145,12 +145,11 @@ def test_one_pass_draws_each_block_once(monkeypatch, k, trials, count_trials):
     import storagebalance.limitlaws as lim
 
     real = lim.spacing_matrix
-    calls, outs = [], []
+    calls = []
 
-    def counting(k, sigma, master_seed, trials, start_index=0, out=None):
+    def counting(k, sigma, master_seed, trials, start_index=0):
         calls.append((start_index, trials))
-        outs.append(out)
-        return real(k, sigma, master_seed, trials, start_index=start_index, out=out)
+        return real(k, sigma, master_seed, trials, start_index=start_index)
 
     monkeypatch.setattr(lim, "spacing_matrix", counting)
     run_limit_checks(k, [1, 2, k], trials, 3, count_trials=count_trials)
@@ -159,25 +158,6 @@ def test_one_pass_draws_each_block_once(monkeypatch, k, trials, count_trials):
     assert sizes[:-1] == [block] * (len(calls) - 1) and 0 < sizes[-1] <= block
     assert [s for s, _ in calls] == [sum(sizes[:i]) for i in range(len(calls))]
     assert sum(sizes) == max(trials, count_trials)
-    # every block is drawn into columns 1..k of one buffer, allocated once
-    base = outs[0].base
-    assert all(out.base is base for out in outs)
-    assert base.shape == (min(block, max(trials, count_trials)), k + 2)  # d = 2 wraps 1
-    assert all(out.ctypes.data == base[:, 1:].ctypes.data for out in outs)
-
-
-@pytest.mark.parametrize("k, count_trials", [(40, 2500), (1200, 70)])
-def test_both_count_selections_agree(monkeypatch, k, count_trials):
-    # flat per-row counts and axis-1 counts of the same masks are equal
-    import storagebalance.limitlaws as lim
-
-    monkeypatch.setattr(lim, "_FLAT_COUNT_ROWS", 0)
-    along_axis = _one_pass(k, [], 0, count_trials, 8).counts
-    monkeypatch.setattr(lim, "_FLAT_COUNT_ROWS", 2**20)
-    per_row = _one_pass(k, [], 0, count_trials, 8).counts
-    assert along_axis.keys() == per_row.keys() == {"mid", "tiny", "top"}
-    for name in along_axis:
-        assert along_axis[name].tobytes() == per_row[name].tobytes(), name
 
 
 @pytest.mark.parametrize("count_trials", [400, 250, 90])

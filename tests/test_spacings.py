@@ -101,64 +101,6 @@ def test_negative_start_index_rejected():
         spacing_matrix(3, 1.0, 0, 2, start_index=-1)
 
 
-def test_spacing_matrix_draws_into_a_column_slice():
-    # rows drawn into columns 1..k of a wider buffer carry the allocating
-    # call's bits, and the columns around them are left alone
-    k, rows = 9, 4
-    buf = np.full((rows + 1, k + 3), -1.0)
-    view = buf[:rows, 1 : k + 1]
-    got = spacing_matrix(k, 2.5, 41, rows, start_index=6, out=view)
-    assert got is view
-    assert view.tobytes() == spacing_matrix(k, 2.5, 41, rows, start_index=6).tobytes()
-    assert (buf[:, 0] == -1.0).all() and (buf[:, k + 1 :] == -1.0).all()
-    assert (buf[rows] == -1.0).all()
-
-
-def _bad_outs(shape):
-    """Arrays that ``out`` must refuse: wrong shape, wrong dtype, strided rows."""
-    rows, cols = shape
-    return [
-        np.empty((rows + 1, cols)),
-        np.empty((rows, cols - 1)),
-        np.empty(shape, dtype=np.float32),
-        np.empty((rows, 2 * cols))[:, ::2],
-        np.empty((cols, rows)).T,
-        np.empty(shape).tolist(),
-    ]
-
-
-def test_spacing_matrix_rejects_a_bad_out():
-    for out in _bad_outs((3, 5)):
-        with pytest.raises(ValueError, match="out must"):
-            spacing_matrix(5, 1.0, 0, 3, out=out)
-
-
-def test_prefix_sums_into_a_buffer_equal_the_allocating_call():
-    a = spacing_matrix(12, 1.0, 17, 5)
-    for wrap in (0, 1, 4, 11):
-        want = prefix_sums(a, wrap)
-        buf = np.full((5, 12 + wrap + 1), np.nan)
-        assert prefix_sums(a, wrap, out=buf) is buf
-        assert buf.tobytes() == want.tobytes()
-        # a block drawn into columns 1..k of the buffer is summed in place
-        buf = np.full((5, 12 + wrap + 1), np.nan)
-        spacing_matrix(12, 1.0, 17, 5, out=buf[:, 1:13])
-        assert prefix_sums(buf[:, 1:13], wrap, out=buf).tobytes() == want.tobytes()
-        columns = np.empty((12 + wrap + 1, 5))
-        assert prefix_sums(a, wrap, axis=0, out=columns) is columns
-        assert columns.tobytes() == prefix_sums(a, wrap, axis=0).tobytes()
-
-
-def test_prefix_sums_rejects_a_bad_out():
-    a = np.ones((3, 6))
-    for out in _bad_outs((3, 6 + 2 + 1)):
-        with pytest.raises(ValueError, match="out must"):
-            prefix_sums(a, wrap=2, out=out)
-    for out in _bad_outs((6 + 2 + 1, 3)):
-        with pytest.raises(ValueError, match="out must"):
-            prefix_sums(a, wrap=2, axis=0, out=out)
-
-
 # ---------------------------------------------------------------------------
 # Windowed maxima
 # ---------------------------------------------------------------------------
