@@ -14,13 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spacings import (
-    dspacing_gumbel_centering,
-    gumbel_cdf,
-    prefix_sums,
-    spacing_matrix,
-    window_max_pair,
-)
+from .spacings import WindowMaxima, dspacing_gumbel_centering, gumbel_cdf, spacing_matrix
 
 #: Finite-k bias allowance of the KS distance for the single-spacing
 #: maximum (k >= 10^3); the full threshold adds KS sampling noise, so at
@@ -35,7 +29,8 @@ KS_BIAS_DGT1 = 0.09
 KS_NOISE = 1.63
 
 #: Numbers per block of demand rows in ``_one_pass``: 256 KB of float64, so
-#: a block, its prefix sums and its window sums stay in L2 cache.
+#: that a block, its power sums and the accumulator of ``WindowMaxima`` stay
+#: in L2 cache for small d (three such arrays at d <= 3).
 _BLOCK_ELEMENTS = 2**15
 
 
@@ -102,11 +97,11 @@ def _one_pass(k: int, d_values, trials: int, count_trials: int, master_seed: int
     A block holds ``max(1, _BLOCK_ELEMENTS // k)`` rows.  Row i is
     ``spacing_matrix``'s row i whatever the blocking, and every sum and
     maximum is taken per row, so the maxima and counts equal those of
-    separate passes.  At most one block is held at a time: its range counts
-    are taken first, row by row (one flat ``np.count_nonzero`` a row is
-    several times faster than an axis-1 count on the few long rows of large
-    k), then the block is dropped once its prefix sums are built, and each
-    d cuts both maxima from them.
+    separate passes.  Each block is drawn into the same buffer, the entries
+    of one ``WindowMaxima`` made for the pass (a plain block when no d is
+    below k).  Its range counts are taken first, as the set bits of each
+    row's packed range mask, then each d cuts both maxima from its direct
+    window sums.
     """
     ds = sorted({d for d in d_values if d < k})
     ranges = _count_ranges(k) if count_trials else []
@@ -115,23 +110,19 @@ def _one_pass(k: int, d_values, trials: int, count_trials: int, master_seed: int
     counts = {name: np.empty(count_trials) for name, *_ in ranges}
     rows = max(trials if ds else 0, count_trials)
     block = max(1, _BLOCK_ELEMENTS // k)
+    windows = WindowMaxima(min(block, rows), k, ds) if ds else None
+    buffer = windows.entries if ds else np.empty((min(block, rows), k))
     for start in range(0, rows, block):
-        s = spacing_matrix(k, 1.0, master_seed, min(block, rows - start), start_index=start)
+        n = min(block, rows - start)
+        s = spacing_matrix(k, 1.0, master_seed, n, start_index=start, out=buffer[:n])
         c = s[: max(0, count_trials - start)]
         for name, lo, hi, *_ in ranges:
-            counts[name][start : start + len(c)] = [
-                np.count_nonzero(row) for row in (c >= lo) & (c <= hi)
-            ]
-        del c
-        if ds and trials > start:
-            p = prefix_sums(s[: trials - start], wrap=ds[-1] - 1)
-            del s
-            stop = start + len(p)
-            for d in ds:
-                line[d][start:stop], circle[d][start:stop] = window_max_pair(p, k, d)
-            del p
-        else:
-            del s
+            in_range = np.packbits((c >= lo) & (c <= hi), axis=1)
+            counts[name][start : start + len(c)] = np.bitwise_count(in_range).sum(axis=1)
+        stop = min(start + n, trials)
+        if ds and stop > start:
+            for d, line_max, circle_max in windows.max_pairs(stop - start):
+                line[d][start:stop], circle[d][start:stop] = line_max, circle_max
     return _Pass(line=line, circle=circle, counts=counts)
 
 

@@ -4,7 +4,9 @@ Demand vectors with a fixed cumulative load sigma are distributed like k
 uniform spacings scaled to [0, sigma].  The windowed maxima of those spacings
 (on the line and on the circle) drive both the exact stability conditions and
 the Gumbel-type limit laws, so they are implemented here once, over (T, k)
-batches of demand rows, with prefix sums one row per trial or position-major.
+batches of demand rows: the conditions and the cyclic kernel cut them from
+prefix sums, one row per trial or position-major, and the limit checks from
+direct sums built by doubling (``WindowMaxima``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,12 @@ def _philox_seed() -> np.random.SeedSequence:
 
 
 def spacing_matrix(
-    k: int, sigma: float, master_seed: int, trials: int, start_index: int = 0
+    k: int,
+    sigma: float,
+    master_seed: int,
+    trials: int,
+    start_index: int = 0,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Stack ``trials`` independent samples into a (trials, k) matrix.
 
@@ -52,16 +59,25 @@ def spacing_matrix(
     state holds its counter, key and buffer words as plain Python ints in
     lists: the ``state`` setter reads them by index, which costs about half
     of what reading uint64 array items does.  Every call draws afresh.
+
+    ``out``, if given, is a float64 (trials, k) array whose rows are each
+    contiguous, such as the first k columns of a wider buffer; the rows are
+    drawn into it, with the bits of the allocating call, and it is returned.
     """
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed must be in [0, 2^64), got {master_seed}")
     if start_index < 0:
         raise ValueError("start_index must be non-negative")
+    if out is None:
+        out = np.empty((trials, k))
+    elif out.shape != (trials, k) or out.dtype != np.float64 or (
+        k > 1 and out.strides[1] != out.itemsize
+    ):
+        raise ValueError(f"out must be a float64 ({trials}, {k}) array with contiguous rows")
     bitgen = np.random.Philox(_philox_seed())
     gen = np.random.Generator(bitgen)
     key = [0, master_seed]
     fresh = {**bitgen.state, "state": {"counter": [0] * 4, "key": key}, "buffer": [0] * 4}
-    out = np.empty((trials, k))
     for i, row in enumerate(out, start_index):
         key[0] = i % 2**64
         bitgen.state = fresh
@@ -117,26 +133,80 @@ def window_max(p: np.ndarray, k: int, d: int, axis: int = 1) -> np.ndarray:
     ``prefix_sums`` of the same ``axis``.
 
     The windows start at 0..k-1, which needs a prefix continued at least
-    d - 1 entries; line maxima come from ``window_max_pair``.
+    d - 1 entries; ``WindowMaxima`` takes line and circle maxima from
+    direct sums.
     """
     return _window_sums(p, k, d, axis).max(axis=axis)
 
 
-def window_max_pair(p: np.ndarray, k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(line, circle) maxima of d consecutive entries, cut from a
-    ``prefix_sums`` continued at least d - 1 entries.
+class WindowMaxima:
+    """Line and circle maxima of the sums of d consecutive entries of each
+    row, for every d of ``ds``, taken from direct sums of the entries.
 
-    The line windows are the first k - d + 1 circular windows, and the other
-    d - 1 wrap past the end.  So the circle maximum is the larger of the line
-    maximum and the wrapped windows' maximum: circle >= line holds exactly,
-    the circle maximum equals ``window_max`` bit for bit (each window sum is
-    the same difference, and a maximum is exact), and the k window sums of a
-    row are made and read once.
+    Made once for up to ``rows`` rows of k entries.  A caller writes its
+    rows into ``entries``, the first k columns of a (rows, k + D - 1) buffer
+    with D the largest d (``spacing_matrix(out=...)`` draws straight into
+    it); ``max_pairs`` continues each row cyclically by D - 1 entries, so
+    that every circular window is a plain slice.  The sums are built by
+    doubling: a sum of 2w entries is a sum of w entries plus the same
+    shifted by w.  The power sums of 1, 2, 4, ... entries are shared by all
+    d, and each d adds its binary pieces, smallest first, into one reused
+    accumulator, so a d costs popcount(d) - 1 adds over the shared
+    floor(log2 D).  The buffers hold floor(log2 D) + 2 arrays of at most
+    rows x (k + D - 1) numbers.
+
+    Each window sum is a tree of depth h = ceil(log2 d) over its d entries,
+    in an order fixed by d alone, so its bits depend neither on the other d
+    values nor on how rows are blocked.  For non-negative entries it lies
+    within gamma_h = h u / (1 - h u), u = 2^-53, relative of the exact sum
+    (Higham, SIAM J. Sci. Comput. 14, 1993), and so does each maximum; a d
+    of 1 is exact.  The line windows are the first k - d + 1 circular
+    windows, so the circle maximum is the larger of the line maximum and
+    the d - 1 wrapped windows' maximum, and circle >= line holds exactly.
     """
-    line = (p[:, d : k + 1] - p[:, : k - d + 1]).max(axis=1)
-    if d == 1:
-        return line, line.copy()
-    return line, np.maximum(line, (p[:, k + 1 : k + d] - p[:, k - d + 1 : k]).max(axis=1))
+
+    def __init__(self, rows: int, k: int, ds):
+        self.k = k
+        self.ds = sorted(set(ds))
+        if not self.ds or self.ds[0] < 1 or self.ds[-1] > k:
+            raise ValueError(f"window sizes must be in [1, {k}], got {ds}")
+        width = k + self.ds[-1] - 1
+        # _powers[j][:, i] is the sum of the 2^j entries from column i
+        self._powers = [np.empty((rows, width))]
+        while 2 ** len(self._powers) <= self.ds[-1]:
+            self._powers.append(np.empty((rows, width - 2 ** len(self._powers) + 1)))
+        self._acc = np.empty((rows, k))
+        self.entries = self._powers[0][:, :k]
+
+    def _sums(self, n: int, d: int) -> np.ndarray:
+        """The (n, k) sums of the d entries from each column 0..k-1."""
+        offsets = [(j, d & (2**j - 1)) for j in range(d.bit_length()) if d >> j & 1]
+        pieces = [self._powers[j][:n, o : o + self.k] for j, o in offsets]
+        if len(pieces) == 1:
+            return pieces[0]
+        acc = self._acc[:n]
+        np.add(pieces[0], pieces[1], out=acc)
+        for piece in pieces[2:]:
+            np.add(acc, piece, out=acc)
+        return acc
+
+    def max_pairs(self, n: int):
+        """Yield (d, line maxima, circle maxima) over the first n rows of
+        ``entries``, for each d in increasing order."""
+        k = self.k
+        head = self._powers[0][:n]
+        head[:, k:] = head[:, : self.ds[-1] - 1]
+        for j in range(1, len(self._powers)):
+            half, whole = self._powers[j - 1][:n], self._powers[j][:n]
+            w = whole.shape[1]
+            np.add(half[:, :w], half[:, 2 ** (j - 1) : 2 ** (j - 1) + w], out=whole)
+        for d in self.ds:
+            sums = self._sums(n, d)
+            line = sums[:, : k - d + 1].max(axis=1)
+            if d == 1:
+                yield d, line, line.copy()
+            else:
+                yield d, line, np.maximum(line, sums[:, k - d + 1 :].max(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,9 @@ DIGESTS = {
     "inspect/cyclic_xor_n30": "31f971228c5c7d5ede924a9024e8641f209a0dd7d3821907bb9406ae0ad42f1b",
     "inspect/cyclic_xor_r2": "f17187551f8988a566d338138cf3b0597efd6532b0044a26fbb3043a62c465c8",
     "inspect/single_choice_m2": "9ae3cc1c79b678d7caecaf988d6ef2debe6bd799f55c6406d6714240210526f8",
-    "limit-checks/k1000_d3": "ce10039ca0e7b03b81210554ed45dc97b45d4bd718abce005a091e3a55d91b9d",
-    "limit-checks/k300_d1_d2": "1425fdfd4b3cb6ce25753636692985ecc1c80679b0ab66d2a2c02abc09a6d1c9",
-    "limit-checks/k40_d1_d2_d40_c2500": "ef09f983d35f61b21fba6ecfd6d4c5f8b192d9d119a288054196986560b71c5a",
+    "limit-checks/k1000_d3": "30fc5a69a3c4f74da78a5f5f9477633a0da8eac84ed6a311becc2aabf6f5c472",
+    "limit-checks/k300_d1_d2": "a17de2f5fb40491012adc783c5f1b1a7493dff4200879450aac46351ed0c65bd",
+    "limit-checks/k40_d1_d2_d40_c2500": "020395da4f4fe8bf87a85492ce5fe111a735f903b6b6e59382c9cff36ca5b7af",
     "save_allocation/block_design_d3": "4591f263f380fef2d7d537d1f28634deda48f28d000e2883cc8fc9c8d5fc2ba3",
     "save_allocation/block_design_d5": "3f121896dda36bed7b4493b558317b1ca0861a418c483d838de3d12ab0ab3085",
     "save_allocation/clustering": "a33017100f455aa5bf25bbe8886bcc67349116eb39105c47d0cb46ad959ed72e",

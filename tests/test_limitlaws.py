@@ -1,11 +1,13 @@
 """Tests for the limit-law check battery."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from storagebalance.limitlaws import (
+    _count_ranges,
     _one_pass,
     circular_line_checks,
     count_range_checks,
@@ -16,6 +18,7 @@ from storagebalance.limitlaws import (
     run_limit_checks,
 )
 from storagebalance.spacings import gumbel_cdf, spacing_matrix
+from util import exact_window_maxima
 
 
 def test_ks_distance_of_exact_cdf_sample():
@@ -147,9 +150,9 @@ def test_one_pass_draws_each_block_once(monkeypatch, k, trials, count_trials):
     real = lim.spacing_matrix
     calls = []
 
-    def counting(k, sigma, master_seed, trials, start_index=0):
+    def counting(k, sigma, master_seed, trials, start_index=0, out=None):
         calls.append((start_index, trials))
-        return real(k, sigma, master_seed, trials, start_index=start_index)
+        return real(k, sigma, master_seed, trials, start_index=start_index, out=out)
 
     monkeypatch.setattr(lim, "spacing_matrix", counting)
     run_limit_checks(k, [1, 2, k], trials, 3, count_trials=count_trials)
@@ -169,6 +172,50 @@ def test_report_independent_of_block_size(monkeypatch, count_trials):
     for elements in (1, k - 1, k, 10 * k, 2**20):
         monkeypatch.setattr(lim, "_BLOCK_ELEMENTS", elements)
         assert run_limit_checks(k, [1, 2, k], trials, 3, count_trials=count_trials) == want
+
+
+@pytest.mark.parametrize(
+    "k, ds, trials", [(300, [1, 2, 3, 5, 8, 64, 299], 12), (10_000, [1, 2, 3], 1)]
+)
+def test_pass_maxima_are_within_their_summation_depth_of_exact(k, ds, trials):
+    # a sum of d non-negative entries as a tree of depth h = ceil(log2 d)
+    # is within gamma_h = h u / (1 - h u) relative of the exact sum
+    sample = _one_pass(k, ds, trials, 0, 17)
+    rows = spacing_matrix(k, 1.0, 17, trials)
+    for d in ds:
+        h = (d - 1).bit_length()
+        gamma = Fraction(h, 2**53 - h)
+        assert (sample.circle[d] >= sample.line[d]).all()
+        for i, row in enumerate(rows):
+            got = (sample.line[d][i], sample.circle[d][i])
+            for value, exact in zip(got, exact_window_maxima(row, d)):
+                assert abs(Fraction(float(value)) - exact) <= gamma * exact, (d, i)
+
+
+def test_pass_maxima_bits_depend_on_d_and_row_alone(monkeypatch):
+    import storagebalance.limitlaws as lim
+
+    k, ds, trials = 300, [1, 2, 3, 5, 8, 64, 299], 250
+    want = _one_pass(k, ds, trials, 0, 4)
+    for d in ds:
+        alone = _one_pass(k, [d], trials, 0, 4)
+        assert alone.line[d].tobytes() == want.line[d].tobytes()
+        assert alone.circle[d].tobytes() == want.circle[d].tobytes()
+    for elements in (1, trials * k):  # one-row blocks, and one block
+        monkeypatch.setattr(lim, "_BLOCK_ELEMENTS", elements)
+        got = _one_pass(k, ds, trials, 0, 4)
+        assert [got.line[d].tobytes() for d in ds] == [want.line[d].tobytes() for d in ds]
+        assert [got.circle[d].tobytes() for d in ds] == [want.circle[d].tobytes() for d in ds]
+
+
+@pytest.mark.parametrize("k, count_trials", [(40, 2000), (10_000, 7)])
+def test_range_counts_match_per_row_counts(k, count_trials):
+    # 819-row blocks of short rows at k = 40, 3-row blocks of long ones at 10^4
+    counts = _one_pass(k, [1], 2, count_trials, 8).counts
+    rows = spacing_matrix(k, 1.0, 8, count_trials)
+    for name, lo, hi, *_ in _count_ranges(k):
+        want = [np.count_nonzero((row >= lo) & (row <= hi)) for row in rows]
+        assert counts[name].tolist() == want, name
 
 
 def test_limit_checks_hold_a_few_rows_at_large_k():

@@ -23,8 +23,8 @@ from storagebalance.spacings import (
     prefix_sums,
     solve_alpha,
     spacing_matrix,
+    WindowMaxima,
     window_max,
-    window_max_pair,
 )
 from util import per_trial_spacings, spacing_batches, window_maxima
 
@@ -48,6 +48,24 @@ def test_distinct_streams_differ():
     a = spacing_matrix(5, 1.0, 1234, 1, start_index=0)
     b = spacing_matrix(5, 1.0, 1234, 1, start_index=1)
     assert not np.array_equal(a, b)
+
+
+def test_spacing_matrix_draws_into_a_view_of_a_wider_buffer():
+    for k in (1, 7, 10_000):
+        buffer = np.full((6, k + 5), np.nan)
+        view = buffer[1:4, 2 : k + 2]
+        assert spacing_matrix(k, 2.5, 9, 3, start_index=4, out=view) is view
+        assert view.tobytes() == spacing_matrix(k, 2.5, 9, 3, start_index=4).tobytes()
+        assert np.isnan(buffer[[0, 4, 5]]).all()
+        assert np.isnan(buffer[:, :2]).all() and np.isnan(buffer[:, k + 2 :]).all()
+
+
+def test_spacing_matrix_rejects_an_out_it_cannot_fill():
+    buffer = np.empty((3, 20))
+    for out in (buffer[:2, :10], buffer[:3, :9], buffer[:3, :10].astype(np.float32),
+                buffer[:3, ::2], np.empty((10, 3)).T):
+        with pytest.raises(ValueError, match="out"):
+            spacing_matrix(10, 1.0, 9, 3, out=out)
 
 
 def test_sigma_is_a_pure_scale():
@@ -157,7 +175,7 @@ def test_circle_dominates_line(values, data):
     d = data.draw(st.integers(min_value=1, max_value=len(values)))
     line = window_maxima(arr, d, circle=False)
     circ = window_maxima(arr, d, circle=True)
-    assert circ >= line  # exact, by shared prefix sums
+    assert circ >= line  # exact, both cut from the same window sums
     if d == 1:
         assert circ == line
 
@@ -165,8 +183,9 @@ def test_circle_dominates_line(values, data):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_shared_prefix_matches_direct_window_sums(data):
-    # Every window cut from one prefix continued max(d) - 1 entries agrees
-    # with direct sums of shifted slices.
+    # Every window cut from one prefix continued max(d) - 1 entries, and
+    # every doubling sum of one WindowMaxima, agrees with direct sums of
+    # shifted slices.
     k = data.draw(st.integers(min_value=1, max_value=30), label="k")
     rows = data.draw(st.integers(min_value=1, max_value=3), label="rows")
     values = data.draw(
@@ -181,15 +200,34 @@ def test_shared_prefix_matches_direct_window_sums(data):
     columns = prefix_sums(a, wrap=max(ds) - 1, axis=0)
     assert columns.T.tobytes() == p.tobytes()
     ext = np.concatenate([a, a[:, : k - 1]], axis=1)
-    for d in sorted(ds):
-        line, circ = window_max_pair(p, k, d)
-        assert window_max(p, k, d).tobytes() == circ.tobytes()
-        assert window_max(columns, k, d, axis=0).tobytes() == circ.tobytes()
+    windows = WindowMaxima(rows, k, ds)
+    windows.entries[:] = a
+    for d, line, circ in windows.max_pairs(rows):
+        assert window_max(columns, k, d, axis=0).tobytes() == window_max(p, k, d).tobytes()
         line_ref = sum(a[:, j : k - d + 1 + j] for j in range(d)).max(axis=1)
         circ_ref = sum(ext[:, j : k + j] for j in range(d)).max(axis=1)
+        np.testing.assert_allclose(window_max(p, k, d), circ_ref, rtol=1e-12, atol=0)
         np.testing.assert_allclose(line, line_ref, rtol=1e-12, atol=0)
         np.testing.assert_allclose(circ, circ_ref, rtol=1e-12, atol=0)
         assert (circ >= line).all()
+
+
+def test_window_sums_add_the_doubling_pieces_smallest_first():
+    # d = 7 = 1 + 2 + 4: s_i, plus the pair from i + 1, plus the two pairs
+    # from i + 3, which keeps every sum within ceil(log2 7) = 3 roundings
+    k, rows = 50, 200
+    a = spacing_matrix(k, 1.0, 3, rows)
+    ext = np.concatenate([a, a[:, :6]], axis=1)
+
+    def s(j):
+        return ext[:, j : j + k]
+
+    sums = (s(0) + (s(1) + s(2))) + ((s(3) + s(4)) + (s(5) + s(6)))
+    windows = WindowMaxima(rows, k, [7])
+    windows.entries[:] = a
+    [(_, line, circle)] = windows.max_pairs(rows)
+    assert line.tobytes() == sums[:, : k - 6].max(axis=1).tobytes()
+    assert circle.tobytes() == sums.max(axis=1).tobytes()
 
 
 def test_prefix_sums_rejects_wrap_outside_row():

@@ -188,7 +188,7 @@ TRACED_NAMES = {
 
 #: The tracer's patches that find nothing in the package today, so record no
 #: span (ROADMAP item 1): ``cli`` builds no routing matrices, and limitlaws
-#: takes its window maxima from ``spacings.window_max_pair``.
+#: takes its window maxima from ``spacings.WindowMaxima``.
 UNRESOLVED_PATCHES = {
     ("cli", "to_matrices"),
     ("limitlaws", "window_maxima_line"),

@@ -18,7 +18,7 @@ from storagebalance.allocation import (
     perfect_difference_set,
 )
 from storagebalance.metrics import estimate_metrics, t_star_series
-from storagebalance.spacings import prefix_sums, spacing_matrix, window_max_pair
+from storagebalance.spacings import WindowMaxima, spacing_matrix
 
 
 def per_trial_spacings(k: int, sigma: float, seed: int, index: int) -> np.ndarray:
@@ -71,8 +71,10 @@ def window_maxima(a, d: int, circle: bool):
     """Per-row maximum sum of d consecutive entries of a (k,) or (T, k) array,
     on the line or (wrapping around) on the circle."""
     m = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    k = m.shape[1]
-    out = window_max_pair(prefix_sums(m, d - 1), k, d)[1 if circle else 0]
+    windows = WindowMaxima(*m.shape, [d])
+    windows.entries[:] = m
+    [(_, line, circ)] = windows.max_pairs(len(m))
+    out = circ if circle else line
     return out if np.ndim(a) > 1 else out[0]
 
 
@@ -402,6 +404,16 @@ def exact_t_star_cyclic(n: int, d_values, row) -> list[Fraction]:
         max([total] + [Fraction(windows[w], (w + d - 1) * denom) for w in range(1, n - d + 1)])
         for d in d_values
     ]
+
+
+def exact_window_maxima(row, d: int) -> tuple[Fraction, Fraction]:
+    """The largest sum of d consecutive entries of one float row, on the
+    line and on the circle, exactly."""
+    ints, denom = _exact_integers(row)
+    k = len(ints)
+    prefix = list(accumulate(ints + ints[: d - 1], initial=0))
+    sums = [prefix[i + d] - prefix[i] for i in range(k)]
+    return Fraction(max(sums[: k - d + 1]), denom), Fraction(max(sums), denom)
 
 
 def exact_t_star_clusters(alloc: Allocation, row) -> Fraction:
