@@ -131,22 +131,30 @@ def gumbel_ks_checks(
 ) -> list[LimitCheck]:
     """KS distance of the centered scaled maxima (line and circle) to Gumbel.
 
-    ``line`` and ``circle`` are the per-trial maxima of one pass; at d = k
-    the window spans the whole interval, no maxima are needed and the check
-    is skipped.
+    ``line`` and ``circle`` are the per-trial maxima of one pass.  The check
+    is skipped at d = k, where the window spans the whole interval and no
+    maxima are needed, and where d is outside the domain of
+    ``dspacing_gumbel_centering``.
     """
-    if d == k:
+    skipped = "window spans the whole interval; statistic is constant"
+    if d < k:
+        try:
+            center = dspacing_gumbel_centering(k, d)
+        except ValueError as err:
+            skipped = str(err)
+        else:
+            skipped = None
+    if skipped:
         return [
             LimitCheck(
                 name=f"gumbel_ks_skipped_k{k}_d{d}",
                 statistic=1.0,
                 threshold=1.0,
                 passed=True,
-                detail="window spans the whole interval; statistic is constant",
+                detail=skipped,
             )
         ]
     trials = len(line)
-    center = dspacing_gumbel_centering(k, d)
     threshold = ks_threshold(d, trials)
     out = []
     for name, arr in (("line", line), ("circle", circle)):

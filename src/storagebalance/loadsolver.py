@@ -46,11 +46,10 @@ from .allocation import (
 from .spacings import (
     REGIME_SMALL_D,
     AsymptoticPrediction,
+    WindowMaxima,
     predict_d_choice,
     predict_single_choice,
     predict_xor,
-    prefix_sums,
-    window_max,
 )
 
 #: Stability verdict tolerance on the optimal max load.
@@ -487,7 +486,8 @@ def _t_star_clusters(n: int, d_values: Sequence[int], demands: np.ndarray) -> np
 
 
 #: The cyclic kernel compacts its live rows once at least this share of them
-#: is proven final; compacting on every drop copies the prefix sums too often.
+#: is proven final; compacting on every drop copies the rows and their window
+#: sums too often.
 _COMPACT_SHARE = 0.25
 
 
@@ -500,17 +500,17 @@ def _t_star_cyclic(n: int, d_values: Sequence[int], demands: np.ndarray) -> np.n
     to n - d, and t* = sum/n at d >= n.
 
     The circular window maximum W_w does not depend on d, so one pass over
-    w = 1 .. n - min d serves every d: it builds the prefix sums once, with
-    the wrap the smallest d needs, computes W_w once per w over the rows
-    still live, and updates each d with w <= n - d from it.  Every d sees
-    the same W_w and the same float operations as a pass of its own, so its
-    row is that pass's row bit for bit; a single design is the one-d case.
+    w = 1 .. n - min d serves every d: it keeps the sums of the w entries
+    from each position, adds the entries shifted cyclically by w - 1 to
+    step from w - 1 to w, computes W_w once per w over the rows still live,
+    and updates each d with w <= n - d from it.  Every d sees the same W_w
+    and the same float operations as a pass of its own, so its row is that
+    pass's row bit for bit; a single design is the one-d case.
 
-    The prefix sums are position-major, one column per trial, so each
-    window's subtraction and maximum run long inner loops across the trials
-    instead of one short loop per row (100 entries at n = 100).  They hold
-    the same sums as one row per trial and the maximum is exact, so every
-    t* has the bits a row-major pass would give it.
+    The entries and sums are position-major, one column per trial, so each
+    add and maximum runs long inner loops across the trials instead of one
+    short loop per row (100 entries at n = 100).  Each window sum is the
+    sequential sum of its w entries from its first, whatever the layout.
 
     Rows whose t* is already final are skipped.  Circular window maxima are
     subadditive, W_{a+b} <= W_a + W_b (for a + b < n), so if after step w a
@@ -531,24 +531,29 @@ def _t_star_cyclic(n: int, d_values: Sequence[int], demands: np.ndarray) -> np.n
     place; rows already final for it leave at the next compaction.
 
     The test runs on rounded sums, so it asks for W_w <= best * w * (1 - m).
-    With u = 2^-53, the sequential prefix sums of a row of sum sigma reach
-    index 2n and stay below 2 sigma, so each carries an error of at most
-    4 n u sigma, and a computed window sum is within e = (8n + 1) u sigma of
-    its exact value.  Carrying e through the q + 1 pieces above and the
-    rounding of the test and of W_s / (s + d - 1), the rounded W_w' /
-    (w' + d - 1) stays at most best when m >= 3 e / (best w) + (2n + 5) u;
-    since best >= sigma / n this is at most (24 n^2 + 5 n + 5) u, and
-    m = 32 n^2 u covers it at every n >= 2 (3.6e-11 at n = 100, 3.2e-8 at
-    n = 3000).  ``build_cyclic`` puts no upper limit on n, so the margin is
-    taken at the n of the call.  Skipped rows therefore keep exactly the
-    value the full loop would give them.
+    With u = 2^-53 and g_j = j u / (1 - j u), a sequential sum of j
+    non-negative entries is within g_{j-1} relative of its exact value
+    (Higham, SIAM J. Sci. Comput. 14, 1993), and so is each computed W_j.
+    The test and the rounded W_s / (s + d - 1) <= best at step s < w give
+    W_w <= best w (1 - m)(1 + u)^2 / (1 - g) and W_s <= best (s + d - 1)
+    (1 + u)^2 / (1 - g) for the exact maxima, with g = g_{w'-1}; the
+    computed W_w' is at most (1 + g)(q W_w + W_s), so it is at most
+    best (w' + d - 1), and the rounded W_w' / (w' + d - 1) at most best,
+    when m >= (F - 1)(w' + d - 1) / (q w) with F = (1 + g)(1 + u)^2 /
+    (1 - g).  As q w >= w' / 2, w' + d - 1 < n and F - 1 is about 2 w' u,
+    this asks for about 4 n u, and m = 8 n u covers it at every n up to
+    2^49 (barring underflow), 8.9e-14 at n = 100.  ``build_cyclic`` puts
+    no upper limit on n, so the margin is taken at the n of the call.
+    Skipped rows therefore keep exactly the value the full loop would give
+    them.
     """
     total = demands.sum(axis=1) / n
     ds = sorted({d for d in d_values if d < n}, reverse=True)
     out = np.tile(total, (len(ds), 1))
     if ds:
-        shrink = 1.0 - 32.0 * n * n * 2.0**-53
-        p = prefix_sums(demands, wrap=n - ds[-1] - 1, axis=0)  # one column per trial
+        shrink = 1.0 - 8.0 * n * 2.0**-53
+        x = np.ascontiguousarray(demands.T)  # one column per trial
+        acc = np.zeros_like(x)  # the sums of the w entries from each position
         rows = np.arange(len(total))
         best = out.copy()
         final = np.zeros(best.shape, dtype=bool)
@@ -557,7 +562,9 @@ def _t_star_cyclic(n: int, d_values: Sequence[int], demands: np.ndarray) -> np.n
         for w in range(1, n - ds[-1] + 1):
             if w > n - ds[top]:
                 top += 1
-            wmax = window_max(p, n, w, 0)
+            acc[: n - w + 1] += x[w - 1 :]  # the entries w - 1 positions on
+            acc[n - w + 1 :] += x[: w - 1]
+            wmax = acc.max(axis=0)
             live_best = best[top:]
             np.maximum(live_best, wmax / (w + d_minus_1[top:]), out=live_best)
             final[top:] |= wmax <= live_best * (w * shrink)
@@ -565,7 +572,8 @@ def _t_star_cyclic(n: int, d_values: Sequence[int], demands: np.ndarray) -> np.n
             if np.count_nonzero(done) >= _COMPACT_SHARE * len(done):
                 out[:, rows[done]] = best[:, done]
                 live = ~done
-                p = np.compress(live, p, axis=1)
+                x = np.compress(live, x, axis=1)  # one at a time, to free the old x first
+                acc = np.compress(live, acc, axis=1)
                 rows, best, final = rows[live], best[:, live], final[:, live]
                 if not len(rows):
                     break
@@ -607,7 +615,11 @@ def _condition(alloc: Allocation, demands, name: str, generic) -> np.ndarray:
 
     The pair is the family's ``name`` rule, else the ``generic`` pairs.  A
     demand that is negative or not finite raises ValueError, as on every t*
-    route.
+    route.  The circle maxima W_w come from one ``WindowMaxima`` over all
+    rows, whose floor(log2 D) + 2 buffers of T x (k + D - 1) numbers, D the
+    largest window, cost time and memory at long windows: at a block design
+    of d = 32 (k = 993), 2000 rows take about 36 ms and 109 MiB.  No command
+    calls the conditions.
     """
     rule = getattr(FAMILIES.get(alloc.kind), name, None)
     pairs = [rule(alloc.d, alloc.r)] if rule is not None else generic
@@ -617,9 +629,11 @@ def _condition(alloc: Allocation, demands, name: str, generic) -> np.ndarray:
     t, k = demands.shape
     ok = np.ones(t, dtype=bool)
     if pairs:
-        p = prefix_sums(demands, wrap=min(max(w for w, _ in pairs), k) - 1)
+        windows = WindowMaxima(t, k, [min(w, k) for w, _ in pairs])
+        windows.entries[:] = demands
+        circle = {d: circle_max for d, _, circle_max in windows.max_pairs(t)}
         for w, bound in pairs:
-            ok &= window_max(p, k, min(w, k)) <= bound
+            ok &= circle[min(w, k)] <= bound
     return ok
 
 

@@ -3,10 +3,10 @@
 Demand vectors with a fixed cumulative load sigma are distributed like k
 uniform spacings scaled to [0, sigma].  The windowed maxima of those spacings
 (on the line and on the circle) drive both the exact stability conditions and
-the Gumbel-type limit laws, so they are implemented here once, over (T, k)
-batches of demand rows: the conditions and the cyclic kernel cut them from
-prefix sums, one row per trial or position-major, and the limit checks from
-direct sums built by doubling (``WindowMaxima``).
+the Gumbel-type limit laws.  Each is taken from direct sums of the entries,
+never from prefix differences: over (T, k) batches of demand rows by doubling
+(``WindowMaxima``), which the conditions and the limit checks use, and as
+running sums in the cyclic kernel, which steps through every window size.
 """
 
 from __future__ import annotations
@@ -89,54 +89,6 @@ def spacing_matrix(
 # ---------------------------------------------------------------------------
 # Windowed maxima
 # ---------------------------------------------------------------------------
-
-
-def prefix_sums(a: np.ndarray, wrap: int = 0, axis: int = 1) -> np.ndarray:
-    """Prefix sums of each (T, k) row of ``a``, continued ``wrap`` entries
-    cyclically, with the positions along axis ``axis`` of the result.
-
-    With ``axis=1`` (the default) ``p[:, j]`` is the sum of the first j
-    entries of the cyclically extended row, for j in [0, k + wrap], so the
-    window of d entries starting at i sums to ``p[:, i + d] - p[:, i]``.
-    With ``axis=0`` the (k + wrap + 1, T) result is position-major, one
-    column per trial, and ``p[j]`` is the default layout's ``p[:, j]``.
-    Either way each entry is the same sequential sum, so both layouts have
-    the same bits; the position-major sums add one position at a time
-    across the trials, since ``np.cumsum`` down a column strides through
-    memory.  An entry does not depend on ``wrap``: windows cut from one
-    prefix equal those cut from prefixes built for each window size.
-    """
-    t, k = a.shape
-    if not 0 <= wrap < k:
-        raise ValueError(f"wrap must be in [0, {k}), got {wrap}")
-    p = np.empty((t, k + wrap + 1) if axis == 1 else (k + wrap + 1, t))
-    q = p if axis == 1 else p.T  # one row per trial in either layout
-    q[:, 0] = 0.0
-    q[:, 1 : k + 1] = a
-    q[:, k + 1 :] = a[:, :wrap]
-    if axis == 1:
-        np.cumsum(q[:, 1:], axis=1, out=q[:, 1:])
-    else:
-        for j in range(1, len(p)):
-            np.add(p[j - 1], p[j], out=p[j])
-    return p
-
-
-def _window_sums(p: np.ndarray, k: int, d: int, axis: int = 1) -> np.ndarray:
-    if axis == 0:
-        return p[d : d + k] - p[:k]
-    return p[:, d : d + k] - p[:, :k]
-
-
-def window_max(p: np.ndarray, k: int, d: int, axis: int = 1) -> np.ndarray:
-    """Per-trial maximum sum of d entries on the circle, cut from a
-    ``prefix_sums`` of the same ``axis``.
-
-    The windows start at 0..k-1, which needs a prefix continued at least
-    d - 1 entries; ``WindowMaxima`` takes line and circle maxima from
-    direct sums.
-    """
-    return _window_sums(p, k, d, axis).max(axis=axis)
 
 
 class WindowMaxima:
@@ -275,6 +227,13 @@ def dspacing_gumbel_centering(k: float, d: int) -> float:
     slowly for d > 1, so b_k solves the self-consistent equation
     b = log k + (d-1) log b - log((d-1)!) by fixed-point iteration, which
     agrees to first order but tracks moderate k far better.
+
+    The domain is where that iteration from b = log k stays positive.  Its
+    map is increasing, so the iterates move monotonically: they converge
+    when the equation has a root at or below log k, and otherwise fall to
+    b <= 0, where log b is undefined, and ValueError is raised.  That first
+    happens at d = 10 for k = 50, d = 15 for k = 300, d = 18 for k = 10^3
+    and d = 24 for k = 10^4.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
@@ -284,6 +243,11 @@ def dspacing_gumbel_centering(k: float, d: int) -> float:
     b = math.log(k)
     for _ in range(100):
         nxt = base + (d - 1) * math.log(b)
+        if nxt <= 0:
+            raise ValueError(
+                f"no Gumbel centering at k={k}, d={d}: the fixed-point iteration "
+                "from log k falls to b <= 0"
+            )
         if abs(nxt - b) < 1e-13:
             return nxt
         b = nxt

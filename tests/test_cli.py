@@ -714,6 +714,15 @@ def test_limit_checks_subcommand(tmp_path):
     assert all(set(c) >= {"name", "statistic", "threshold", "passed"} for c in report["data"]["checks"])
 
 
+def test_limit_checks_skip_gumbel_outside_the_centering_domain(capsys):
+    # d = 64 at k = 300 has no Gumbel centering; the run exited 1 after its
+    # whole sampling pass
+    assert main(["limit-checks", "--k", "300", "--d", "64", "--trials", "50"]) == EXIT_OK
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["data"]["checks"]]
+    assert "gumbel_ks_skipped_k300_d64" in names
+    assert not any(name.startswith(("gumbel_ks_line", "gumbel_ks_circle")) for name in names)
+
+
 def test_limit_checks_csv_format(tmp_path, capsys):
     assert main(
         ["limit-checks", "--k", "300", "--d", "1", "--trials", "400", "--seed", "2",

@@ -69,17 +69,17 @@ DIGESTS = {
     "save_allocation/cyclic_xor_n30": "cad318aa116c214074c8ab9c5d6683405a6aa13a28a490ae2b2f3120a2233bdc",
     "save_allocation/cyclic_xor_r2": "b051e664b069a2ab4088fc7750350ef3d413b92417654c35a61ade30342ae8ad",
     "save_allocation/single_choice_m2": "f78061899ef2ab71f5f990a0c63d757ec842209287cbc8141990d55d374107d6",
-    "scripts/fig_design_comparison.csv": "512d74d3253f2385620f88a2ea4bc724616a07f8fe85ec18636eb156517112c2",
-    "scripts/fig_imbalance_vs_d.csv": "548615212774889888d6d93259a497da4a92054bb5b8bf553861fcc5f9420552",
+    "scripts/fig_design_comparison.csv": "1c3baf53a14c1af81cd5910df0b0b7b6f4f34dbd26e6926d85f09f4927abc82c",
+    "scripts/fig_imbalance_vs_d.csv": "4a15a68f515553508bff31059e500b747dab58d5d3fb47751ea51bde5bc3f6d9",
     "simulate/block_design_d3.csv": "ec270903ddde64a9f0374e8c73152e2eb5bf64c800ff4c98ee38870369d20d66",
     "simulate/block_design_d3.json": "f4e4c6c12ea9c876959ae482688bb9c7f482124b78bd415200bfd319221ccc6f",
     "simulate/block_design_d5.csv": "13a75dcdf7ffa4d281faf709ea71cc6be1d96b9bce6001d466e1d4baed8ff174",
     "simulate/block_design_d5.json": "4f1575826703e68376bf2991d5610d39960cdf3a74406e0f518bd89f4f6872b1",
     "simulate/clustering.csv": "cce8de5d421585b56017d8840a70728f9054d7c1e31cb91231b25e235c0c4d31",
     "simulate/clustering.json": "7634c8589e308b45a0117cabc276635dd64f15ad61590c40081ad12b76e90d17",
-    "simulate/cyclic.csv": "2098a8f7050248206311e7bd6e72b5edd005d31b49d8380e0176c96ac9c812d3",
-    "simulate/cyclic.json": "d217124c8a0d94f8ddf8a3b97b18a14d4dc7fc061148a44e6be4f36f7b265d8f",
-    "simulate/cyclic_sweep/seed1.csv": "9c9ccae091059bb29364970a3c44a041b486f53e74e8538d1c5fbb546fa26301",
+    "simulate/cyclic.csv": "96539bde1a1874e28d0dc88c420b0f5cb09dd58c6f32ac26a88ffc4272abdecc",
+    "simulate/cyclic.json": "98002b639b7ad80411a2acd6048561b5a352b872945245a6cd5db78979d61c05",
+    "simulate/cyclic_sweep/seed1.csv": "8cb741459fde57791c5ef4417c324deec55fe88a13c93dbf7fa5ee3cac80dee8",
     "simulate/cyclic_xor_n30.csv": "9d19241f5dd722073ed00079b8ea1247629a63d4de3b6b1db17df75e6bf26f58",
     "simulate/cyclic_xor_n30.json": "37ead1e02dc95d8a0cb9cb5dda45b451d691502c8e20410f52336c517e079ceb",
     "simulate/cyclic_xor_r2.csv": "4ca879664fb73c955b5210b2c95c57f3cca9215af148e29dc13965fc5d7c52c6",

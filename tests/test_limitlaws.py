@@ -72,6 +72,20 @@ def test_gumbel_ks_skips_degenerate_window():
     assert "skipped" in checks[0].name
 
 
+def test_gumbel_ks_skips_d_outside_the_centering_domain():
+    # k = 300: d = 14 is the last d whose centering iteration stays above 0
+    line = np.linspace(0.05, 0.2, 30)
+    assert [c.name for c in gumbel_ks_checks(300, 14, line, line)] == [
+        "gumbel_ks_line_k300_d14",
+        "gumbel_ks_circle_k300_d14",
+    ]
+    [skip] = gumbel_ks_checks(300, 15, line, line)
+    assert skip.name == "gumbel_ks_skipped_k300_d15" and skip.passed
+    assert "fixed-point iteration from log k falls to b <= 0" in skip.detail
+    for d in range(1, 51):
+        assert gumbel_ks_checks(50, d, line, line)
+
+
 def test_circular_line_checks_pass():
     checks = circular_line_checks(100, 3, *_maxima(100, 3, 20_000, 5))
     assert all(c.passed for c in checks)

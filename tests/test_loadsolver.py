@@ -33,7 +33,7 @@ from storagebalance.loadsolver import (
     sufficient_condition,
     t_star_batch,
 )
-from storagebalance.spacings import prefix_sums, spacing_matrix, window_max
+from storagebalance.spacings import spacing_matrix
 from util import (
     NotCertified,
     certify_lp_row,
@@ -41,6 +41,7 @@ from util import (
     dense,
     exact_t_star_clusters,
     exact_t_star_cyclic,
+    exact_window_maxima,
     reference_to_matrices,
     replica_instance,
     window_maxima,
@@ -535,9 +536,10 @@ def _t_star_cyclic_unpruned(n, d, demands):
     best = demands.sum(axis=1) / n
     if d >= n:
         return best
-    p = prefix_sums(demands, wrap=n - d - 1)
+    sums = np.zeros_like(demands)  # the sums of the w entries from each position
     for w in range(1, n - d + 1):
-        np.maximum(best, window_max(p, n, w) / (w + d - 1), out=best)
+        sums += np.roll(demands, 1 - w, axis=1)
+        np.maximum(best, sums.max(axis=1) / (w + d - 1), out=best)
     return best
 
 
@@ -611,8 +613,9 @@ def test_cyclic_t_star_is_within_its_error_budget_of_the_exact_value(n):
     # Spacing rows, which the kernel's pruning drops after two window sizes
     # at d = 1; rows that tie or differ only in their last bits; and rows
     # whose binding window is long and wraps past the last object.  The
-    # budget follows the kernel's error analysis: a window sum is within
-    # (8n + 1) u sigma of its exact value, and t* >= sigma / n.
+    # budget follows the kernel's error analysis: a sum of j >= 1 demands,
+    # in any order, is within (j - 1) u / (1 - (j - 1) u) relative of its
+    # exact value, and one division adds u, which (n + 1) u covers at n <= 100.
     d_values = [d for d in range(1, 6) if d <= n]
     rng = np.random.default_rng(n)
     arc = np.where(np.roll(np.arange(n) < 3 * n // 4, -n // 2), 1.0 + 0.1 * rng.random((3, n)), 0.02)
@@ -624,7 +627,7 @@ def test_cyclic_t_star_is_within_its_error_budget_of_the_exact_value(n):
     allocs = [build_cyclic(n, d) for d in d_values]
     solved = ls.shared_pass(allocs, demands)
     fast = [t_star_batch(alloc, demands, solved) for alloc in allocs]
-    budget = ((8 * n + 1) * n + 2) * _U
+    budget = (n + 1) * _U
     for j, row in enumerate(demands):
         for t_stars, exact in zip(fast, exact_t_star_cyclic(n, d_values, row)):
             _assert_within_exact(t_stars[j], exact, budget)
@@ -652,11 +655,18 @@ def test_cyclic_kernel_skips_final_rows(monkeypatch):
 
     handed = []
 
-    def counting(p, k, w, axis=1):
-        handed.append(p.shape[1 - axis])  # trials, in either layout
-        return window_max(p, k, w, axis)
+    class CountingNumpy:
+        """numpy, but counting the live trials each step raises best over."""
 
-    monkeypatch.setattr(loadsolver_mod, "window_max", counting)
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def maximum(best, ratios, out):
+            handed.append(best.shape[1])
+            return np.maximum(best, ratios, out=out)
+
+    monkeypatch.setattr(loadsolver_mod, "np", CountingNumpy())
     n, trials = 100, 1000
     demands = spacing_matrix(n, 0.8 * n, 5, trials)
     alone = {}
@@ -666,11 +676,11 @@ def test_cyclic_kernel_skips_final_rows(monkeypatch):
         got = t_star_batch(alloc, demands)
         assert got.tobytes() == _t_star_cyclic_unpruned(n, d, demands).tobytes()
         alone[d] = sum(handed)
-    # the full loop hands trials * (n - d) rows to window_max
+    # the full loop reduces trials * (n - d) rows
     assert alone[1] <= 2 * trials  # every row live at w = 1, final at w = 2
     assert alone[3] < trials * (n - 3) / 5
     # one pass for d = 1..5 leaves a row once it is final for d = 5, so it
-    # hands window_max about what d = 5 alone does, not the sum over all d
+    # reduces about what d = 5 alone does, not the sum over all d
     handed.clear()
     allocs = [build_cyclic(n, d) for d in range(1, 6)]
     solved = ls.shared_pass(allocs, demands)
@@ -679,6 +689,21 @@ def test_cyclic_kernel_skips_final_rows(monkeypatch):
             _t_star_cyclic_unpruned(n, alloc.d, demands).tobytes()
         )
     assert sum(handed) <= 1.1 * alone[5] < 0.6 * sum(alone.values())
+
+
+def test_cyclic_kernel_memory_stays_within_a_few_copies_of_its_demands():
+    # the entries and their window sums are one copy each, and a compaction
+    # copies them one at a time: 2.75 copies here, where the prefix-sum
+    # route's position-major sums and the window sums cut from them held 3.45
+    n, trials = 300, 2000
+    demands = spacing_matrix(n, 0.8 * n, 1801, trials)
+    tracemalloc.start()
+    try:
+        ls._t_star_cyclic(n, [1, 2, 3, 4, 5], demands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * demands.nbytes
 
 
 def test_t_star_batch_reads_only_a_pass_that_covers_it():
@@ -949,3 +974,46 @@ def test_stability_sandwich(alloc, sigmas, kwargs):
         assert not np.any(sufficient & ~stable), f"sufficient held but unstable at sigma={sigma}"
         assert not np.any(stable & ~necessary), f"stable but necessary failed at sigma={sigma}"
 
+
+@pytest.mark.parametrize(
+    "alloc,r_gap",
+    [
+        (build_cyclic(12, 3), None),
+        (build_clustering(12, 3), None),
+        (build_block_design(3), None),
+        (build_block_design(4), None),
+        (build_cyclic_xor(12, 3, 2), None),
+        (build_single_choice(12, 1), 0),
+        (build_single_choice(12, 1), 2),
+        (build_single_choice(12, 1), 12),  # window r + 1 clamped to k
+    ],
+    ids=["cyclic", "clustering", "block-d3", "block-d4", "xor", "rgap-0", "rgap-2", "rgap-12"],
+)
+def test_conditions_equal_the_exact_window_test(alloc, r_gap):
+    # each verdict is W_w <= bound with W_w the exact circle maximum of the
+    # float row; rows with one demand of exactly a bound, and of the next
+    # float above it, sit on the boundary of each pair's test
+    family = ls.FAMILIES[alloc.kind]
+    if family.sufficient is not None:
+        rules = {"sufficient": [family.sufficient(alloc.d, alloc.r)],
+                 "necessary": [family.necessary(alloc.d, alloc.r)]}
+    else:
+        rules = {"sufficient": [(r_gap + 1, alloc.d)],
+                 "necessary": [(i, i + 2.0 * r_gap) for i in range(1, alloc.k - 2 * r_gap + 1)]}
+    k = alloc.k
+    rows = [spacing_matrix(k, sigma * alloc.n, 41, 8) for sigma in (0.3, 0.6, 1.0)]
+    for _, bound in rules["sufficient"] + rules["necessary"][:1]:
+        for value in (bound, np.nextafter(bound, np.inf)):
+            rows.append(np.eye(1, k) * value)
+            rows.append(np.full((1, k), value / k))  # the same total, spread out
+    rows = np.vstack(rows)
+    verdicts = {}
+    for name, condition in (("sufficient", sufficient_condition), ("necessary", necessary_condition)):
+        got = condition(alloc, rows, r_gap=r_gap)
+        want = [
+            all(exact_window_maxima(row, min(w, k))[1] <= Fraction(bound) for w, bound in rules[name])
+            for row in rows
+        ]
+        assert got.tolist() == want, name
+        verdicts[name] = want
+    assert True in verdicts["sufficient"] and False in verdicts["sufficient"]

@@ -20,11 +20,9 @@ from storagebalance.spacings import (
     predict_d_choice,
     predict_single_choice,
     predict_xor,
-    prefix_sums,
     solve_alpha,
     spacing_matrix,
     WindowMaxima,
-    window_max,
 )
 from util import per_trial_spacings, spacing_batches, window_maxima
 
@@ -182,10 +180,9 @@ def test_circle_dominates_line(values, data):
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
-def test_shared_prefix_matches_direct_window_sums(data):
-    # Every window cut from one prefix continued max(d) - 1 entries, and
-    # every doubling sum of one WindowMaxima, agrees with direct sums of
-    # shifted slices.
+def test_window_maxima_match_direct_window_sums(data):
+    # every doubling sum of one WindowMaxima agrees with direct sums of
+    # shifted slices
     k = data.draw(st.integers(min_value=1, max_value=30), label="k")
     rows = data.draw(st.integers(min_value=1, max_value=3), label="rows")
     values = data.draw(
@@ -195,18 +192,12 @@ def test_shared_prefix_matches_direct_window_sums(data):
     ds = set(data.draw(st.lists(st.integers(min_value=1, max_value=k), min_size=1, max_size=4)))
     if data.draw(st.booleans(), label="with d = k"):
         ds.add(k)
-    p = prefix_sums(a, wrap=max(ds) - 1)
-    # the position-major layout holds the same sums, one column per row of a
-    columns = prefix_sums(a, wrap=max(ds) - 1, axis=0)
-    assert columns.T.tobytes() == p.tobytes()
     ext = np.concatenate([a, a[:, : k - 1]], axis=1)
     windows = WindowMaxima(rows, k, ds)
     windows.entries[:] = a
     for d, line, circ in windows.max_pairs(rows):
-        assert window_max(columns, k, d, axis=0).tobytes() == window_max(p, k, d).tobytes()
         line_ref = sum(a[:, j : k - d + 1 + j] for j in range(d)).max(axis=1)
         circ_ref = sum(ext[:, j : k + j] for j in range(d)).max(axis=1)
-        np.testing.assert_allclose(window_max(p, k, d), circ_ref, rtol=1e-12, atol=0)
         np.testing.assert_allclose(line, line_ref, rtol=1e-12, atol=0)
         np.testing.assert_allclose(circ, circ_ref, rtol=1e-12, atol=0)
         assert (circ >= line).all()
@@ -228,16 +219,6 @@ def test_window_sums_add_the_doubling_pieces_smallest_first():
     [(_, line, circle)] = windows.max_pairs(rows)
     assert line.tobytes() == sums[:, : k - 6].max(axis=1).tobytes()
     assert circle.tobytes() == sums.max(axis=1).tobytes()
-
-
-def test_prefix_sums_rejects_wrap_outside_row():
-    a = np.ones((2, 4))
-    assert prefix_sums(a, wrap=3).tolist() == [[0, 1, 2, 3, 4, 5, 6, 7]] * 2
-    assert prefix_sums(a, wrap=3, axis=0).T.tolist() == [[0, 1, 2, 3, 4, 5, 6, 7]] * 2
-    for wrap in (-1, 4):
-        for axis in (1, 0):
-            with pytest.raises(ValueError, match="wrap"):
-                prefix_sums(a, wrap=wrap, axis=axis)
 
 
 def test_circle_equals_line_when_max_does_not_wrap():
@@ -352,6 +333,16 @@ def test_dspacing_centering_forms():
     b = dspacing_gumbel_centering(10_000, 3)
     # fixed point of b = log k + (d-1) log b - log((d-1)!)
     assert b == pytest.approx(math.log(10_000) + 2 * math.log(b) - math.log(2.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("k,first", [(50, 10), (300, 15), (1000, 18), (10_000, 24)])
+def test_dspacing_centering_domain_ends_where_the_iteration_falls_below_zero(k, first):
+    for d in range(1, first):
+        b = dspacing_gumbel_centering(k, d)
+        assert b > 0
+        assert b == pytest.approx(math.log(k) + (d - 1) * math.log(b) - math.lgamma(d), abs=1e-10)
+    with pytest.raises(ValueError, match=f"no Gumbel centering at k={k}, d={first}"):
+        dspacing_gumbel_centering(k, first)
 
 
 # ---------------------------------------------------------------------------
